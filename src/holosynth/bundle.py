@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, InvalidFrame, InvalidProjector, TooFewSamples
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, unitarity_defect as frame_defect
 
 
 def standard_base_frame(n: int, k: int) -> np.ndarray:
@@ -27,12 +27,6 @@ def standard_base_frame(n: int, k: int) -> np.ndarray:
     v = np.zeros((n, k), dtype=complex)
     v[:k, :k] = np.eye(k)
     return v
-
-
-def frame_defect(v: np.ndarray) -> float:
-    """||V^H V - I_k||_F."""
-    v = np.asarray(v)
-    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
 
 
 def check_frame(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -47,12 +41,15 @@ def check_frame(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def projector_defects(p: np.ndarray, k: int) -> tuple[float, float, float]:
-    """Idempotency, Hermiticity and trace defects of a claimed projector."""
+def projector_defects(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Idempotency, Hermiticity and trace defects of a claimed projector.
+
+    Leading axes batch: a stack of projectors gives one defect per sample.
+    """
     p = np.asarray(p)
-    idem = float(np.linalg.norm(p @ p - p))
-    herm = float(np.linalg.norm(p.conj().T - p))
-    trace = float(abs(np.trace(p) - k))
+    idem = np.linalg.norm(p @ p - p, axis=(-2, -1))
+    herm = np.linalg.norm(np.swapaxes(p, -2, -1).conj() - p, axis=(-2, -1))
+    trace = np.abs(np.trace(p, axis1=-2, axis2=-1) - k)
     return idem, herm, trace
 
 

@@ -25,6 +25,7 @@ from .document import (
     document_controller,
     encode_matrix,
     loads,
+    oracle_document,
 )
 from .errors import (
     DimensionError,
@@ -33,6 +34,7 @@ from .errors import (
     NonUnitaryInput,
     OpenLoop,
     ParamShapeMismatch,
+    TooFewSamples,
     UnknownGate,
 )
 from .extremal import curve_samples, evaluate_controller
@@ -125,7 +127,14 @@ def _synth_options(p: argparse.ArgumentParser) -> None:
                    help="JSON file of default flag values")
 
 
-_CONFIG_KEYS = ("phases", "windings", "steps", "bound", "seed", "tolerance")
+_CONFIG_KEYS = {
+    "phases": lambda v: tuple(float(x) for x in v),
+    "windings": lambda v: tuple(int(x) for x in v),
+    "steps": lambda v: tuple(int(x) for x in v) if isinstance(v, list) else int(v),
+    "bound": float,
+    "seed": int,
+    "tolerance": float,
+}
 
 
 def _apply_config(args) -> None:
@@ -139,28 +148,21 @@ def _apply_config(args) -> None:
         return
     with open(path, "r", encoding="utf-8") as fh:
         config = loads(fh.read())
+    if not isinstance(config, dict):
+        raise ParamShapeMismatch(
+            f"config file {path} must hold a JSON object of flag values"
+        )
     unknown = set(config) - set(_CONFIG_KEYS)
     if unknown:
         raise ParamShapeMismatch(
             f"unknown config keys: {', '.join(sorted(unknown))}"
         )
-    for key in _CONFIG_KEYS:
-        if key in config and getattr(args, key, None) is None and hasattr(args, key):
-            value = config[key]
-            if key in ("phases",):
-                value = tuple(float(x) for x in value)
-            elif key in ("windings",):
-                value = tuple(int(x) for x in value)
-            elif key == "steps":
-                if isinstance(value, list):
-                    value = tuple(int(x) for x in value)
-                else:
-                    value = int(value)
-            elif key == "bound" or key == "tolerance":
-                value = float(value)
-            elif key == "seed":
-                value = int(value)
-            setattr(args, key, value)
+    for key, convert in _CONFIG_KEYS.items():
+        if key in config and hasattr(args, key) and getattr(args, key) is None:
+            try:
+                setattr(args, key, convert(config[key]))
+            except (TypeError, ValueError) as exc:
+                raise ParamShapeMismatch(f"config key {key!r}: {exc}") from exc
 
 
 def _tol(args) -> Tolerances:
@@ -207,6 +209,20 @@ def _run_synthesis(args):
     return result, params, gate_name, tol
 
 
+def _verdict(checks) -> int:
+    """Exit code 4 if any (name, value, bound) check misses its bound,
+    naming every failed check on stderr; 0 otherwise."""
+    failed = [
+        f"{name} {value:.3e} >= bound {bound:.3e}"
+        for name, value, bound in checks
+        if not value < bound
+    ]
+    if failed:
+        print("verification failed: " + "; ".join(failed), file=sys.stderr)
+        return 4
+    return 0
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -231,18 +247,13 @@ def cmd_synthesize(args) -> int:
         oracle=oracle,
     )
     _emit(canonical_dumps(doc), args.out)
-    ok = (report.holonomy_error < HOLONOMY_BOUND
-          and report.loop_defect < CLOSURE_BOUND)
+    checks = [
+        ("holonomy error", report.holonomy_error, HOLONOMY_BOUND),
+        ("closure defect", report.loop_defect, CLOSURE_BOUND),
+    ]
     if oracle is not None:
-        ok = ok and oracle.deviation < ORACLE_BOUND
-    if not ok:
-        print(
-            f"verification failed: holonomy_error={report.holonomy_error:.3e} "
-            f"closure_defect={report.loop_defect:.3e}",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+        checks.append(("oracle deviation", oracle.deviation, ORACLE_BOUND))
+    return _verdict(checks)
 
 
 def _as_schedule(steps, fallback) -> tuple[int, ...]:
@@ -262,26 +273,14 @@ def cmd_verify(args) -> int:
     schedule = _as_schedule(args.steps, DEFAULT_SCHEDULE)
     bound = args.bound if args.bound is not None else ORACLE_BOUND
     oracle = cross_validate(ctrl, gate, steps_schedule=schedule, tol=tol)
-    slope = oracle.convergence_order_estimate
-    report = {
-        "deviation": float(oracle.deviation),
-        "steps": int(oracle.steps),
-        "slope": None if np.isnan(slope) else float(slope),
-        "anomalous": bool(oracle.anomalous),
-        "schedule": [int(s) for s in oracle.schedule],
-        "deviations": [float(d) for d in oracle.deviations],
-        "target_error": float(oracle.target_error),
-        "gamma_numeric": encode_matrix(oracle.gamma_numeric),
-        "gamma_analytic": encode_matrix(oracle.gamma_analytic),
-    }
+    report = oracle_document(oracle)
+    report.update(
+        target_error=float(oracle.target_error),
+        gamma_numeric=encode_matrix(oracle.gamma_numeric),
+        gamma_analytic=encode_matrix(oracle.gamma_analytic),
+    )
     _emit(canonical_dumps(report), args.out)
-    if oracle.deviation >= bound:
-        print(
-            f"oracle deviation {oracle.deviation:.3e} >= bound {bound:.3e}",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+    return _verdict([("oracle deviation", oracle.deviation, bound)])
 
 
 def cmd_sample(args) -> int:
@@ -295,8 +294,6 @@ def cmd_sample(args) -> int:
     steps = args.steps if args.steps is not None else 100
     if not isinstance(steps, int):
         raise ParamShapeMismatch("sample takes a single integer step count")
-    if steps < 2:
-        raise ParamShapeMismatch("--steps must be >= 2")
     loop = sample_loop(ctrl, steps, _tol(args))
     frames = curve_samples(ctrl, loop.times)
     n, k = ctrl.n, ctrl.k
@@ -348,26 +345,27 @@ def cmd_catalog_show(args) -> int:
     return 0
 
 
+# Exception -> exit code; the first row that matches wins, so every
+# specific error sits above the HolosynthError catch-all.
+_EXIT_CODES = (
+    (NonUnitaryInput, 3),
+    ((OpenLoop, NonUnitaryHolonomy), 5),
+    ((UnknownGate, DimensionError, ParamShapeMismatch, TooFewSamples,
+      OSError, ValueError), 2),
+    (HolosynthError, 4),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NonUnitaryInput,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OpenLoop, NonUnitaryHolonomy) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (UnknownGate, DimensionError, ParamShapeMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HolosynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def entry() -> None:

@@ -53,15 +53,28 @@ def encode_matrix(m) -> dict:
 
 def decode_matrix(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionError(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows * cols:
+    if flat.size != rows * cols:
         raise DimensionError(
-            f"matrix data length {len(data)} != rows*cols = {rows * cols}"
+            f"matrix data length {flat.size} != rows*cols = {rows * cols}"
         )
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     return flat.reshape(rows, cols)
+
+
+def oracle_document(oracle: OracleReport) -> dict:
+    """The plain-dict summary of an oracle run stored in documents."""
+    slope = oracle.convergence_order_estimate
+    return {
+        "deviation": float(oracle.deviation),
+        "steps": int(oracle.steps),
+        "slope": None if np.isnan(slope) else float(slope),
+        "anomalous": bool(oracle.anomalous),
+        "schedule": [int(s) for s in oracle.schedule],
+        "deviations": [float(d) for d in oracle.deviations],
+    }
 
 
 def controller_document(
@@ -73,17 +86,6 @@ def controller_document(
     oracle: OracleReport | None = None,
 ) -> dict:
     """Assemble the plain-dict document for one synthesis run."""
-    oracle_obj = None
-    if oracle is not None:
-        slope = oracle.convergence_order_estimate
-        oracle_obj = {
-            "deviation": float(oracle.deviation),
-            "steps": int(oracle.steps),
-            "slope": None if np.isnan(slope) else float(slope),
-            "anomalous": bool(oracle.anomalous),
-            "schedule": [int(s) for s in oracle.schedule],
-            "deviations": [float(d) for d in oracle.deviations],
-        }
     return {
         "schema_version": SCHEMA_VERSION,
         "gate": {
@@ -106,7 +108,7 @@ def controller_document(
         "verification": {
             "holonomy_error": float(report.holonomy_error),
             "closure_defect": float(report.loop_defect),
-            "oracle": oracle_obj,
+            "oracle": None if oracle is None else oracle_document(oracle),
         },
     }
 
@@ -127,8 +129,12 @@ def document_controller(doc: dict) -> tuple[Controller, np.ndarray]:
     the channel count, and rejects matrices whose lower blocks are not
     the mirror image the generator structure implies.
     """
-    x = decode_matrix(doc["synthesis"]["controller"])
-    k = len(doc["synthesis"]["eigenphases"])
+    try:
+        x = decode_matrix(doc["synthesis"]["controller"])
+        k = len(doc["synthesis"]["eigenphases"])
+        gate = decode_matrix(doc["gate"]["matrix"])
+    except (KeyError, TypeError) as exc:
+        raise DimensionError(f"controller document lacks a valid field: {exc}") from exc
     if x.shape[0] != x.shape[1] or x.shape[0] <= k:
         raise DimensionError(
             f"controller matrix shape {x.shape} inconsistent with k={k}"
@@ -140,6 +146,5 @@ def document_controller(doc: dict) -> tuple[Controller, np.ndarray]:
             "stored generator is not in controller block form "
             f"(mirror defect {mirror:.3e}, tail norm {tail:.3e})"
         )
-    gate = decode_matrix(doc["gate"]["matrix"])
     ctrl = Controller(omega=x[:k, :k], coupling=x[:k, k:])
     return ctrl, gate

@@ -20,12 +20,13 @@ testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, NonUnitaryHolonomy, OpenLoop
-from .linalg import as_complex_matrix, check_skew, check_unitary, unitarity_defect
+from .linalg import as_complex_matrix, check_skew, check_unitary, expm_eigen, unitarity_defect
 from .bundle import standard_base_frame
 
 
@@ -83,11 +84,15 @@ class Controller:
     def base_frame(self) -> np.ndarray:
         return standard_base_frame(self.n, self.k)
 
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigen-data (w, q) of X = q diag(i w) q^H, computed once."""
+        return np.linalg.eigh(-1j * self.matrix)
 
-def _spectral(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-data (w, q) of a skew-Hermitian matrix, a = q diag(i w) q^H."""
-    w, q = np.linalg.eigh(-1j * a)
-    return w, q
+    @cached_property
+    def _omega_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigen-data (w, q) of Omega = q diag(i w) q^H, computed once."""
+        return np.linalg.eigh(-1j * self.omega)
 
 
 def curve_point(ctrl: Controller, t: float) -> np.ndarray:
@@ -102,14 +107,8 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     dense sampling costs a pair of batched matrix products per point.
     """
     times = np.asarray(times, dtype=float)
-    v0 = ctrl.base_frame()
-    wx, qx = _spectral(ctrl.matrix)
-    wo, qo = _spectral(ctrl.omega)
-    left_seed = qx.conj().T @ v0
-    phases_x = np.exp(1j * np.outer(times, wx))
-    left = np.einsum("ij,mj,jk->mik", qx, phases_x, left_seed)
-    phases_o = np.exp(-1j * np.outer(times, wo))
-    right = np.einsum("ij,mj,jk->mik", qo, phases_o, qo.conj().T)
+    left = expm_eigen(*ctrl._spectrum, times, right=ctrl.base_frame())
+    right = expm_eigen(*ctrl._omega_spectrum, -times)
     return np.einsum("mij,mjk->mik", left, right)
 
 
@@ -117,8 +116,7 @@ def loop_closure_defect(ctrl: Controller, t_final: float = 1.0) -> float:
     """||exp(T X) P0 exp(-T X) - P0||_F with P0 the base projector."""
     v0 = ctrl.base_frame()
     p0 = v0 @ v0.conj().T
-    wx, qx = _spectral(ctrl.matrix)
-    g = (qx * np.exp(1j * t_final * wx)) @ qx.conj().T
+    g = expm_eigen(*ctrl._spectrum, t_final)
     return float(np.linalg.norm(g @ p0 @ g.conj().T - p0))
 
 
@@ -141,10 +139,8 @@ def holonomy_analytic(
             f"at T={t_final}"
         )
     v0 = ctrl.base_frame()
-    wx, qx = _spectral(ctrl.matrix)
-    g = (qx * np.exp(1j * t_final * wx)) @ qx.conj().T
-    wo, qo = _spectral(ctrl.omega)
-    unwind = (qo * np.exp(-1j * t_final * wo)) @ qo.conj().T
+    g = expm_eigen(*ctrl._spectrum, t_final)
+    unwind = expm_eigen(*ctrl._omega_spectrum, -t_final)
     gamma = v0.conj().T @ g @ v0 @ unwind
     if unitarity_defect(gamma) > tol.unitarity:
         raise NonUnitaryHolonomy(

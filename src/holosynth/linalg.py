@@ -146,7 +146,20 @@ def expm_skew(a, t: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     a = check_skew(a, tol, what="expm_skew input")
     w, q = np.linalg.eigh(-1j * a)
-    return (q * np.exp(1j * t * w)) @ q.conj().T
+    return expm_eigen(w, q, t)
+
+
+def expm_eigen(w, q, t=1.0, right=None) -> np.ndarray:
+    """exp(i t H) @ right (right = I by default) for Hermitian H = q diag(w) q^H.
+
+    A 1-D array of times gives the stack of products in one contraction,
+    without forming the n x n exponentials.
+    """
+    tail = q.conj().T if right is None else q.conj().T @ right
+    phases = np.exp(1j * np.multiply.outer(t, w))
+    if phases.ndim == 1:
+        return (q * phases) @ tail
+    return np.einsum("ij,mj,jk->mik", q, phases, tail)
 
 
 def polar_unitary(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

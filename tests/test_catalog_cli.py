@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holosynth
 from holosynth import UnknownGate, catalog_get, catalog_names, synthesize
 from holosynth.cli import main
 from holosynth.document import (
@@ -284,6 +289,56 @@ class TestCliVerify:
         )
         assert code == 4
         assert "bound" in err
+
+    def test_failed_oracle_check_is_named(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "synthesize", "--gate", "random-3", "--seed", "2",
+            "--oracle", "--steps", "5",
+        )
+        assert code == 4
+        assert "oracle deviation" in err
+        assert "bound 2.000e-03" in err
+        assert "holonomy error" not in err
+
+
+def _run_process(*argv):
+    """Run the command line in a fresh interpreter; (exit code, stderr)."""
+    src = str(Path(holosynth.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "holosynth.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestCliBadInput:
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("empty_document", "'synthesis'"),
+            ("config_list", "JSON object"),
+            ("config_scalar_phases", "phases"),
+            ("one_step", "steps"),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, case, field, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        config = tmp_path / "config.json"
+        if case == "empty_document":
+            doc.write_text("{}")
+            argv = ["verify", "--doc", str(doc)]
+        elif case == "one_step":
+            assert main(["synthesize", "--gate", "hadamard", "--out", str(doc)]) == 0
+            argv = ["verify", "--doc", str(doc), "--steps", "1"]
+        else:
+            config.write_text('["phases"]' if case == "config_list" else '{"phases": 1}')
+            argv = ["synthesize", "--gate", "hadamard", "--config", str(config)]
+        code, err = _run_process(*argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert field in err
 
 
 class TestCliSample:
