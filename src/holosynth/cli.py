@@ -307,21 +307,14 @@ def cmd_sample(args) -> int:
     bloch = k == 1 and n == 2
     if bloch:
         header += ["r1", "r2", "r3"]
-    lines = [",".join(header)]
-    for idx, t in enumerate(loop.times):
-        row = [repr(float(t))]
-        for z in frames[idx].reshape(-1):
-            row += [repr(float(z.real)), repr(float(z.imag))]
-        p = loop.projectors[idx]
-        for z in p.reshape(-1):
-            row += [repr(float(z.real)), repr(float(z.imag))]
-        if bloch:
-            row += [
-                repr(float(2.0 * p[0, 1].real)),
-                repr(float(-2.0 * p[0, 1].imag)),
-                repr(float((p[0, 0] - p[1, 1]).real)),
-            ]
-        lines.append(",".join(row))
+    m, p = len(loop.times), loop.projectors
+    columns = [loop.times[:, None], frames.reshape(m, -1).view(float),
+               p.reshape(m, -1).view(float)]
+    if bloch:
+        columns.append(np.stack([2.0 * p[:, 0, 1].real, -2.0 * p[:, 0, 1].imag,
+                                 (p[:, 0, 0] - p[:, 1, 1]).real], axis=1))
+    rows = np.concatenate(columns, axis=1).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

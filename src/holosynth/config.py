@@ -23,8 +23,6 @@ class Tolerances:
             polar decomposition is refused.
         closure: bound on the Grassmannian loop-closure defect below which
             a loop counts as closed.
-        cluster_gap: eigenphase gap under which eigenvalues are treated as
-            one degenerate cluster during canonicalization.
         phase_snap: eigenphases within this distance of 0 or 2*pi are
             snapped to exactly 0.
     """
@@ -36,7 +34,6 @@ class Tolerances:
     reconstruction: float = 1e-10
     singular: float = 1e-12
     closure: float = 1e-8
-    cluster_gap: float = 1e-9
     phase_snap: float = 1e-12
 
     def with_validation(self, value: float) -> "Tolerances":

@@ -53,10 +53,16 @@ def encode_matrix(m) -> dict:
 
 def decode_matrix(obj: dict) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
+        rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionError(f"malformed matrix object: {exc}") from exc
+    flat = np.empty(len(data), dtype=complex)
+    for i, entry in enumerate(data):
+        try:
+            re, im = entry
+            flat[i] = complex(re, im)
+        except (TypeError, ValueError) as exc:
+            raise DimensionError(f"matrix data[{i}] = {entry!r} is not [re, im]") from exc
     if flat.size != rows * cols:
         raise DimensionError(
             f"matrix data length {flat.size} != rows*cols = {rows * cols}"
@@ -122,6 +128,17 @@ def loads(text: str) -> dict:
     return json.loads(text)
 
 
+def _field(doc, *path):
+    """doc[path[0]][path[1]]...; DimensionError naming the path if absent."""
+    try:
+        for key in path:
+            doc = doc[key]
+    except (KeyError, TypeError) as exc:
+        named = "".join(f"[{step!r}]" for step in path)
+        raise DimensionError(f"controller document lacks a valid field {named}") from exc
+    return doc
+
+
 def document_controller(doc: dict) -> tuple[Controller, np.ndarray]:
     """Rebuild the controller and target gate from a parsed document.
 
@@ -129,12 +146,12 @@ def document_controller(doc: dict) -> tuple[Controller, np.ndarray]:
     the channel count, and rejects matrices whose lower blocks are not
     the mirror image the generator structure implies.
     """
+    x = decode_matrix(_field(doc, "synthesis", "controller"))
+    gate = decode_matrix(_field(doc, "gate", "matrix"))
     try:
-        x = decode_matrix(doc["synthesis"]["controller"])
-        k = len(doc["synthesis"]["eigenphases"])
-        gate = decode_matrix(doc["gate"]["matrix"])
-    except (KeyError, TypeError) as exc:
-        raise DimensionError(f"controller document lacks a valid field: {exc}") from exc
+        k = len(_field(doc, "synthesis", "eigenphases"))
+    except TypeError as exc:
+        raise DimensionError(f"controller document eigenphases: {exc}") from exc
     if x.shape[0] != x.shape[1] or x.shape[0] <= k:
         raise DimensionError(
             f"controller matrix shape {x.shape} inconsistent with k={k}"

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra: validated unitary eigendecomposition,
+"""Dense complex linear algebra on numpy alone: validated unitary
+eigendecomposition (a Cayley transform handed to the Hermitian `eigh`),
 skew-Hermitian matrix exponentials and polar unitarization.
 
 Matrices are plain complex numpy arrays. Validation helpers raise typed
@@ -9,7 +10,6 @@ having been checked exactly once at the operation boundary.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
@@ -69,15 +69,6 @@ def check_skew(a, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.nda
     return a
 
 
-def _canonical_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate a column's global phase so its largest-magnitude entry is
-    real positive; magnitude ties resolved toward the lowest row index."""
-    mags = np.abs(column)
-    pivot = int(np.argmax(mags > mags.max() - 1e-12))
-    phase = column[pivot] / abs(column[pivot])
-    return column * np.conj(phase)
-
-
 def eig_unitary(
     u, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -89,44 +80,42 @@ def eig_unitary(
     downstream square roots of the form sqrt(gamma * (2n*pi - gamma))
     exact on degenerate channels.
 
-    Eigenvectors come from a complex Schur decomposition, so `r` is unitary
-    to machine precision even inside degenerate clusters. Clusters (phase
-    gap below `tol.cluster_gap`) are re-orthonormalized by QR and every
-    column's global phase is fixed by :func:`_canonical_phase`, making the
-    output deterministic for a given platform.
+    Eigenvectors come from `eigh` of the Cayley transform
+    H = -i (I - V)^{-1} (I + V), V = e^{-i theta} U, with theta in the middle
+    of the widest gap between U's eigenphases. H shares U's eigenvectors and
+    has eigenvalues cot(alpha/2), monotone in V's phases alpha, so every gap
+    stays a gap and `r` is unitary to machine precision even inside
+    degenerate clusters. The phases are the Rayleigh quotients diag(r^H U r).
+    Each column's largest-magnitude entry is made real positive (ties go to
+    the lowest row), so the output is deterministic for a given platform.
 
     Raises:
         NonUnitaryInput: input fails the unitarity tolerance.
-        ConvergenceFailure: the Schur iteration failed, or the
+        ConvergenceFailure: an eigenvalue iteration failed, or the
             reconstruction check exceeded `tol.reconstruction`.
     """
     u = check_unitary(u, tol, what="eig_unitary input")
+    eye = np.eye(u.shape[0])
     try:
-        t, z = scipy.linalg.schur(u, output="complex")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise ConvergenceFailure(f"Schur decomposition failed: {exc}") from exc
+        alphas = np.sort(np.angle(np.linalg.eigvals(u)) % TWO_PI)
+        gaps = np.diff(alphas, append=alphas[0] + TWO_PI)
+        widest = int(np.argmax(gaps))
+        v = np.exp(-1j * (alphas[widest] + gaps[widest] / 2)) * u
+        _, z = np.linalg.eigh(-1j * np.linalg.solve(eye - v, eye + v))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise ConvergenceFailure(f"unitary eigendecomposition failed: {exc}") from exc
 
-    gammas = np.angle(np.diag(t)) % TWO_PI
+    gammas = np.angle(np.einsum("ij,ij->j", z.conj(), u @ z)) % TWO_PI
     gammas = np.where(np.abs(gammas - TWO_PI) <= tol.phase_snap, 0.0, gammas)
     gammas = np.where(np.abs(gammas) <= tol.phase_snap, 0.0, gammas)
 
     order = np.argsort(gammas, kind="stable")
     gammas = gammas[order]
-    r = z[:, order].copy()
-
-    k = len(gammas)
-    start = 0
-    while start < k:
-        stop = start
-        while stop + 1 < k and gammas[stop + 1] - gammas[stop] < tol.cluster_gap:
-            stop += 1
-        block = r[:, start : stop + 1]
-        if stop > start:
-            block, _ = np.linalg.qr(block)
-        for c in range(block.shape[1]):
-            block[:, c] = _canonical_phase(block[:, c])
-        r[:, start : stop + 1] = block
-        start = stop + 1
+    r = z[:, order]
+    mags = np.abs(r)
+    pivot = np.argmax(mags > mags.max(axis=0) - 1e-12, axis=0)
+    lead = r[pivot, np.arange(r.shape[1])]
+    r = r * np.conj(lead / np.abs(lead))
 
     recon = float(np.linalg.norm(r @ np.diag(np.exp(1j * gammas)) @ r.conj().T - u))
     if recon > tol.reconstruction:

@@ -18,9 +18,10 @@ from holosynth.document import (
     encode_matrix,
     loads,
 )
-from holosynth.extremal import evaluate_controller
+from holosynth.extremal import curve_samples, evaluate_controller
 from holosynth.linalg import unitarity_defect
 from holosynth.synth import SynthesisParams
+from holosynth.verify import sample_loop
 
 
 class TestCatalog:
@@ -302,15 +303,32 @@ class TestCliVerify:
         assert "holonomy error" not in err
 
 
-def _run_process(*argv):
-    """Run the command line in a fresh interpreter; (exit code, stderr)."""
+def _run_python(*args):
+    """Run a fresh interpreter that imports the package under test."""
     src = str(Path(holosynth.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "holosynth.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_process(*argv):
+    """Run the command line in a fresh interpreter; (exit code, stderr)."""
+    proc = _run_python("-m", "holosynth.cli", *argv)
     return proc.returncode, proc.stderr
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    out = str(tmp_path / "doc.json")
+    proc = _run_python("-c", (
+        "import sys\n"
+        "from holosynth.cli import main\n"
+        f"assert main(['synthesize', '--gate', 'dft2', '--out', {out!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestCliBadInput:
@@ -318,6 +336,8 @@ class TestCliBadInput:
         "case, field",
         [
             ("empty_document", "'synthesis'"),
+            ("synthesis_list", "'synthesis'"),
+            ("short_data_entry", "data[3]"),
             ("config_list", "JSON object"),
             ("config_scalar_phases", "phases"),
             ("one_step", "steps"),
@@ -328,6 +348,15 @@ class TestCliBadInput:
         config = tmp_path / "config.json"
         if case == "empty_document":
             doc.write_text("{}")
+            argv = ["verify", "--doc", str(doc)]
+        elif case == "synthesis_list":
+            doc.write_text('{"synthesis": []}')
+            argv = ["verify", "--doc", str(doc)]
+        elif case == "short_data_entry":
+            assert main(["synthesize", "--gate", "hadamard", "--out", str(doc)]) == 0
+            parsed = json.loads(doc.read_text())
+            parsed["synthesis"]["controller"]["data"][3] = [1.0]
+            doc.write_text(json.dumps(parsed))
             argv = ["verify", "--doc", str(doc)]
         elif case == "one_step":
             assert main(["synthesize", "--gate", "hadamard", "--out", str(doc)]) == 0
@@ -384,6 +413,29 @@ class TestCliSample:
         last = np.array([float(x) for x in lines[-1].split(",")])
         p_cols = [i for i, name in enumerate(header) if name.startswith("p_")]
         assert np.max(np.abs(first[p_cols] - last[p_cols])) < 1e-10
+
+    @pytest.mark.parametrize("gate", ["dft2", "phase-0.7"])
+    def test_csv_reproduces_the_sampled_loop(self, gate, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--gate", gate, "--steps", "50")
+        assert code == 0
+        header, *lines = out.strip().split("\n")
+        values = np.array([[float(x) for x in line.split(",")] for line in lines])
+        col = dict(zip(header.split(","), values.T))
+        ctrl = synthesize(catalog_get(gate).matrix).controller
+        loop = sample_loop(ctrl, 50)
+        frames = curve_samples(ctrl, loop.times)
+        p = loop.projectors
+        np.testing.assert_array_equal(col["t"], loop.times)
+        for i in range(ctrl.n):
+            for j in range(ctrl.k):
+                np.testing.assert_array_equal(col[f"v_re_{i}_{j}"], frames[:, i, j].real)
+                np.testing.assert_array_equal(col[f"v_im_{i}_{j}"], frames[:, i, j].imag)
+            for j in range(ctrl.n):
+                np.testing.assert_array_equal(col[f"p_re_{i}_{j}"], p[:, i, j].real)
+                np.testing.assert_array_equal(col[f"p_im_{i}_{j}"], p[:, i, j].imag)
+        if ctrl.k == 1:
+            np.testing.assert_array_equal(col["r3"], (p[:, 0, 0] - p[:, 1, 1]).real)
+            np.testing.assert_array_equal(col["r1"] + 1j * col["r2"], 2.0 * p[:, 0, 1].conj())
 
     def test_sample_from_document(self, capsys, tmp_path):
         target = tmp_path / "doc.json"

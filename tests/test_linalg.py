@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holosynth import (
+    DEFAULT_TOL,
     NonSkewInput,
     NonUnitaryInput,
     SingularInput,
@@ -64,6 +65,79 @@ class TestEigUnitary:
         r, gammas = eig_unitary(u)
         recon = r @ np.diag(np.exp(1j * gammas)) @ r.conj().T
         assert np.linalg.norm(recon - u) < 1e-10
+
+
+TWO_PI = 2.0 * np.pi
+CENTERS = (0.0, np.pi / 2, np.pi, TWO_PI)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def assert_decomposes(gammas, seed):
+    """eig_unitary of Q diag(e^{i gammas}) Q^H (Q Haar) returns a unitary
+    diagonalizer and the snapped, sorted gammas."""
+    gammas = np.asarray(gammas, dtype=float) % TWO_PI
+    q = random_haar(np.random.default_rng(seed), len(gammas))
+    u = q @ np.diag(np.exp(1j * gammas)) @ q.conj().T
+    r, got = eig_unitary(u)
+    snap = DEFAULT_TOL.phase_snap
+    want = np.where((gammas <= snap) | (gammas >= TWO_PI - snap), 0.0, gammas)
+    recon = r @ np.diag(np.exp(1j * got)) @ r.conj().T
+    assert np.linalg.norm(recon - u) <= 1e-11
+    assert np.linalg.norm(r.conj().T @ r - np.eye(len(gammas))) <= 1e-12
+    np.testing.assert_allclose(got, np.sort(want), rtol=0.0, atol=1e-12)
+
+
+class TestEigUnitaryAdversarial:
+    """Spectra built from known phases, so no reference solver is needed.
+
+    Near pi/2 a pair gamma, gamma + d keeps a cos gap of about d but a sin
+    gap of about d^2, and near 0 and pi the reverse, so a method that tells
+    phases apart by cos gamma or by sin gamma alone meets a gap of about
+    d^2 somewhere; the decomposition must resolve d itself.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        center=st.sampled_from(CENTERS),
+        exponent=st.integers(4, 9),
+        shift=st.sampled_from((-2.0, -0.5, 0.0, 1.0)),
+        extra=st.lists(st.floats(1e-6, TWO_PI - 1e-6), max_size=3),
+        seed=SEEDS,
+    )
+    def test_close_pairs(self, center, exponent, shift, extra, seed):
+        delta = 10.0**-exponent
+        low = center + shift * delta
+        assert_decomposes([low, low + delta, *extra], seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(gamma=st.floats(1e-9, np.pi), seed=SEEDS)
+    def test_mirror_pairs(self, gamma, seed):
+        assert_decomposes([gamma, TWO_PI - gamma], seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        clusters=st.lists(
+            st.tuples(
+                st.sampled_from((0.0, 1.0, np.pi / 2, np.pi, 3 * np.pi / 2, 5.0)),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=SEEDS,
+    )
+    def test_exact_clusters(self, clusters, seed):
+        assert_decomposes([g for g, m in clusters for _ in range(m)], seed)
+
+    # A phase within roundoff of the snap bound (1e-12 from 0 or 2*pi)
+    # may land on either side of it, so offsets stay clear of that band.
+    @settings(max_examples=20, deadline=None)
+    @given(
+        offset=st.one_of(st.just(0.0), st.floats(1e-9, TWO_PI / 64 - 1e-9)),
+        seed=SEEDS,
+    )
+    def test_64_evenly_spread_phases(self, offset, seed):
+        assert_decomposes(offset + TWO_PI * np.arange(64) / 64, seed)
 
 
 class TestExpmSkew:

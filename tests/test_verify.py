@@ -112,13 +112,22 @@ class TestSpectralReuse:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         return calls
 
-    def test_evaluate_controller_decomposes_x_and_omega_once(self, eigh_calls):
+    # The counter is requested after `synthesize`, whose own gate
+    # decomposition is one `eigh` call, so each test counts only the
+    # function it names.
+    def test_synthesize_decomposes_the_gate_once(self, eigh_calls):
+        synthesize(random_haar(np.random.default_rng(11), 4))
+        assert eigh_calls == [(4, 4)]
+
+    def test_evaluate_controller_decomposes_x_and_omega_once(self, request):
         result = synthesize(random_haar(np.random.default_rng(12), 4))
+        eigh_calls = request.getfixturevalue("eigh_calls")
         evaluate_controller(result.controller, result.gate)
         assert len(eigh_calls) <= 2
 
-    def test_cross_validate_decomposes_x_and_omega_once(self, eigh_calls):
+    def test_cross_validate_decomposes_x_and_omega_once(self, request):
         result = synthesize(random_haar(np.random.default_rng(13), 4))
+        eigh_calls = request.getfixturevalue("eigh_calls")
         cross_validate(result.controller, result.gate, (100, 200, 400))
         assert len(eigh_calls) <= 2
 
