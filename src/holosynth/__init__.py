@@ -5,13 +5,11 @@ constructs, in closed form, the constant generator whose horizontal
 extremal curve on the manifold of orthonormal 2k-frames traces the
 shortest closed loop of subspaces producing that unitary as its holonomy.
 Analytic results are cross-checked by an independent discrete
-parallel-transport oracle that consumes only the sampled projector loop.
+parallel-transport oracle that consumes only the sampled loop of frames.
 """
 
 from .abelian import BerryController, berry_controller, berry_holonomy, bloch_curve
 from .bundle import (
-    ConnectionSample,
-    connection_sample,
     horizontality_defect,
     loop_length_numeric,
     project,
@@ -24,7 +22,6 @@ from .errors import (
     DimensionError,
     HolosynthError,
     InvalidFrame,
-    InvalidProjector,
     NonSkewInput,
     NonUnitaryHolonomy,
     NonUnitaryInput,
@@ -37,7 +34,6 @@ from .errors import (
 from .extremal import (
     Controller,
     HolonomyReport,
-    curve_point,
     curve_samples,
     evaluate_controller,
     gate_commutes,
@@ -67,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerryController",
-    "ConnectionSample",
     "Controller",
     "ConvergenceFailure",
     "DEFAULT_TOL",
@@ -76,7 +71,6 @@ __all__ = [
     "HolonomyReport",
     "HolosynthError",
     "InvalidFrame",
-    "InvalidProjector",
     "NonSkewInput",
     "NonUnitaryHolonomy",
     "NonUnitaryInput",
@@ -96,9 +90,7 @@ __all__ = [
     "catalog_get",
     "catalog_names",
     "channel_length",
-    "connection_sample",
     "cross_validate",
-    "curve_point",
     "curve_samples",
     "eig_unitary",
     "evaluate_controller",

@@ -10,13 +10,10 @@ we note here for completeness.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionError, InvalidFrame, InvalidProjector, TooFewSamples
+from .errors import DimensionError, InvalidFrame, TooFewSamples
 from .linalg import as_complex_matrix, unitarity_defect as frame_defect
 
 
@@ -41,31 +38,6 @@ def check_frame(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return v
 
 
-def projector_defects(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Idempotency, Hermiticity and trace defects of a claimed projector.
-
-    Leading axes batch: a stack of projectors gives one defect per sample.
-    """
-    p = np.asarray(p)
-    idem = np.linalg.norm(p @ p - p, axis=(-2, -1))
-    herm = np.linalg.norm(np.swapaxes(p, -2, -1).conj() - p, axis=(-2, -1))
-    trace = np.abs(np.trace(p, axis1=-2, axis2=-1) - k)
-    return idem, herm, trace
-
-
-def check_projector(p, k: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    p = as_complex_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        raise DimensionError(f"projector must be square, got {p.shape}")
-    idem, herm, trace = projector_defects(p, k)
-    if max(idem, herm, trace) > tol.projector:
-        raise InvalidProjector(
-            f"projector defects (idem={idem:.3e}, herm={herm:.3e}, "
-            f"trace={trace:.3e}) exceed {tol.projector:.1e}"
-        )
-    return p
-
-
 def project(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Project a frame to its subspace projector P = V V^H.
 
@@ -74,44 +46,6 @@ def project(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     v = check_frame(v, tol)
     return v @ v.conj().T
-
-
-@dataclass(frozen=True)
-class ConnectionSample:
-    """Connection value A = skew(V^H Vdot) at one point of a curve.
-
-    `hermitian_residual` records the norm of the discarded Hermitian part;
-    for an exactly orthonormal frame the product V^H Vdot is skew up to
-    roundoff, so a large residual flags an inconsistent (V, Vdot) pair.
-    """
-
-    value: np.ndarray
-    hermitian_residual: float
-
-
-def connection_sample(v, v_dot, tol: Tolerances = DEFAULT_TOL) -> ConnectionSample:
-    """Evaluate the canonical connection on a frame and its velocity.
-
-    The raw product V^H Vdot is skew-symmetrized before being returned;
-    a Hermitian residual above 100x the skewness tolerance triggers a
-    RuntimeWarning rather than masking a genuinely bad input.
-    """
-    v = check_frame(v, tol)
-    v_dot = as_complex_matrix(v_dot)
-    if v_dot.shape != v.shape:
-        raise DimensionError(
-            f"velocity shape {v_dot.shape} does not match frame shape {v.shape}"
-        )
-    raw = v.conj().T @ v_dot
-    skew = 0.5 * (raw - raw.conj().T)
-    residual = float(np.linalg.norm(raw - skew))
-    if residual > 100.0 * tol.skewness:
-        warnings.warn(
-            f"connection sample discarded a Hermitian part of norm {residual:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return ConnectionSample(value=skew, hermitian_residual=residual)
 
 
 def _as_sampled(stack, min_samples: int) -> np.ndarray:

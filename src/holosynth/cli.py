@@ -37,7 +37,7 @@ from .errors import (
     TooFewSamples,
     UnknownGate,
 )
-from .extremal import curve_samples, evaluate_controller
+from .extremal import evaluate_controller
 from .synth import SynthesisParams, synthesize
 from .verify import cross_validate, sample_loop
 
@@ -295,7 +295,6 @@ def cmd_sample(args) -> int:
     if not isinstance(steps, int):
         raise ParamShapeMismatch("sample takes a single integer step count")
     loop = sample_loop(ctrl, steps, _tol(args))
-    frames = curve_samples(ctrl, loop.times)
     n, k = ctrl.n, ctrl.k
     header = ["t"]
     for i in range(n):
@@ -308,7 +307,7 @@ def cmd_sample(args) -> int:
     if bloch:
         header += ["r1", "r2", "r3"]
     m, p = len(loop.times), loop.projectors
-    columns = [loop.times[:, None], frames.reshape(m, -1).view(float),
+    columns = [loop.times[:, None], loop.frames.reshape(m, -1).view(float),
                p.reshape(m, -1).view(float)]
     if bloch:
         columns.append(np.stack([2.0 * p[:, 0, 1].real, -2.0 * p[:, 0, 1].imag,

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Tolerances:
     """One record of every tolerance the package consults.
 
@@ -16,7 +16,6 @@ class Tolerances:
         unitarity: bound on ||U^H U - I||_F for unitary inputs.
         skewness: bound on ||A + A^H||_F for skew-Hermitian inputs.
         frame: bound on ||V^H V - I_k||_F for Stiefel frames.
-        projector: bound on each of ||P^2 - P||_F, ||P^H - P||_F, |tr P - k|.
         reconstruction: bound on ||R diag(e^{i gamma}) R^H - U||_F after
             a unitary eigendecomposition.
         singular: lower bound on the smallest singular value before a
@@ -30,7 +29,6 @@ class Tolerances:
     unitarity: float = 1e-10
     skewness: float = 1e-10
     frame: float = 1e-10
-    projector: float = 1e-10
     reconstruction: float = 1e-10
     singular: float = 1e-12
     closure: float = 1e-8
@@ -39,17 +37,16 @@ class Tolerances:
     def with_validation(self, value: float) -> "Tolerances":
         """Copy with all validation tolerances set to `value`.
 
-        Touches the unitarity, skewness, frame, projector and
-        reconstruction bounds (inputs admitted with defect `value` cannot
-        reconstruct more tightly than that); the structural tolerances
-        (closure, singular, ...) keep their defaults.
+        Touches the unitarity, skewness, frame and reconstruction bounds
+        (inputs admitted with defect `value` cannot reconstruct more
+        tightly than that); the structural tolerances (closure,
+        singular, ...) keep their defaults.
         """
         return replace(
             self,
             unitarity=value,
             skewness=value,
             frame=value,
-            projector=value,
             reconstruction=value,
         )
 

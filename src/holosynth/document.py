@@ -53,9 +53,11 @@ def encode_matrix(m) -> dict:
 
 def decode_matrix(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), list(obj["data"])
+        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionError(f"malformed matrix object: {exc}") from exc
+    if not isinstance(data, list):
+        raise DimensionError(f"matrix data = {data!r} is not a list of [re, im]")
     flat = np.empty(len(data), dtype=complex)
     for i, entry in enumerate(data):
         try:

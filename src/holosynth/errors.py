@@ -29,10 +29,6 @@ class InvalidFrame(HolosynthError):
     """A matrix fails the orthonormal-frame tolerance."""
 
 
-class InvalidProjector(HolosynthError):
-    """A matrix fails the rank-k orthogonal-projector invariants."""
-
-
 class TooFewSamples(HolosynthError):
     """A sampled curve has too few points for the requested operation."""
 

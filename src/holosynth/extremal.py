@@ -95,13 +95,9 @@ class Controller:
         return np.linalg.eigh(-1j * self.omega)
 
 
-def curve_point(ctrl: Controller, t: float) -> np.ndarray:
-    """Frame V(t) = exp(t X) V0 exp(-t Omega) of the extremal curve."""
-    return curve_samples(ctrl, np.asarray([t], dtype=float))[0]
-
-
 def curve_samples(ctrl: Controller, times) -> np.ndarray:
-    """Frames of the extremal curve at many times, shape (len(times), n, k).
+    """Frames V(t) = exp(t X) V0 exp(-t Omega) of the extremal curve at many
+    times, shape (len(times), n, k).
 
     One eigendecomposition of X and one of Omega serve every sample, so
     dense sampling costs a pair of batched matrix products per point.
@@ -109,7 +105,7 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     left = expm_eigen(*ctrl._spectrum, times, right=ctrl.base_frame())
     right = expm_eigen(*ctrl._omega_spectrum, -times)
-    return np.einsum("mij,mjk->mik", left, right)
+    return left @ right
 
 
 def loop_closure_defect(ctrl: Controller, t_final: float = 1.0) -> float:

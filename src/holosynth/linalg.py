@@ -34,9 +34,10 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """||U^H U - I||_F."""
+    """||U^H U - I||_F; for a stack of matrices, the largest over the stack."""
     u = np.asarray(u)
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])))
+    gram = np.swapaxes(u, -2, -1).conj() @ u
+    return float(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1)).max())
 
 
 def skewness_defect(a: np.ndarray) -> float:
@@ -141,14 +142,12 @@ def expm_skew(a, t: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def expm_eigen(w, q, t=1.0, right=None) -> np.ndarray:
     """exp(i t H) @ right (right = I by default) for Hermitian H = q diag(w) q^H.
 
-    A 1-D array of times gives the stack of products in one contraction,
+    A 1-D array of times gives the stack of products in one batched matmul,
     without forming the n x n exponentials.
     """
     tail = q.conj().T if right is None else q.conj().T @ right
     phases = np.exp(1j * np.multiply.outer(t, w))
-    if phases.ndim == 1:
-        return (q * phases) @ tail
-    return np.einsum("ij,mj,jk->mik", q, phases, tail)
+    return q @ (phases[..., None] * tail)
 
 
 def polar_unitary(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Independent numerical holonomy oracle.
 
 The oracle never touches the closed-form solution: it consumes only the
-sampled projector loop and the base frame. The discrete transporter is the
-ordered projector chain
+sampled loop of orthonormal k-frames V_0 ... V_M and the base frame V0.
+The discrete transporter is the ordered overlap (Wilson-loop) chain
 
-    K = V0^H P(t_{M-1}) P(t_{M-2}) ... P(t_1) V0
+    K = V0^H V_{M-1} . V_{M-1}^H V_{M-2} ... V_2^H V_1 . V_1^H V0
 
-followed by polar unitarization, which extracts the closest unitary and
-discards the contraction the finite product accumulates. The chain uses
-gauge-invariant data only, so any frame choice over the same projectors
-gives the same answer up to roundoff, which `gauge_invariance_check`
-verifies literally.
+of k x k matrices, followed by polar unitarization, which extracts the
+closest unitary and discards the contraction the finite product
+accumulates. Each factor V_i V_i^H is the sample's projector, so K equals
+the projector chain V0^H P(t_{M-1}) ... P(t_1) V0 term for term, and any
+frame choice at the interior samples gives the same answer up to
+roundoff, which `gauge_invariance_check` verifies literally. No n x n
+matrix is formed per sample.
 
 Convention note: the holonomy compared against is Gamma = V(0)^H V(T) of
 the horizontal lift (the composition matching a unitary gate acting on
@@ -24,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import projector_defects, standard_base_frame
+from .bundle import standard_base_frame
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionError, InvalidProjector, OpenLoop, TooFewSamples
+from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
 from .extremal import Controller, curve_samples, holonomy_analytic, loop_closure_defect
-from .linalg import haar_unitary, polar_unitary
+from .linalg import haar_unitary, polar_unitary, unitarity_defect
 
 _SLOPE_WINDOW = (-2.5, -1.5)
 _ROUNDOFF_FLOOR = 1e-12
@@ -36,40 +38,50 @@ _ROUNDOFF_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SampledLoop:
-    """A closed projector curve sampled on a uniform time grid.
+    """A closed curve of orthonormal k-frames sampled on a uniform time grid.
 
-    Validation confirms the grid is uniform on [0, 1], the first and last
-    projectors agree within `tol.closure`, and every sample passes the
-    projector invariants within `tol.projector`.
+    `frames` has shape (M+1, n, k). Validation confirms the grid is uniform
+    on [0, 1], the first and last frames span the same subspace (their
+    projectors agree within `tol.closure`), and every frame is orthonormal,
+    ||V^H V - I||_F within `tol.frame`.
     """
 
     times: np.ndarray
-    projectors: np.ndarray
-    rank: int
+    frames: np.ndarray
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        projs = np.asarray(self.projectors, dtype=complex)
-        if times.ndim != 1 or projs.ndim != 3 or len(times) != projs.shape[0]:
-            raise DimensionError("times and projectors must align 1:1")
+        frames = np.asarray(self.frames, dtype=complex)
+        if times.ndim != 1 or frames.ndim != 3 or len(times) != frames.shape[0]:
+            raise DimensionError("times and frames must align 1:1")
         if len(times) < 3:
             raise TooFewSamples(f"need at least 3 samples, got {len(times)}")
         steps = np.diff(times)
         if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-12):
             raise DimensionError("time grid is not uniform")
-        closure = float(np.linalg.norm(projs[-1] - projs[0]))
+        first, last = frames[0], frames[-1]
+        closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
         if closure > self.tol.closure:
             raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
-        worst = max(float(d.max()) for d in projector_defects(projs, self.rank))
-        if worst > self.tol.projector:
-            raise InvalidProjector(f"worst per-sample projector defect {worst:.3e}")
+        worst = unitarity_defect(frames)
+        if worst > self.tol.frame:
+            raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "frames", frames)
 
     @property
     def steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def rank(self) -> int:
+        return self.frames.shape[2]
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """The (M+1, n, n) stack P = V V^H, formed on every access."""
+        return np.einsum("mik,mjk->mij", self.frames, self.frames.conj())
 
 
 @dataclass(frozen=True)
@@ -113,18 +125,16 @@ def sample_loop(
             f"loop closure defect {defect:.3e} exceeds {tol.closure:.1e}"
         )
     times = np.linspace(0.0, 1.0, steps + 1)
-    frames = curve_samples(ctrl, times)
-    projs = np.einsum("mik,mjk->mij", frames, frames.conj())
-    return SampledLoop(times=times, projectors=projs, rank=ctrl.k, tol=tol)
+    return SampledLoop(times=times, frames=curve_samples(ctrl, times), tol=tol)
 
 
-def _ordered_chain(projs: np.ndarray) -> np.ndarray:
-    """Product projs[0] @ projs[1] @ ... @ projs[-1] by pairwise reduction.
+def _ordered_chain(factors: np.ndarray) -> np.ndarray:
+    """Product factors[0] @ factors[1] @ ... @ factors[-1] by pairwise reduction.
 
     Associativity keeps the operand order intact while each pass halves
     the count with one batched matmul, so megasample chains stay cheap.
     """
-    chain = projs
+    chain = factors
     while chain.shape[0] > 1:
         m = chain.shape[0]
         half = (m // 2) * 2
@@ -137,21 +147,26 @@ def _ordered_chain(projs: np.ndarray) -> np.ndarray:
 
 
 def numeric_holonomy(loop: SampledLoop, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Discrete parallel-transport holonomy of a sampled projector loop.
+    """Discrete parallel-transport holonomy of a sampled frame loop.
 
-    Multiplies the interior projectors in descending time order, compresses
-    onto the base frame and unitarizes by polar decomposition. Converges to
-    the holonomy of the canonical connection as the grid refines; the polar
-    step guarantees a unitary result at any resolution.
+    Multiplies the k x k overlaps of the base frame and the interior frames
+    in descending time order and unitarizes the product by polar
+    decomposition. Converges to the holonomy of the canonical connection
+    as the grid refines; the polar step guarantees a unitary result at any
+    resolution.
 
     Raises:
-        SingularInput: the compressed chain is numerically singular, which
-            signals the loop was sampled too coarsely for transport.
+        SingularInput: the chain is numerically singular, which signals the
+            loop was sampled too coarsely for transport.
     """
-    projs = loop.projectors
-    v0 = standard_base_frame(projs.shape[1], loop.rank)
-    compressed = v0.conj().T @ _ordered_chain(projs[-2:0:-1]) @ v0
-    return polar_unitary(compressed, tol)
+    inner = loop.frames[-2:0:-1]  # V_{M-1}, ..., V_1
+    v0 = standard_base_frame(inner.shape[1], loop.rank)
+    overlaps = np.concatenate([
+        (v0.conj().T @ inner[0])[None],
+        np.swapaxes(inner[:-1], -2, -1).conj() @ inner[1:],
+        (inner[-1].conj().T @ v0)[None],
+    ])
+    return polar_unitary(_ordered_chain(overlaps), tol)
 
 
 def cross_validate(
@@ -213,24 +228,18 @@ def cross_validate(
 def gauge_invariance_check(loop: SampledLoop, trials: int, seed: int) -> float:
     """Max oracle shift under random re-gauging of the sampled frames.
 
-    For each trial, every projector is refactored through an arbitrary
-    frame (an orthonormal range basis times a fresh random unitary) and
-    the oracle is rerun on the refactored projectors. Since the transport
-    chain consumes projectors only, the shift is pure roundoff.
+    For each trial, every frame is right-multiplied by a fresh Haar
+    unitary, which leaves its projector unchanged, and the oracle is rerun
+    on the re-gauged loop. Since the overlap chain telescopes to the
+    projector chain in any gauge, the shift is pure roundoff.
     """
     rng = np.random.default_rng(seed)
     baseline = numeric_holonomy(loop)
-    k = loop.rank
-    eigvals, eigvecs = np.linalg.eigh(loop.projectors)
-    bases = eigvecs[:, :, -k:]
     worst = 0.0
     for _ in range(trials):
-        rotated = np.empty_like(bases)
-        for i in range(bases.shape[0]):
-            rotated[i] = bases[i] @ haar_unitary(k, rng)
-        projs = np.einsum("mik,mjk->mij", rotated, rotated.conj())
+        gauges = np.stack([haar_unitary(loop.rank, rng) for _ in loop.times])
         regauged = SampledLoop(
-            times=loop.times, projectors=projs, rank=k, tol=loop.tol
+            times=loop.times, frames=loop.frames @ gauges, tol=loop.tol
         )
         gamma = numeric_holonomy(regauged)
         worst = max(worst, float(np.linalg.norm(gamma - baseline)))

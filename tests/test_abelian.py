@@ -6,7 +6,7 @@ from holosynth import (
     berry_controller,
     berry_holonomy,
     bloch_curve,
-    curve_point,
+    curve_samples,
     holonomy_analytic,
     project,
     synthesize,
@@ -149,5 +149,5 @@ class TestEmbeddingConsistency:
         for t in np.linspace(0.0, 1.0, 9):
             r = bloch_curve(c, t)
             p_from_sphere = 0.5 * (np.eye(2) + sum(r[j] * SIGMA[j] for j in range(3)))
-            p_from_frame = project(curve_point(ctrl, t))
+            p_from_frame = project(curve_samples(ctrl, [t])[0])
             np.testing.assert_allclose(p_from_sphere, p_from_frame, atol=1e-10)

@@ -5,7 +5,6 @@ from holosynth import (
     DimensionError,
     InvalidFrame,
     TooFewSamples,
-    connection_sample,
     curve_samples,
     horizontality_defect,
     length_analytic,
@@ -69,42 +68,6 @@ class TestProject:
     def test_rejects_non_frame(self):
         with pytest.raises(InvalidFrame):
             project(np.array([[1.0], [1.0]], dtype=complex))
-
-
-class TestConnectionSample:
-    def test_zero_velocity(self):
-        v = standard_base_frame(3, 1)
-        sample = connection_sample(v, np.zeros((3, 1)))
-        np.testing.assert_allclose(sample.value, 0.0, atol=1e-15)
-
-    def test_vertical_motion_reads_off_generator(self):
-        rng = np.random.default_rng(4)
-        v = np.linalg.qr(
-            rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        )[0]
-        omega = random_skew(rng, 2)
-        sample = connection_sample(v, v @ omega)
-        np.testing.assert_allclose(sample.value, omega, atol=1e-13)
-
-    def test_extremal_curve_is_horizontal_with_analytic_velocity(self):
-        result = synthesize(HADAMARD)
-        ctrl = result.controller
-        x = ctrl.matrix
-        for t in (0.2, 0.55, 0.9):
-            v = curve_samples(ctrl, [t])[0]
-            v_dot = x @ v - v @ ctrl.omega
-            sample = connection_sample(v, v_dot)
-            assert np.linalg.norm(sample.value) < 1e-10
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            connection_sample(standard_base_frame(3, 1), np.zeros((2, 1)))
-
-    def test_large_hermitian_residual_warns(self):
-        v = standard_base_frame(3, 1)
-        with pytest.warns(RuntimeWarning):
-            sample = connection_sample(v, v * 5.0)
-        assert sample.hermitian_residual > 1.0
 
 
 class TestHorizontalityDefect:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import holosynth
-from holosynth import UnknownGate, catalog_get, catalog_names, synthesize
+from holosynth import (
+    UnknownGate, catalog_get, catalog_names, cli, extremal, synthesize, verify,
+)
 from holosynth.cli import main
 from holosynth.document import (
     canonical_dumps,
@@ -338,6 +340,7 @@ class TestCliBadInput:
             ("empty_document", "'synthesis'"),
             ("synthesis_list", "'synthesis'"),
             ("short_data_entry", "data[3]"),
+            ("data_not_a_list", "data"),
             ("config_list", "JSON object"),
             ("config_scalar_phases", "phases"),
             ("one_step", "steps"),
@@ -352,10 +355,13 @@ class TestCliBadInput:
         elif case == "synthesis_list":
             doc.write_text('{"synthesis": []}')
             argv = ["verify", "--doc", str(doc)]
-        elif case == "short_data_entry":
+        elif case in ("short_data_entry", "data_not_a_list"):
             assert main(["synthesize", "--gate", "hadamard", "--out", str(doc)]) == 0
             parsed = json.loads(doc.read_text())
-            parsed["synthesis"]["controller"]["data"][3] = [1.0]
+            if case == "short_data_entry":
+                parsed["synthesis"]["controller"]["data"][3] = [1.0]
+            else:
+                parsed["synthesis"]["controller"]["data"] = 5
             doc.write_text(json.dumps(parsed))
             argv = ["verify", "--doc", str(doc)]
         elif case == "one_step":
@@ -436,6 +442,20 @@ class TestCliSample:
         if ctrl.k == 1:
             np.testing.assert_array_equal(col["r3"], (p[:, 0, 0] - p[:, 1, 1]).real)
             np.testing.assert_array_equal(col["r1"] + 1j * col["r2"], 2.0 * p[:, 0, 1].conj())
+
+    def test_samples_the_curve_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return curve_samples(*args, **kwargs)
+
+        for module in (extremal, verify, cli):
+            if getattr(module, "curve_samples", None) is curve_samples:
+                monkeypatch.setattr(module, "curve_samples", counting)
+        code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "20")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_sample_from_document(self, capsys, tmp_path):
         target = tmp_path / "doc.json"

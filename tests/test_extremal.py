@@ -7,7 +7,6 @@ from holosynth import (
     NonUnitaryInput,
     OpenLoop,
     SynthesisParams,
-    curve_point,
     curve_samples,
     evaluate_controller,
     gate_commutes,
@@ -66,7 +65,7 @@ class TestCurvePoint:
     def test_starts_at_base_frame(self):
         ctrl = _random_controller(np.random.default_rng(2), 2)
         np.testing.assert_allclose(
-            curve_point(ctrl, 0.0), standard_base_frame(4, 2), atol=1e-14
+            curve_samples(ctrl, [0.0])[0], standard_base_frame(4, 2), atol=1e-14
         )
 
     def test_zero_generator_stays_put(self):
@@ -75,12 +74,12 @@ class TestCurvePoint:
             coupling=np.zeros((2, 2), dtype=complex),
         )
         np.testing.assert_allclose(
-            curve_point(ctrl, 0.7), standard_base_frame(4, 2), atol=1e-14
+            curve_samples(ctrl, [0.7])[0], standard_base_frame(4, 2), atol=1e-14
         )
 
     def test_endpoint_realizes_gate(self):
         ctrl = synthesize(HADAMARD).controller
-        v1 = curve_point(ctrl, 1.0)
+        v1 = curve_samples(ctrl, [1.0])[0]
         np.testing.assert_allclose(
             standard_base_frame(4, 2).conj().T @ v1, HADAMARD, atol=1e-12
         )
@@ -89,14 +88,14 @@ class TestCurvePoint:
         rng = np.random.default_rng(3)
         ctrl = _random_controller(rng, 3)
         for t in rng.uniform(0.0, 1.0, 10):
-            assert frame_defect(curve_point(ctrl, t)) < 1e-12
+            assert frame_defect(curve_samples(ctrl, [t])[0]) < 1e-12
 
     def test_batched_matches_pointwise(self):
         ctrl = _random_controller(np.random.default_rng(4), 2)
         times = np.linspace(0.0, 1.0, 7)
         batch = curve_samples(ctrl, times)
         for i, t in enumerate(times):
-            np.testing.assert_allclose(batch[i], curve_point(ctrl, t), atol=1e-13)
+            np.testing.assert_allclose(batch[i], curve_samples(ctrl, [t])[0], atol=1e-13)
 
 
 class TestHolonomy:
@@ -231,7 +230,7 @@ class TestExtremalInvariants:
             ctrl = _random_controller(rng, k)
             x = ctrl.matrix
             for t in rng.uniform(0.0, 1.0, 5):
-                v = curve_point(ctrl, t)
+                v = curve_samples(ctrl, [t])[0]
                 np.testing.assert_allclose(
                     v.conj().T @ x @ v, ctrl.omega, atol=1e-10
                 )
@@ -308,7 +307,7 @@ class TestWideAmbientSpace:
         assert length_analytic(wide) == pytest.approx(
             length_analytic(base), abs=1e-12
         )
-        assert frame_defect(curve_point(wide, 0.62)) < 1e-13
+        assert frame_defect(curve_samples(wide, [0.62])[0]) < 1e-13
 
 
 class TestEvaluateController:

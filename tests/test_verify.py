@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from holosynth import verify
 from holosynth import (
     DEFAULT_TOL,
     Controller,
-    InvalidProjector,
+    InvalidFrame,
     OpenLoop,
     SampledLoop,
     SingularInput,
@@ -32,9 +34,7 @@ def _warped_loop(ctrl, steps, strength=0.15):
     """Same geometric loop, resampled along a smooth monotone time warp."""
     times = np.linspace(0.0, 1.0, steps + 1)
     warped = times - strength * np.sin(2 * np.pi * times) / (2 * np.pi)
-    frames = curve_samples(ctrl, warped)
-    projs = np.einsum("mik,mjk->mij", frames, frames.conj())
-    return SampledLoop(times=times, projectors=projs, rank=ctrl.k)
+    return SampledLoop(times=times, frames=curve_samples(ctrl, warped))
 
 
 class TestSampleLoop:
@@ -78,19 +78,19 @@ class TestSampleLoop:
 
 class TestLoopValidationTolerance:
     def _rough_loop_data(self):
-        # scaling by 1 + 1e-9 leaves idempotency and trace defects near 1e-9
+        # scaling by 1 + 1e-9 leaves a Gram defect ||V^H V - I||_F near 3e-9
         loop = sample_loop(synthesize(HADAMARD).controller, 100)
-        return loop.times, loop.projectors * (1.0 + 1e-9)
+        return loop.times, loop.frames * (1.0 + 1e-9)
 
     def test_default_tolerance_rejects_rough_projectors(self):
-        times, projs = self._rough_loop_data()
-        with pytest.raises(InvalidProjector):
-            SampledLoop(times=times, projectors=projs, rank=2)
+        times, frames = self._rough_loop_data()
+        with pytest.raises(InvalidFrame):
+            SampledLoop(times=times, frames=frames)
 
     def test_validation_override_admits_rough_projectors(self):
-        times, projs = self._rough_loop_data()
+        times, frames = self._rough_loop_data()
         tol = DEFAULT_TOL.with_validation(1e-8)
-        loop = SampledLoop(times=times, projectors=projs, rank=2, tol=tol)
+        loop = SampledLoop(times=times, frames=frames, tol=tol)
         assert loop.tol is tol
 
     def test_sample_loop_passes_its_tolerance_on(self):
@@ -226,6 +226,31 @@ class TestGaugeInvariance:
         ctrl = synthesize(HALF_TURN).controller
         loop = sample_loop(ctrl, 200)
         assert gauge_invariance_check(loop, 5, seed=2) < 1e-12
+
+    @pytest.mark.parametrize(
+        "gate",
+        [catalog_get("dft2").matrix, random_haar(np.random.default_rng(5), 4)],
+        ids=["dft2", "haar-4"],
+    )
+    def test_fine_k4_loops_gain_nothing_from_the_sampled_gauge(self, gate):
+        # every one of the 10^4 frames gets its own Haar gauge
+        loop = sample_loop(synthesize(gate).controller, 10_000)
+        assert gauge_invariance_check(loop, 1, seed=3) <= 1e-12
+
+
+class TestOracleMemory:
+    def test_peak_stays_within_four_frame_stacks(self):
+        gate = random_haar(np.random.default_rng(5), 4)
+        ctrl = synthesize(gate).controller
+        steps = 10_000
+        tracemalloc.start()
+        try:
+            cross_validate(ctrl, gate, (steps,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame_stack = (steps + 1) * ctrl.n * ctrl.k * 16
+        assert peak <= 4 * frame_stack, peak / frame_stack
 
 
 class TestOracleAgreementEnsemble:
