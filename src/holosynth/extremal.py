@@ -99,13 +99,20 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     """Frames V(t) = exp(t X) V0 exp(-t Omega) of the extremal curve at many
     times, shape (len(times), n, k).
 
-    One eigendecomposition of X and one of Omega serve every sample, so
-    dense sampling costs a pair of batched matrix products per point.
+    With X = q_X diag(i w_X) q_X^H and Omega = q_O diag(i w_O) q_O^H this is
+    V(t) = q_X (e^{i t w_X} e^{-i t w_O}^T * C) q_O^H for the fixed n x k
+    core C = q_X^H V0 q_O: one eigendecomposition of X and one of Omega
+    serve every sample, and each sample costs a column scaling and two
+    products with fixed factors.
     """
     times = np.asarray(times, dtype=float)
-    left = expm_eigen(*ctrl._spectrum, times, right=ctrl.base_frame())
-    right = expm_eigen(*ctrl._omega_spectrum, -times)
-    return left @ right
+    w_x, q_x = ctrl._spectrum
+    w_o, q_o = ctrl._omega_spectrum
+    core = q_x.conj().T @ ctrl.base_frame() @ q_o
+    scaled = np.exp(1j * np.multiply.outer(times, w_x))[:, :, None] * core
+    scaled *= np.exp(-1j * np.multiply.outer(times, w_o))[:, None, :]
+    rotated = scaled.reshape(-1, ctrl.k) @ q_o.conj().T
+    return q_x @ rotated.reshape(scaled.shape)
 
 
 def loop_closure_defect(ctrl: Controller, t_final: float = 1.0) -> float:

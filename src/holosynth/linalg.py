@@ -139,15 +139,9 @@ def expm_skew(a, t: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return expm_eigen(w, q, t)
 
 
-def expm_eigen(w, q, t=1.0, right=None) -> np.ndarray:
-    """exp(i t H) @ right (right = I by default) for Hermitian H = q diag(w) q^H.
-
-    A 1-D array of times gives the stack of products in one batched matmul,
-    without forming the n x n exponentials.
-    """
-    tail = q.conj().T if right is None else q.conj().T @ right
-    phases = np.exp(1j * np.multiply.outer(t, w))
-    return q @ (phases[..., None] * tail)
+def expm_eigen(w, q, t=1.0) -> np.ndarray:
+    """exp(i t H) for Hermitian H = q diag(w) q^H."""
+    return q @ (np.exp(1j * np.multiply.outer(t, w))[:, None] * q.conj().T)
 
 
 def polar_unitary(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -171,8 +165,15 @@ def polar_unitary(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary: QR of a complex Gaussian matrix
     with the R diagonal's phases folded back into Q."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return _haar_stack(dim, rng, ())
+
+
+def _haar_stack(dim: int, rng: np.random.Generator, batch: tuple) -> np.ndarray:
+    """Independent Haar unitaries of shape (*batch, dim, dim), drawn with one
+    batched QR; `batch = ()` is exactly `haar_unitary`."""
+    shape = (*batch, dim, dim)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

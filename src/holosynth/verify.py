@@ -14,6 +14,14 @@ frame choice at the interior samples gives the same answer up to
 roundoff, which `gauge_invariance_check` verifies literally. No n x n
 matrix is formed per sample.
 
+`cross_validate` streams each loop: it samples the interior frames in
+chunks sized to a fixed byte budget (512 frames at n = 8, k = 4),
+Gram-checks each chunk, folds its overlaps into a running k x k product
+and carries the chunk's last frame into the next. The endpoint closure
+needs only V_0 and V_M, so memory does not grow with the step count.
+`SampledLoop` and `numeric_holonomy` serve callers that hold a whole loop
+and go through the same checks and the same fold.
+
 Convention note: the holonomy compared against is Gamma = V(0)^H V(T) of
 the horizontal lift (the composition matching a unitary gate acting on
 the retained subspace); conventions differing by an overall transpose or
@@ -30,10 +38,13 @@ from .bundle import standard_base_frame
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
 from .extremal import Controller, curve_samples, holonomy_analytic, loop_closure_defect
-from .linalg import haar_unitary, polar_unitary, unitarity_defect
+from .linalg import _haar_stack, polar_unitary, unitarity_defect
 
 _SLOPE_WINDOW = (-2.5, -1.5)
 _ROUNDOFF_FLOOR = 1e-12
+# Byte budget of one streamed chunk's (c, n, k) frame stack: 512 frames at
+# n = 8, k = 4, which was the fastest budget measured there.
+_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -60,13 +71,8 @@ class SampledLoop:
         steps = np.diff(times)
         if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-12):
             raise DimensionError("time grid is not uniform")
-        first, last = frames[0], frames[-1]
-        closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
-        if closure > self.tol.closure:
-            raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
-        worst = unitarity_defect(frames)
-        if worst > self.tol.frame:
-            raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
+        _check_endpoints(frames[0], frames[-1], self.tol)
+        _check_frames(frames, self.tol)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "frames", frames)
 
@@ -108,6 +114,29 @@ class OracleReport:
     target_error: float
 
 
+def _check_closed(ctrl: Controller, steps: int, tol: Tolerances) -> None:
+    """Reject too few steps or an analytically open loop before sampling."""
+    if steps < 2:
+        raise TooFewSamples(f"steps must be >= 2, got {steps}")
+    defect = loop_closure_defect(ctrl, 1.0)
+    if defect > tol.closure:
+        raise OpenLoop(
+            f"loop closure defect {defect:.3e} exceeds {tol.closure:.1e}"
+        )
+
+
+def _check_endpoints(first: np.ndarray, last: np.ndarray, tol: Tolerances) -> None:
+    closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
+    if closure > tol.closure:
+        raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
+
+
+def _check_frames(frames: np.ndarray, tol: Tolerances) -> None:
+    worst = unitarity_defect(frames)
+    if worst > tol.frame:
+        raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
+
+
 def sample_loop(
     ctrl: Controller, steps: int, tol: Tolerances = DEFAULT_TOL
 ) -> SampledLoop:
@@ -117,13 +146,7 @@ def sample_loop(
         OpenLoop: the controller does not close its loop at t = 1.
         TooFewSamples: steps < 2.
     """
-    if steps < 2:
-        raise TooFewSamples(f"steps must be >= 2, got {steps}")
-    defect = loop_closure_defect(ctrl, 1.0)
-    if defect > tol.closure:
-        raise OpenLoop(
-            f"loop closure defect {defect:.3e} exceeds {tol.closure:.1e}"
-        )
+    _check_closed(ctrl, steps, tol)
     times = np.linspace(0.0, 1.0, steps + 1)
     return SampledLoop(times=times, frames=curve_samples(ctrl, times), tol=tol)
 
@@ -132,7 +155,7 @@ def _ordered_chain(factors: np.ndarray) -> np.ndarray:
     """Product factors[0] @ factors[1] @ ... @ factors[-1] by pairwise reduction.
 
     Associativity keeps the operand order intact while each pass halves
-    the count with one batched matmul, so megasample chains stay cheap.
+    the count with one batched matmul, so long chains stay cheap.
     """
     chain = factors
     while chain.shape[0] > 1:
@@ -144,6 +167,25 @@ def _ordered_chain(factors: np.ndarray) -> np.ndarray:
         else:
             chain = paired
     return chain[0]
+
+
+def _chain_holonomy(chunks, v0: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Polar factor of V0^H V_{M-1} . V_{M-1}^H V_{M-2} ... V_1^H V0.
+
+    `chunks` yields the interior frames V_1, ..., V_{M-1} as (c, n, k)
+    stacks in ascending time order. Each chunk's overlaps are reduced
+    pairwise and left-multiplied into a running k x k product, and its last
+    frame is carried into the next chunk, so one chunk is held at a time.
+    """
+    chain, prev = np.eye(v0.shape[1], dtype=complex), v0
+    for frames in chunks:
+        overlaps = np.concatenate([
+            (frames[0].conj().T @ prev)[None],
+            np.swapaxes(frames[1:], -2, -1).conj() @ frames[:-1],
+        ])
+        chain = _ordered_chain(overlaps[::-1]) @ chain
+        prev = frames[-1]
+    return polar_unitary(v0.conj().T @ prev @ chain, tol)
 
 
 def numeric_holonomy(loop: SampledLoop, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -159,14 +201,35 @@ def numeric_holonomy(loop: SampledLoop, tol: Tolerances = DEFAULT_TOL) -> np.nda
         SingularInput: the chain is numerically singular, which signals the
             loop was sampled too coarsely for transport.
     """
-    inner = loop.frames[-2:0:-1]  # V_{M-1}, ..., V_1
-    v0 = standard_base_frame(inner.shape[1], loop.rank)
-    overlaps = np.concatenate([
-        (v0.conj().T @ inner[0])[None],
-        np.swapaxes(inner[:-1], -2, -1).conj() @ inner[1:],
-        (inner[-1].conj().T @ v0)[None],
-    ])
-    return polar_unitary(_ordered_chain(overlaps), tol)
+    v0 = standard_base_frame(loop.frames.shape[1], loop.rank)
+    return _chain_holonomy([loop.frames[1:-1]], v0, tol)
+
+
+def _chunk_frames(n: int, k: int) -> int:
+    """Frames per streamed chunk: a fixed budget of frame-stack bytes."""
+    return max(1, _CHUNK_BYTES // (16 * n * k))
+
+
+def _interior_chunks(ctrl: Controller, steps: int, tol: Tolerances):
+    """The frames V_1, ..., V_{steps-1} of the uniform grid, sampled and
+    Gram-checked one chunk at a time. Times are computed as linspace
+    computes them, so each frame equals its `sample_loop` counterpart."""
+    chunk = _chunk_frames(ctrl.n, ctrl.k)
+    for start in range(1, steps, chunk):
+        times = np.arange(start, min(start + chunk, steps)) * (1.0 / steps)
+        frames = curve_samples(ctrl, times)
+        _check_frames(frames, tol)
+        yield frames
+
+
+def _streamed_holonomy(ctrl: Controller, steps: int, tol: Tolerances) -> np.ndarray:
+    """`numeric_holonomy(sample_loop(ctrl, steps, tol), tol)`, with the same
+    checks, in memory independent of `steps`."""
+    _check_closed(ctrl, steps, tol)
+    ends = curve_samples(ctrl, np.array([0.0, 1.0]))
+    _check_endpoints(ends[0], ends[1], tol)
+    _check_frames(ends, tol)
+    return _chain_holonomy(_interior_chunks(ctrl, steps, tol), ctrl.base_frame(), tol)
 
 
 def cross_validate(
@@ -176,6 +239,9 @@ def cross_validate(
     tol: Tolerances = DEFAULT_TOL,
 ) -> OracleReport:
     """Run the oracle over a refinement schedule and fit its convergence.
+
+    Each schedule point is sampled and transported in fixed-size chunks
+    (see the module docstring), so memory does not grow with the steps.
 
     The slope fit only uses schedule points whose deviation exceeds the
     roundoff floor; when fewer than two such points remain the estimate is
@@ -197,8 +263,7 @@ def cross_validate(
     deviations = []
     gamma_numeric = None
     for steps in schedule:
-        loop = sample_loop(ctrl, steps, tol)
-        gamma_numeric = numeric_holonomy(loop, tol)
+        gamma_numeric = _streamed_holonomy(ctrl, steps, tol)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     usable = [
         (np.log(s), np.log(d))
@@ -237,7 +302,7 @@ def gauge_invariance_check(loop: SampledLoop, trials: int, seed: int) -> float:
     baseline = numeric_holonomy(loop)
     worst = 0.0
     for _ in range(trials):
-        gauges = np.stack([haar_unitary(loop.rank, rng) for _ in loop.times])
+        gauges = _haar_stack(loop.rank, rng, loop.times.shape)
         regauged = SampledLoop(
             times=loop.times, frames=loop.frames @ gauges, tol=loop.tol
         )

@@ -1,6 +1,8 @@
 """Shared test utilities, including oracles kept independent of the
 library's own computational routes."""
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -35,3 +37,13 @@ def random_haar(rng, dim):
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes allocated (as tracemalloc counts them) while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

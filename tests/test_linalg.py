@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holosynth import linalg
 from holosynth import (
     DEFAULT_TOL,
     NonSkewInput,
@@ -239,3 +240,17 @@ class TestHaarUnitary:
         u2 = haar_unitary(4, np.random.default_rng(123))
         assert np.array_equal(u1, u2)
         assert np.linalg.norm(u1.conj().T @ u1 - np.eye(4)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16])
+    def test_single_draw_matches_the_unbatched_formula(self, dim):
+        # the catalog's random-k gates are single draws: the batched
+        # implementation must leave them bit for bit as they were
+        got = haar_unitary(dim, np.random.default_rng(dim))
+        assert np.array_equal(got, random_haar(np.random.default_rng(dim), dim))
+
+    def test_batched_draws_are_distinct_unitaries(self):
+        stack = linalg._haar_stack(3, np.random.default_rng(4), (50,))
+        assert stack.shape == (50, 3, 3)
+        gram = np.swapaxes(stack, -2, -1).conj() @ stack
+        assert np.abs(gram - np.eye(3)).max() < 1e-13
+        assert not np.allclose(stack[0], stack[1])

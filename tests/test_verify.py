@@ -1,4 +1,4 @@
-import tracemalloc
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from holosynth import (
     sample_loop,
     synthesize,
 )
-from helpers import random_haar
+from helpers import random_haar, traced_peak
 
 HADAMARD = catalog_get("hadamard").matrix
 HALF_TURN = np.array([[np.exp(1j * np.pi)]], dtype=complex)
@@ -243,14 +243,59 @@ class TestOracleMemory:
         gate = random_haar(np.random.default_rng(5), 4)
         ctrl = synthesize(gate).controller
         steps = 10_000
-        tracemalloc.start()
-        try:
-            cross_validate(ctrl, gate, (steps,))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(cross_validate, ctrl, gate, (steps,))
         frame_stack = (steps + 1) * ctrl.n * ctrl.k * 16
         assert peak <= 4 * frame_stack, peak / frame_stack
+
+    def test_peak_does_not_grow_with_steps(self):
+        gate = random_haar(np.random.default_rng(5), 4)
+        ctrl = synthesize(gate).controller
+        coarse = traced_peak(cross_validate, ctrl, gate, (10_000,))
+        fine = traced_peak(cross_validate, ctrl, gate, (100_000,))
+        assert fine <= 1.2 * coarse, (fine, coarse)
+
+
+class TestStreamedOracle:
+    @staticmethod
+    def _controller(k):
+        return synthesize(random_haar(np.random.default_rng(30 + k), k)).controller
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_matches_the_whole_loop_oracle_across_chunk_edges(self, k):
+        ctrl = self._controller(k)
+        chunk = verify._chunk_frames(ctrl.n, ctrl.k)
+        for steps in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            whole = numeric_holonomy(sample_loop(ctrl, steps))
+            streamed = cross_validate(ctrl, np.eye(k), (steps,)).gamma_numeric
+            assert np.linalg.norm(streamed - whole) <= 1e-13, steps
+
+    def test_frame_tolerance_reaches_both_paths(self):
+        ctrl = self._controller(4)
+        tol = dataclasses.replace(DEFAULT_TOL, frame=0.0)
+        with pytest.raises(InvalidFrame):
+            sample_loop(ctrl, 1000, tol)
+        with pytest.raises(InvalidFrame):
+            cross_validate(ctrl, np.eye(4), (1000,), tol)
+
+    def test_a_rough_frame_inside_a_later_chunk_is_rejected(self, monkeypatch):
+        # 2000 steps put t = 0.5 in the second chunk of interior frames
+        sample = verify.curve_samples
+
+        def rough(ctrl, times):
+            frames = sample(ctrl, times)
+            frames[np.asarray(times) == 0.5] *= 1.0 + 1e-9
+            return frames
+
+        monkeypatch.setattr(verify, "curve_samples", rough)
+        ctrl = self._controller(4)
+        with pytest.raises(InvalidFrame):
+            sample_loop(ctrl, 2000)
+        with pytest.raises(InvalidFrame):
+            cross_validate(ctrl, np.eye(4), (2000,))
+
+    def test_one_step_is_too_few(self):
+        with pytest.raises(TooFewSamples):
+            cross_validate(self._controller(2), np.eye(2), (1,))
 
 
 class TestOracleAgreementEnsemble:
