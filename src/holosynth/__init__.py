@@ -9,12 +9,6 @@ parallel-transport oracle that consumes only the sampled loop of frames.
 """
 
 from .abelian import BerryController, berry_controller, berry_holonomy, bloch_curve
-from .bundle import (
-    horizontality_defect,
-    loop_length_numeric,
-    project,
-    standard_base_frame,
-)
 from .catalog import GateCatalogEntry, catalog_get, catalog_names
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
@@ -23,7 +17,6 @@ from .errors import (
     HolosynthError,
     InvalidFrame,
     NonSkewInput,
-    NonUnitaryHolonomy,
     NonUnitaryInput,
     OpenLoop,
     ParamShapeMismatch,
@@ -40,9 +33,10 @@ from .extremal import (
     holonomy_analytic,
     length_analytic,
     loop_closure_defect,
+    standard_base_frame,
     transform_controller,
 )
-from .linalg import eig_unitary, expm_skew, haar_unitary, polar_unitary
+from .linalg import eig_unitary, haar_unitary, polar_unitary
 from .synth import (
     SynthesisParams,
     SynthesisResult,
@@ -55,6 +49,7 @@ from .verify import (
     SampledLoop,
     cross_validate,
     gauge_invariance_check,
+    loop_length_numeric,
     numeric_holonomy,
     sample_loop,
 )
@@ -72,7 +67,6 @@ __all__ = [
     "HolosynthError",
     "InvalidFrame",
     "NonSkewInput",
-    "NonUnitaryHolonomy",
     "NonUnitaryInput",
     "OpenLoop",
     "OracleReport",
@@ -94,18 +88,15 @@ __all__ = [
     "curve_samples",
     "eig_unitary",
     "evaluate_controller",
-    "expm_skew",
     "gate_commutes",
     "gauge_invariance_check",
     "haar_unitary",
     "holonomy_analytic",
-    "horizontality_defect",
     "length_analytic",
     "loop_closure_defect",
     "loop_length_numeric",
     "numeric_holonomy",
     "polar_unitary",
-    "project",
     "sample_loop",
     "small_circle_params",
     "standard_base_frame",

@@ -5,7 +5,8 @@ Exit codes are stable so shell pipelines can gate on them:
     0   success, all requested checks within bounds
     2   argument, file or format errors (including unknown gates)
     3   a matrix that must be unitary is not
-    4   a verification bound was exceeded
+    4   a verification bound was exceeded, or the oracle grid is too
+        coarse to transport (its overlap chain is numerically singular)
     5   the loop does not close (open-loop controller document)
 """
 
@@ -30,7 +31,6 @@ from .document import (
 from .errors import (
     DimensionError,
     HolosynthError,
-    NonUnitaryHolonomy,
     NonUnitaryInput,
     OpenLoop,
     ParamShapeMismatch,
@@ -341,7 +341,7 @@ def cmd_catalog_show(args) -> int:
 # specific error sits above the HolosynthError catch-all.
 _EXIT_CODES = (
     (NonUnitaryInput, 3),
-    ((OpenLoop, NonUnitaryHolonomy), 5),
+    (OpenLoop, 5),
     ((UnknownGate, DimensionError, ParamShapeMismatch, TooFewSamples,
       OSError, ValueError), 2),
     (HolosynthError, 4),

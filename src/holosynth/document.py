@@ -36,19 +36,16 @@ from .verify import OracleReport
 SCHEMA_VERSION = "1"
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(a: np.ndarray) -> list[list[float]]:
+    """Row-major [re, im] pairs of a complex array."""
+    return a.reshape(-1, 1).view(float).tolist()
 
 
 def encode_matrix(m) -> dict:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"can only encode 2-D matrices, got ndim={a.ndim}")
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": [encode_complex(z) for z in a.reshape(-1)],
-    }
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _pairs(a)}
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
@@ -108,8 +105,8 @@ def controller_document(
         "synthesis": {
             "eigenphases": [float(g) for g in result.eigenphases],
             "diagonalizer": encode_matrix(result.diagonalizer),
-            "omega_diag": [encode_complex(z) for z in np.diag(result.omega_diag)],
-            "w_diag": [encode_complex(z) for z in np.diag(result.w_diag)],
+            "omega_diag": _pairs(np.diag(result.omega_diag)),
+            "w_diag": _pairs(np.diag(result.w_diag)),
             "controller": encode_matrix(result.controller.matrix),
             "length": float(result.length),
         },

@@ -37,10 +37,6 @@ class OpenLoop(HolosynthError):
     """The projected curve does not close on the Grassmannian."""
 
 
-class NonUnitaryHolonomy(HolosynthError):
-    """The assembled holonomy product failed the unitarity check."""
-
-
 class ParamShapeMismatch(HolosynthError):
     """Synthesis parameters do not match the gate dimension."""
 

@@ -25,9 +25,17 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionError, NonUnitaryHolonomy, OpenLoop
-from .linalg import as_complex_matrix, check_skew, check_unitary, expm_eigen, unitarity_defect
-from .bundle import standard_base_frame
+from .errors import DimensionError, OpenLoop
+from .linalg import as_complex_matrix, check_skew, check_unitary, expm_eigen
+
+
+def standard_base_frame(n: int, k: int) -> np.ndarray:
+    """The base frame with I_k stacked above an (n-k) x k zero block."""
+    if not (0 < k < n):
+        raise DimensionError(f"need 0 < k < n, got n={n}, k={k}")
+    v = np.zeros((n, k), dtype=complex)
+    v[:k, :k] = np.eye(k)
+    return v
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -115,12 +123,32 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     return q_x @ rotated.reshape(scaled.shape)
 
 
-def loop_closure_defect(ctrl: Controller, t_final: float = 1.0) -> float:
-    """||exp(T X) P0 exp(-T X) - P0||_F with P0 the base projector."""
+def _closure_defect(ctrl: Controller, g: np.ndarray) -> float:
+    """||g P0 g^H - P0||_F for g = exp(T X) and P0 the base projector."""
     v0 = ctrl.base_frame()
     p0 = v0 @ v0.conj().T
-    g = expm_eigen(*ctrl._spectrum, t_final)
     return float(np.linalg.norm(g @ p0 @ g.conj().T - p0))
+
+
+def loop_closure_defect(ctrl: Controller, t_final: float = 1.0) -> float:
+    """||exp(T X) P0 exp(-T X) - P0||_F with P0 the base projector."""
+    return _closure_defect(ctrl, expm_eigen(*ctrl._spectrum, t_final))
+
+
+def _closed_holonomy(
+    ctrl: Controller, t_final: float, tol: Tolerances
+) -> tuple[np.ndarray, float]:
+    """(Gamma, closure defect), both from one g = exp(T X); OpenLoop if open."""
+    g = expm_eigen(*ctrl._spectrum, t_final)
+    defect = _closure_defect(ctrl, g)
+    if defect > tol.closure:
+        raise OpenLoop(
+            f"loop closure defect {defect:.3e} exceeds {tol.closure:.1e} "
+            f"at T={t_final}"
+        )
+    v0 = ctrl.base_frame()
+    unwind = expm_eigen(*ctrl._omega_spectrum, -t_final)
+    return v0.conj().T @ g @ v0 @ unwind, defect
 
 
 def holonomy_analytic(
@@ -128,29 +156,14 @@ def holonomy_analytic(
 ) -> np.ndarray:
     """Holonomy Gamma = V0^H exp(T X) V0 exp(-T Omega) of the closed loop.
 
+    ||Gamma^H Gamma - I||_F <= closure^2 / 2, so closure bounds unitarity.
+
     Raises:
         OpenLoop: the projected curve misses its start point at t = T, in
-            which case the product below would not be unitary and the
+            which case the product above would not be unitary and the
             boundary-value problem is simply unsolved for this (X, T).
-        NonUnitaryHolonomy: closure passed but the product still failed
-            the unitarity tolerance (an open loop at a looser scale).
     """
-    defect = loop_closure_defect(ctrl, t_final)
-    if defect > tol.closure:
-        raise OpenLoop(
-            f"loop closure defect {defect:.3e} exceeds {tol.closure:.1e} "
-            f"at T={t_final}"
-        )
-    v0 = ctrl.base_frame()
-    g = expm_eigen(*ctrl._spectrum, t_final)
-    unwind = expm_eigen(*ctrl._omega_spectrum, -t_final)
-    gamma = v0.conj().T @ g @ v0 @ unwind
-    if unitarity_defect(gamma) > tol.unitarity:
-        raise NonUnitaryHolonomy(
-            f"holonomy product fails unitarity with defect "
-            f"{unitarity_defect(gamma):.3e}"
-        )
-    return gamma
+    return _closed_holonomy(ctrl, t_final, tol)[0]
 
 
 def length_analytic(ctrl: Controller, t_final: float = 1.0) -> float:
@@ -211,11 +224,11 @@ def evaluate_controller(
 ) -> HolonomyReport:
     """Holonomy, closure and length of a controller versus a target gate."""
     target = check_unitary(target, tol, what="target gate")
-    gamma = holonomy_analytic(ctrl, t_final, tol)
+    gamma, defect = _closed_holonomy(ctrl, t_final, tol)
     return HolonomyReport(
         gamma_matrix=gamma,
         target=target,
         holonomy_error=float(np.linalg.norm(gamma - target)),
-        loop_defect=loop_closure_defect(ctrl, t_final),
+        loop_defect=defect,
         length_analytic=length_analytic(ctrl, t_final),
     )

@@ -1,6 +1,7 @@
 """Dense complex linear algebra on numpy alone: validated unitary
 eigendecomposition (a Cayley transform handed to the Hermitian `eigh`),
-skew-Hermitian matrix exponentials and polar unitarization.
+the one matrix exponential (`expm_eigen`, from Hermitian eigen-data) and
+polar unitarization.
 
 Matrices are plain complex numpy arrays. Validation helpers raise typed
 exceptions from :mod:`holosynth.errors`, so callers can rely on inputs
@@ -125,18 +126,6 @@ def eig_unitary(
             f"{tol.reconstruction:.1e}"
         )
     return r, gammas
-
-
-def expm_skew(a, t: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Exponential exp(t*A) of a skew-Hermitian matrix A.
-
-    Writes A = i*H with H Hermitian and exponentiates the eigenvalues of H,
-    so the result is unitary up to roundoff for any step t with no scaling
-    heuristics involved.
-    """
-    a = check_skew(a, tol, what="expm_skew input")
-    w, q = np.linalg.eigh(-1j * a)
-    return expm_eigen(w, q, t)
 
 
 def expm_eigen(w, q, t=1.0) -> np.ndarray:

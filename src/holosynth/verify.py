@@ -20,7 +20,9 @@ Gram-checks each chunk, folds its overlaps into a running k x k product
 and carries the chunk's last frame into the next. The endpoint closure
 needs only V_0 and V_M, so memory does not grow with the step count.
 `SampledLoop` and `numeric_holonomy` serve callers that hold a whole loop
-and go through the same checks and the same fold.
+and go through the same checks and the same fold. `loop_length_numeric`
+is the matching length oracle: a finite-difference quadrature of the
+curve energy over a loop's projector stack.
 
 Convention note: the holonomy compared against is Gamma = V(0)^H V(T) of
 the horizontal lift (the composition matching a unitary gate acting on
@@ -34,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import standard_base_frame
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
-from .extremal import Controller, curve_samples, holonomy_analytic, loop_closure_defect
+from .extremal import (
+    Controller, curve_samples, holonomy_analytic, loop_closure_defect, standard_base_frame,
+)
 from .linalg import _haar_stack, polar_unitary, unitarity_defect
 
 _SLOPE_WINDOW = (-2.5, -1.5)
@@ -88,6 +91,48 @@ class SampledLoop:
     def projectors(self) -> np.ndarray:
         """The (M+1, n, n) stack P = V V^H, formed on every access."""
         return np.einsum("mik,mjk->mij", self.frames, self.frames.conj())
+
+
+def _central_differences(arr: np.ndarray, dt: float) -> np.ndarray:
+    """Second-order time derivative of a sampled matrix curve.
+
+    Central differences in the interior, one-sided three-point stencils at
+    the endpoints; both are O(dt^2) accurate.
+    """
+    d = np.empty_like(arr)
+    d[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * dt)
+    d[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * dt)
+    d[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * dt)
+    return d
+
+
+def loop_length_numeric(projectors, duration: float = 1.0) -> float:
+    """Quadrature of the curve energy integral(0.5 * tr(Pdot^2)) dt.
+
+    `projectors` is a uniformly sampled (M+1, n, n) stack, such as
+    `SampledLoop.projectors`. Pdot comes from second-order finite
+    differences. Composite Simpson weights apply when the sample count is
+    odd (an even number of intervals); otherwise the trapezoid rule is
+    used. Either way the result converges at O(dt^2), dominated by the
+    stencil error.
+    """
+    arr = np.asarray(projectors, dtype=complex)
+    if arr.ndim != 3:
+        raise DimensionError("expected a sequence of equally shaped matrices")
+    if arr.shape[0] < 3:
+        raise TooFewSamples(f"need at least 3 samples, got {arr.shape[0]}")
+    m = arr.shape[0] - 1
+    dt = duration / m
+    pdot = _central_differences(arr, dt)
+    integrand = 0.5 * np.einsum("mij,mji->m", pdot, pdot).real
+    if m % 2 == 0:
+        weights = np.ones(m + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        return float(np.sum(weights * integrand) * dt / 3.0)
+    weights = np.ones(m + 1)
+    weights[0] = weights[-1] = 0.5
+    return float(np.sum(weights * integrand) * dt)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from holosynth import (
     bloch_curve,
     curve_samples,
     holonomy_analytic,
-    project,
     synthesize,
 )
 from holosynth.abelian import BerryController
@@ -149,5 +148,6 @@ class TestEmbeddingConsistency:
         for t in np.linspace(0.0, 1.0, 9):
             r = bloch_curve(c, t)
             p_from_sphere = 0.5 * (np.eye(2) + sum(r[j] * SIGMA[j] for j in range(3)))
-            p_from_frame = project(curve_samples(ctrl, [t])[0])
+            v = curve_samples(ctrl, [t])[0]
+            p_from_frame = v @ v.conj().T
             np.testing.assert_allclose(p_from_sphere, p_from_frame, atol=1e-10)

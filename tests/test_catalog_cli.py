@@ -333,6 +333,38 @@ def test_cli_never_imports_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_public_surface_resolves():
+    proc = _run_python("-c", (
+        "import holosynth\n"
+        "from holosynth import *\n"
+        "missing = [n for n in holosynth.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n"
+        "print(len(holosynth.__all__))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(holosynth.__all__)}\n"
+
+
+def test_tolerance_below_roundoff_keeps_a_closed_loop_passing(capsys):
+    # Gamma's unitarity defect is roundoff here (4.4e-16), above the
+    # 1e-17 validation tolerance, yet the loop closes: exit 0.
+    code, out, err = run_cli(
+        capsys, "synthesize", "--gate", "phase-0.5", "--tolerance", "1e-17"
+    )
+    assert code == 0, err
+    assert json.loads(out)["verification"]["closure_defect"] < 1e-10
+
+
+def test_oracle_grid_too_coarse_to_transport_exits_4():
+    code, err = _run_process(
+        "synthesize", "--gate", "phase-3.141592653589793",
+        "--oracle", "--steps", "2",
+    )
+    assert code == 4
+    assert "smallest singular value" in err
+    assert "Traceback" not in err
+
+
 class TestCliBadInput:
     @pytest.mark.parametrize(
         "case, field",

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from holosynth import extremal
 from holosynth import (
+    DEFAULT_TOL,
     Controller,
     DimensionError,
     NonUnitaryInput,
     OpenLoop,
     SynthesisParams,
+    catalog_get,
     curve_samples,
     evaluate_controller,
     gate_commutes,
@@ -18,7 +23,7 @@ from holosynth import (
     synthesize,
     transform_controller,
 )
-from holosynth.bundle import frame_defect
+from holosynth.linalg import unitarity_defect
 from helpers import random_haar
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -35,6 +40,23 @@ def _random_controller(rng, k, phases=True):
     phi = tuple(rng.uniform(0.0, 2 * np.pi, k)) if phases else (0.0,) * k
     params = SynthesisParams(phases=phi, windings=(1,) * k)
     return synthesize(gate, params).controller
+
+
+class TestStandardBaseFrame:
+    def test_shapes(self):
+        np.testing.assert_array_equal(standard_base_frame(2, 1), [[1], [0]])
+        v = standard_base_frame(4, 2)
+        np.testing.assert_array_equal(v[:2], np.eye(2))
+        np.testing.assert_array_equal(v[2:], np.zeros((2, 2)))
+        v = standard_base_frame(3, 2)
+        np.testing.assert_array_equal(v[:2], np.eye(2))
+        np.testing.assert_array_equal(v[2:], np.zeros((1, 2)))
+
+    def test_rejects_bad_dims(self):
+        with pytest.raises(DimensionError):
+            standard_base_frame(2, 2)
+        with pytest.raises(DimensionError):
+            standard_base_frame(2, 3)
 
 
 class TestControllerType:
@@ -88,7 +110,7 @@ class TestCurvePoint:
         rng = np.random.default_rng(3)
         ctrl = _random_controller(rng, 3)
         for t in rng.uniform(0.0, 1.0, 10):
-            assert frame_defect(curve_samples(ctrl, [t])[0]) < 1e-12
+            assert unitarity_defect(curve_samples(ctrl, [t])[0]) < 1e-12
 
     def test_batched_matches_pointwise(self):
         ctrl = _random_controller(np.random.default_rng(4), 2)
@@ -307,7 +329,7 @@ class TestWideAmbientSpace:
         assert length_analytic(wide) == pytest.approx(
             length_analytic(base), abs=1e-12
         )
-        assert frame_defect(curve_samples(wide, [0.62])[0]) < 1e-13
+        assert unitarity_defect(curve_samples(wide, [0.62])[0]) < 1e-13
 
 
 class TestEvaluateController:
@@ -318,3 +340,39 @@ class TestEvaluateController:
         assert report.loop_defect < 1e-12
         assert report.length_analytic == pytest.approx(np.pi**2, abs=1e-12)
         np.testing.assert_allclose(report.target, HADAMARD)
+
+    def test_one_exponential_of_x_and_one_of_omega(self, monkeypatch):
+        ctrl = _random_controller(np.random.default_rng(16), 4)
+        calls = []
+        expm_eigen = extremal.expm_eigen
+
+        def counting(w, q, t=1.0):
+            calls.append(q.shape)
+            return expm_eigen(w, q, t)
+
+        monkeypatch.setattr(extremal, "expm_eigen", counting)
+        evaluate_controller(ctrl, np.eye(4))
+        assert calls == [(8, 8), (4, 4)]
+
+    def test_same_bits_as_the_separate_functions(self):
+        ctrl = _random_controller(np.random.default_rng(17), 4)
+        report = evaluate_controller(ctrl, np.eye(4))
+        np.testing.assert_array_equal(report.gamma_matrix, holonomy_analytic(ctrl))
+        assert report.loop_defect == loop_closure_defect(ctrl)
+
+
+class TestHolonomyUnitarityFollowsClosure:
+    """||Gamma^H Gamma - I||_F <= ||(I - P0) g V0||_F^2 = closure^2 / 2 for
+    g = exp(X), so once the loop closes Gamma is unitary to roundoff."""
+
+    @pytest.mark.parametrize(
+        "gate", ["hadamard", "cnot", "dft2", "random-4", "random-8", "random-16"]
+    )
+    def test_defect_is_bounded_by_half_the_squared_closure(self, gate):
+        base = synthesize(catalog_get(gate).matrix).controller
+        loose = dataclasses.replace(DEFAULT_TOL, closure=1.0)
+        for eps in (1e-12, 1e-10, 1e-8, 1e-6):
+            ctrl = Controller(omega=base.omega, coupling=base.coupling * (1 + eps))
+            closure = loop_closure_defect(ctrl)
+            defect = unitarity_defect(holonomy_analytic(ctrl, tol=loose))
+            assert defect <= closure**2 / 2 + 1e-13

@@ -22,6 +22,7 @@ from holosynth import (
     loop_length_numeric,
     numeric_holonomy,
     sample_loop,
+    standard_base_frame,
     synthesize,
 )
 from helpers import random_haar, traced_peak
@@ -333,3 +334,46 @@ class TestLengthOracle:
         loop = sample_loop(ctrl, 20000)
         got = loop_length_numeric(loop.projectors)
         assert abs(got - length_analytic(ctrl)) < 1e-6
+
+
+def _loop_projectors(ctrl, samples):
+    frames = curve_samples(ctrl, np.linspace(0.0, 1.0, samples))
+    return np.einsum("mik,mjk->mij", frames, frames.conj())
+
+
+def _base_projector(n, k):
+    v = standard_base_frame(n, k)
+    return v @ v.conj().T
+
+
+class TestLoopLengthNumeric:
+    def test_constant_curve(self):
+        p = _base_projector(3, 1)
+        assert loop_length_numeric([p] * 21) == pytest.approx(0.0, abs=1e-15)
+
+    def test_single_channel_half_turn_loop(self):
+        ctrl = synthesize(HALF_TURN).controller
+        s = loop_length_numeric(_loop_projectors(ctrl, 20001))
+        assert abs(s - np.pi**2) < 5e-7
+
+    def test_matches_analytic_length(self):
+        ctrl = synthesize(HADAMARD).controller
+        s = loop_length_numeric(_loop_projectors(ctrl, 20001))
+        assert abs(s - length_analytic(ctrl)) < 1e-6
+
+    def test_quadratic_convergence(self):
+        ctrl = synthesize(HALF_TURN).controller
+        exact = np.pi**2
+        coarse = abs(loop_length_numeric(_loop_projectors(ctrl, 501)) - exact)
+        fine = abs(loop_length_numeric(_loop_projectors(ctrl, 1001)) - exact)
+        assert coarse / fine >= 3.5
+
+    def test_even_sample_count_uses_trapezoid(self):
+        ctrl = synthesize(HALF_TURN).controller
+        s = loop_length_numeric(_loop_projectors(ctrl, 5000))
+        assert abs(s - np.pi**2) < 1e-4
+
+    def test_too_few_samples(self):
+        p = _base_projector(3, 1)
+        with pytest.raises(TooFewSamples):
+            loop_length_numeric([p])
