@@ -5,8 +5,9 @@ Exit codes are stable so shell pipelines can gate on them:
     0   success, all requested checks within bounds
     2   argument, file or format errors (including unknown gates)
     3   a matrix that must be unitary is not
-    4   a verification bound was exceeded, or the oracle grid is too
-        coarse to transport (its overlap chain is numerically singular)
+    4   a verification bound was exceeded, the oracle grid is too
+        coarse to transport (its overlap chain is numerically singular),
+        or a unitary eigendecomposition failed its reconstruction check
     5   the loop does not close (open-loop controller document)
 """
 
@@ -167,7 +168,7 @@ def _apply_config(args) -> None:
 
 def _tol(args) -> Tolerances:
     if getattr(args, "tolerance", None) is not None:
-        return DEFAULT_TOL.with_validation(args.tolerance)
+        return Tolerances(validation=args.tolerance)
     return DEFAULT_TOL
 
 
@@ -268,8 +269,8 @@ def cmd_verify(args) -> int:
     _apply_config(args)
     with open(args.doc, "r", encoding="utf-8") as fh:
         doc = loads(fh.read())
-    ctrl, gate = document_controller(doc)
     tol = _tol(args)
+    ctrl, gate = document_controller(doc, tol)
     schedule = _as_schedule(args.steps, DEFAULT_SCHEDULE)
     bound = args.bound if args.bound is not None else ORACLE_BOUND
     oracle = cross_validate(ctrl, gate, steps_schedule=schedule, tol=tol)
@@ -285,16 +286,17 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     _apply_config(args)
+    tol = _tol(args)
     if args.doc:
         with open(args.doc, "r", encoding="utf-8") as fh:
-            ctrl, _ = document_controller(loads(fh.read()))
+            ctrl, _ = document_controller(loads(fh.read()), tol)
     else:
         result, _, _, _ = _run_synthesis(args)
         ctrl = result.controller
     steps = args.steps if args.steps is not None else 100
     if not isinstance(steps, int):
         raise ParamShapeMismatch("sample takes a single integer step count")
-    loop = sample_loop(ctrl, steps, _tol(args))
+    loop = sample_loop(ctrl, steps, tol)
     n, k = ctrl.n, ctrl.k
     header = ["t"]
     for i in range(n):

@@ -28,6 +28,7 @@ import json
 
 import numpy as np
 
+from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError
 from .extremal import Controller, HolonomyReport
 from .synth import SynthesisParams, SynthesisResult
@@ -138,12 +139,13 @@ def _field(doc, *path):
     return doc
 
 
-def document_controller(doc: dict) -> tuple[Controller, np.ndarray]:
+def document_controller(doc: dict, tol: Tolerances = DEFAULT_TOL) -> tuple[Controller, np.ndarray]:
     """Rebuild the controller and target gate from a parsed document.
 
     Splits the stored generator into its omega and coupling blocks using
     the channel count, and rejects matrices whose lower blocks are not
-    the mirror image the generator structure implies.
+    the mirror image the generator structure implies. The omega block is
+    checked for skew-Hermiticity at `tol`.
     """
     x = decode_matrix(_field(doc, "synthesis", "controller"))
     gate = decode_matrix(_field(doc, "gate", "matrix"))
@@ -162,5 +164,5 @@ def document_controller(doc: dict) -> tuple[Controller, np.ndarray]:
             "stored generator is not in controller block form "
             f"(mirror defect {mirror:.3e}, tail norm {tail:.3e})"
         )
-    ctrl = Controller(omega=x[:k, :k], coupling=x[:k, k:])
+    ctrl = Controller(omega=x[:k, :k], coupling=x[:k, k:], tol=tol)
     return ctrl, gate

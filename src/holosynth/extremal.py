@@ -54,13 +54,16 @@ class Controller:
         coupling: k x (n-k) block tying the working subspace to its
             complement; its squared Frobenius norm is the loop length
             per unit time. The lower-right block of X is identically zero.
+        tol: the tolerances `omega` is checked against for
+            skew-Hermiticity; read by no other check.
     """
 
     omega: np.ndarray
     coupling: np.ndarray
+    tol: Tolerances = field(default=DEFAULT_TOL, kw_only=True)
 
     def __post_init__(self):
-        omega = check_skew(self.omega, what="controller omega block")
+        omega = check_skew(self.omega, self.tol, what="controller omega block")
         coupling = as_complex_matrix(self.coupling)
         if coupling.shape[0] != omega.shape[0]:
             raise DimensionError(
@@ -172,6 +175,12 @@ def length_analytic(ctrl: Controller, t_final: float = 1.0) -> float:
     return float(np.trace(w.conj().T @ w).real * t_final)
 
 
+def check_target_shape(ctrl: Controller, target: np.ndarray) -> None:
+    """DimensionError unless the target gate is k x k for this controller."""
+    if target.shape != (ctrl.k, ctrl.k):
+        raise DimensionError(f"target gate has shape {target.shape}, not {(ctrl.k, ctrl.k)}")
+
+
 def transform_controller(
     ctrl: Controller, h1, h2, tol: Tolerances = DEFAULT_TOL
 ) -> Controller:
@@ -224,6 +233,7 @@ def evaluate_controller(
 ) -> HolonomyReport:
     """Holonomy, closure and length of a controller versus a target gate."""
     target = check_unitary(target, tol, what="target gate")
+    check_target_shape(ctrl, target)
     gamma, defect = _closed_holonomy(ctrl, t_final, tol)
     return HolonomyReport(
         gamma_matrix=gamma,

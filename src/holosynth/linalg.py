@@ -22,6 +22,8 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * np.pi
+PHASE_SNAP = 1e-12  # eig_unitary snaps eigenphases this close to 0 or 2*pi to 0
+SINGULAR_FLOOR = 1e-12  # polar_unitary refuses a matrix whose smallest singular value is <= this
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -52,9 +54,9 @@ def check_unitary(u, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.
     if u.shape[0] != u.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > tol.unitarity:
+    if defect > tol.validation:
         raise NonUnitaryInput(
-            f"{what} fails unitarity: ||U^H U - I||_F = {defect:.3e} > {tol.unitarity:.1e}"
+            f"{what} fails unitarity: ||U^H U - I||_F = {defect:.3e} > {tol.validation:.1e}"
         )
     return u
 
@@ -64,9 +66,9 @@ def check_skew(a, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.nda
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
     defect = skewness_defect(a)
-    if defect > tol.skewness:
+    if defect > tol.validation:
         raise NonSkewInput(
-            f"{what} fails skew-Hermiticity: ||A + A^H||_F = {defect:.3e} > {tol.skewness:.1e}"
+            f"{what} fails skew-Hermiticity: ||A + A^H||_F = {defect:.3e} > {tol.validation:.1e}"
         )
     return a
 
@@ -78,7 +80,7 @@ def eig_unitary(
 
     Returns `(r, gammas)` with `r^H @ u @ r = diag(exp(1j * gammas))`.
     The phases live in [0, 2*pi), sorted ascending; phases within
-    `tol.phase_snap` of 0 or 2*pi are snapped to exactly 0, which keeps
+    `PHASE_SNAP` of 0 or 2*pi are snapped to exactly 0, which keeps
     downstream square roots of the form sqrt(gamma * (2n*pi - gamma))
     exact on degenerate channels.
 
@@ -94,7 +96,7 @@ def eig_unitary(
     Raises:
         NonUnitaryInput: input fails the unitarity tolerance.
         ConvergenceFailure: an eigenvalue iteration failed, or the
-            reconstruction check exceeded `tol.reconstruction`.
+            reconstruction check exceeded `tol.validation`.
     """
     u = check_unitary(u, tol, what="eig_unitary input")
     eye = np.eye(u.shape[0])
@@ -108,8 +110,8 @@ def eig_unitary(
         raise ConvergenceFailure(f"unitary eigendecomposition failed: {exc}") from exc
 
     gammas = np.angle(np.einsum("ij,ij->j", z.conj(), u @ z)) % TWO_PI
-    gammas = np.where(np.abs(gammas - TWO_PI) <= tol.phase_snap, 0.0, gammas)
-    gammas = np.where(np.abs(gammas) <= tol.phase_snap, 0.0, gammas)
+    gammas = np.where(np.abs(gammas - TWO_PI) <= PHASE_SNAP, 0.0, gammas)
+    gammas = np.where(np.abs(gammas) <= PHASE_SNAP, 0.0, gammas)
 
     order = np.argsort(gammas, kind="stable")
     gammas = gammas[order]
@@ -120,10 +122,10 @@ def eig_unitary(
     r = r * np.conj(lead / np.abs(lead))
 
     recon = float(np.linalg.norm(r @ np.diag(np.exp(1j * gammas)) @ r.conj().T - u))
-    if recon > tol.reconstruction:
+    if recon > tol.validation:
         raise ConvergenceFailure(
             f"eigendecomposition reconstruction defect {recon:.3e} exceeds "
-            f"{tol.reconstruction:.1e}"
+            f"{tol.validation:.1e}"
         )
     return r, gammas
 
@@ -133,20 +135,20 @@ def expm_eigen(w, q, t=1.0) -> np.ndarray:
     return q @ (np.exp(1j * np.multiply.outer(t, w))[:, None] * q.conj().T)
 
 
-def polar_unitary(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def polar_unitary(m) -> np.ndarray:
     """Unitary factor Q of the polar decomposition M = Q H.
 
     Q is the closest unitary to M in the Frobenius norm. Refuses inputs
-    whose smallest singular value is at or below `tol.singular`, since the
+    whose smallest singular value is at or below `SINGULAR_FLOOR`, since the
     unitary factor is then ill-determined.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"polar_unitary needs a square matrix, got {m.shape}")
     u, s, vh = np.linalg.svd(m)
-    if s[-1] <= tol.singular:
+    if s[-1] <= SINGULAR_FLOOR:
         raise SingularInput(
-            f"smallest singular value {s[-1]:.3e} at or below {tol.singular:.1e}"
+            f"smallest singular value {s[-1]:.3e} at or below {SINGULAR_FLOOR:.1e}"
         )
     return u @ vh
 

@@ -39,7 +39,8 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
 from .extremal import (
-    Controller, curve_samples, holonomy_analytic, loop_closure_defect, standard_base_frame,
+    Controller, check_target_shape, curve_samples, holonomy_analytic,
+    loop_closure_defect, standard_base_frame,
 )
 from .linalg import _haar_stack, polar_unitary, unitarity_defect
 
@@ -57,7 +58,7 @@ class SampledLoop:
     `frames` has shape (M+1, n, k). Validation confirms the grid is uniform
     on [0, 1], the first and last frames span the same subspace (their
     projectors agree within `tol.closure`), and every frame is orthonormal,
-    ||V^H V - I||_F within `tol.frame`.
+    ||V^H V - I||_F within `tol.validation`.
     """
 
     times: np.ndarray
@@ -178,7 +179,7 @@ def _check_endpoints(first: np.ndarray, last: np.ndarray, tol: Tolerances) -> No
 
 def _check_frames(frames: np.ndarray, tol: Tolerances) -> None:
     worst = unitarity_defect(frames)
-    if worst > tol.frame:
+    if worst > tol.validation:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
 
 
@@ -214,7 +215,7 @@ def _ordered_chain(factors: np.ndarray) -> np.ndarray:
     return chain[0]
 
 
-def _chain_holonomy(chunks, v0: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _chain_holonomy(chunks, v0: np.ndarray) -> np.ndarray:
     """Polar factor of V0^H V_{M-1} . V_{M-1}^H V_{M-2} ... V_1^H V0.
 
     `chunks` yields the interior frames V_1, ..., V_{M-1} as (c, n, k)
@@ -230,10 +231,10 @@ def _chain_holonomy(chunks, v0: np.ndarray, tol: Tolerances) -> np.ndarray:
         ])
         chain = _ordered_chain(overlaps[::-1]) @ chain
         prev = frames[-1]
-    return polar_unitary(v0.conj().T @ prev @ chain, tol)
+    return polar_unitary(v0.conj().T @ prev @ chain)
 
 
-def numeric_holonomy(loop: SampledLoop, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
     """Discrete parallel-transport holonomy of a sampled frame loop.
 
     Multiplies the k x k overlaps of the base frame and the interior frames
@@ -247,7 +248,7 @@ def numeric_holonomy(loop: SampledLoop, tol: Tolerances = DEFAULT_TOL) -> np.nda
             loop was sampled too coarsely for transport.
     """
     v0 = standard_base_frame(loop.frames.shape[1], loop.rank)
-    return _chain_holonomy([loop.frames[1:-1]], v0, tol)
+    return _chain_holonomy([loop.frames[1:-1]], v0)
 
 
 def _chunk_frames(n: int, k: int) -> int:
@@ -267,16 +268,6 @@ def _interior_chunks(ctrl: Controller, steps: int, tol: Tolerances):
         yield frames
 
 
-def _streamed_holonomy(ctrl: Controller, steps: int, tol: Tolerances) -> np.ndarray:
-    """`numeric_holonomy(sample_loop(ctrl, steps, tol), tol)`, with the same
-    checks, in memory independent of `steps`."""
-    _check_closed(ctrl, steps, tol)
-    ends = curve_samples(ctrl, np.array([0.0, 1.0]))
-    _check_endpoints(ends[0], ends[1], tol)
-    _check_frames(ends, tol)
-    return _chain_holonomy(_interior_chunks(ctrl, steps, tol), ctrl.base_frame(), tol)
-
-
 def cross_validate(
     ctrl: Controller,
     gate,
@@ -287,6 +278,9 @@ def cross_validate(
 
     Each schedule point is sampled and transported in fixed-size chunks
     (see the module docstring), so memory does not grow with the steps.
+    Each point gives `numeric_holonomy(sample_loop(ctrl, steps, tol))`. The
+    closure, step-count, target-shape and endpoint checks are decided once
+    per call, before the interior frames are sampled and Gram-checked.
 
     The slope fit only uses schedule points whose deviation exceeds the
     roundoff floor; when fewer than two such points remain the estimate is
@@ -305,10 +299,16 @@ def cross_validate(
     if not schedule:
         raise DimensionError("steps_schedule must not be empty")
     analytic = holonomy_analytic(ctrl, 1.0, tol)
+    if min(schedule) < 2:
+        raise TooFewSamples(f"steps must be >= 2, got {min(schedule)}")
+    check_target_shape(ctrl, gate)
+    ends = curve_samples(ctrl, np.array([0.0, 1.0]))
+    _check_endpoints(ends[0], ends[1], tol)
+    _check_frames(ends, tol)
+    v0 = ctrl.base_frame()
     deviations = []
-    gamma_numeric = None
     for steps in schedule:
-        gamma_numeric = _streamed_holonomy(ctrl, steps, tol)
+        gamma_numeric = _chain_holonomy(_interior_chunks(ctrl, steps, tol), v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     usable = [
         (np.log(s), np.log(d))

@@ -293,6 +293,41 @@ class TestCliVerify:
         assert code == 4
         assert "bound" in err
 
+    def _perturbed_cnot(self, capsys, tmp_path, edit):
+        target = tmp_path / "cnot.json"
+        run_cli(capsys, "synthesize", "--gate", "cnot", "--out", str(target))
+        doc = json.loads(target.read_text())
+        edit(doc)
+        target.write_text(canonical_dumps(doc))
+        return target
+
+    def test_tolerance_reaches_the_omega_skewness_check(self, capsys, tmp_path):
+        def raise_omega_entry(doc):
+            doc["synthesis"]["controller"]["data"][0][0] += 1e-9
+
+        target = self._perturbed_cnot(capsys, tmp_path, raise_omega_entry)
+        verify_doc = ("verify", "--doc", str(target), "--steps", "1000")
+        code, _, err = run_cli(capsys, *verify_doc)
+        assert code == 4
+        assert "controller omega block fails skew-Hermiticity" in err
+        code, out, err = run_cli(capsys, *verify_doc, "--tolerance", "1e-6")
+        assert code == 0, err
+        assert json.loads(out)["deviation"] < 1e-12
+        sample_doc = ("sample", "--doc", str(target), "--steps", "10")
+        assert run_cli(capsys, *sample_doc)[0] == 4
+        assert run_cli(capsys, *sample_doc, "--tolerance", "1e-6")[0] == 0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_target_of_the_wrong_shape_exits_2(self, dim, capsys, tmp_path):
+        def replace_gate(doc):
+            doc["gate"]["matrix"] = encode_matrix(np.eye(dim))
+
+        target = self._perturbed_cnot(capsys, tmp_path, replace_gate)
+        code, err = _run_process("verify", "--doc", str(target), "--steps", "1000")
+        assert code == 2
+        assert f"target gate has shape ({dim}, {dim})" in err
+        assert "Traceback" not in err
+
     def test_failed_oracle_check_is_named(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -362,6 +397,15 @@ def test_oracle_grid_too_coarse_to_transport_exits_4():
     )
     assert code == 4
     assert "smallest singular value" in err
+    assert "Traceback" not in err
+
+
+def test_failed_eigendecomposition_exits_4():
+    # pauli-x is exactly unitary, but its eigendecomposition reconstructs
+    # it only to roundoff, above the 1e-17 validation tolerance
+    code, err = _run_process("synthesize", "--gate", "pauli-x", "--tolerance", "1e-17")
+    assert code == 4
+    assert "reconstruction defect 3.385e-16 exceeds 1.0e-17" in err
     assert "Traceback" not in err
 
 

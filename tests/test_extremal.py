@@ -354,6 +354,12 @@ class TestEvaluateController:
         evaluate_controller(ctrl, np.eye(4))
         assert calls == [(8, 8), (4, 4)]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejects_a_target_of_the_wrong_shape(self, dim):
+        ctrl = synthesize(CNOT).controller
+        with pytest.raises(DimensionError, match=rf"shape \({dim}, {dim}\)"):
+            evaluate_controller(ctrl, np.eye(dim))
+
     def test_same_bits_as_the_separate_functions(self):
         ctrl = _random_controller(np.random.default_rng(17), 4)
         report = evaluate_controller(ctrl, np.eye(4))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from holosynth import linalg
 from holosynth import (
-    DEFAULT_TOL,
     Controller,
     NonSkewInput,
     NonUnitaryInput,
@@ -80,7 +79,7 @@ def assert_decomposes(gammas, seed):
     q = random_haar(np.random.default_rng(seed), len(gammas))
     u = q @ np.diag(np.exp(1j * gammas)) @ q.conj().T
     r, got = eig_unitary(u)
-    snap = DEFAULT_TOL.phase_snap
+    snap = linalg.PHASE_SNAP
     want = np.where((gammas <= snap) | (gammas >= TWO_PI - snap), 0.0, gammas)
     recon = r @ np.diag(np.exp(1j * got)) @ r.conj().T
     assert np.linalg.norm(recon - u) <= 1e-11

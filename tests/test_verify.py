@@ -1,16 +1,15 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from holosynth import verify
 from holosynth import (
-    DEFAULT_TOL,
     Controller,
+    DimensionError,
     InvalidFrame,
     OpenLoop,
     SampledLoop,
     SingularInput,
+    Tolerances,
     TooFewSamples,
     catalog_get,
     cross_validate,
@@ -90,12 +89,12 @@ class TestLoopValidationTolerance:
 
     def test_validation_override_admits_rough_projectors(self):
         times, frames = self._rough_loop_data()
-        tol = DEFAULT_TOL.with_validation(1e-8)
+        tol = Tolerances(validation=1e-8)
         loop = SampledLoop(times=times, frames=frames, tol=tol)
         assert loop.tol is tol
 
     def test_sample_loop_passes_its_tolerance_on(self):
-        tol = DEFAULT_TOL.with_validation(1e-8)
+        tol = Tolerances(validation=1e-8)
         loop = sample_loop(synthesize(HADAMARD).controller, 10, tol)
         assert loop.tol is tol
 
@@ -272,7 +271,7 @@ class TestStreamedOracle:
 
     def test_frame_tolerance_reaches_both_paths(self):
         ctrl = self._controller(4)
-        tol = dataclasses.replace(DEFAULT_TOL, frame=0.0)
+        tol = Tolerances(validation=0.0)
         with pytest.raises(InvalidFrame):
             sample_loop(ctrl, 1000, tol)
         with pytest.raises(InvalidFrame):
@@ -297,6 +296,40 @@ class TestStreamedOracle:
     def test_one_step_is_too_few(self):
         with pytest.raises(TooFewSamples):
             cross_validate(self._controller(2), np.eye(2), (1,))
+
+    def test_each_check_is_decided_once_per_call(self, monkeypatch):
+        calls = {"holonomy_analytic": 0, "loop_closure_defect": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(verify, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        sampled = []
+        sample = verify.curve_samples
+
+        def recording(ctrl, times):
+            sampled.append(np.asarray(times).tolist())
+            return sample(ctrl, times)
+
+        monkeypatch.setattr(verify, "curve_samples", recording)
+        cross_validate(self._controller(2), np.eye(2), (10, 20, 40))
+        assert calls == {"holonomy_analytic": 1, "loop_closure_defect": 0}
+        assert sampled.count([0.0, 1.0]) == 1
+
+    def test_a_short_schedule_entry_is_rejected_before_sampling(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(
+            verify, "curve_samples", lambda ctrl, times: sampled.append(times)
+        )
+        with pytest.raises(TooFewSamples):
+            cross_validate(self._controller(2), np.eye(2), (1000, 1))
+        assert sampled == []
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rejects_a_target_of_the_wrong_shape(self, dim):
+        with pytest.raises(DimensionError, match=rf"shape \({dim}, {dim}\)"):
+            cross_validate(self._controller(2), np.eye(dim), (10,))
 
 
 class TestOracleAgreementEnsemble:
