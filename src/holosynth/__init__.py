@@ -10,7 +10,6 @@ parallel-transport oracle that consumes only the sampled loop of frames.
 
 from .abelian import BerryController, berry_controller, berry_holonomy, bloch_curve
 from .catalog import GateCatalogEntry, catalog_get, catalog_names
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     ConvergenceFailure,
     DimensionError,
@@ -60,7 +59,6 @@ __all__ = [
     "BerryController",
     "Controller",
     "ConvergenceFailure",
-    "DEFAULT_TOL",
     "DimensionError",
     "GateCatalogEntry",
     "HolonomyReport",
@@ -75,7 +73,6 @@ __all__ = [
     "SingularInput",
     "SynthesisParams",
     "SynthesisResult",
-    "Tolerances",
     "TooFewSamples",
     "UnknownGate",
     "berry_controller",

@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from .catalog import GateCatalogEntry, catalog_get, catalog_names
-from .config import DEFAULT_TOL, Tolerances
 from .document import (
     canonical_dumps,
     controller_document,
@@ -39,6 +38,7 @@ from .errors import (
     UnknownGate,
 )
 from .extremal import evaluate_controller
+from .linalg import VALIDATION_TOL
 from .synth import SynthesisParams, synthesize
 from .verify import cross_validate, sample_loop
 
@@ -166,10 +166,10 @@ def _apply_config(args) -> None:
                 raise ParamShapeMismatch(f"config key {key!r}: {exc}") from exc
 
 
-def _tol(args) -> Tolerances:
+def _tol(args) -> float:
     if getattr(args, "tolerance", None) is not None:
-        return Tolerances(validation=args.tolerance)
-    return DEFAULT_TOL
+        return args.tolerance
+    return VALIDATION_TOL
 
 
 def _load_gate(args) -> tuple[np.ndarray, str | None, GateCatalogEntry | None]:
@@ -281,7 +281,10 @@ def cmd_verify(args) -> int:
         gamma_analytic=encode_matrix(oracle.gamma_analytic),
     )
     _emit(canonical_dumps(report), args.out)
-    return _verdict([("oracle deviation", oracle.deviation, bound)])
+    return _verdict([
+        ("target error", oracle.target_error, HOLONOMY_BOUND),
+        ("oracle deviation", oracle.deviation, bound),
+    ])
 
 
 def cmd_sample(args) -> int:

@@ -28,9 +28,9 @@ import json
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError
 from .extremal import Controller, HolonomyReport
+from .linalg import VALIDATION_TOL
 from .synth import SynthesisParams, SynthesisResult
 from .verify import OracleReport
 
@@ -139,7 +139,7 @@ def _field(doc, *path):
     return doc
 
 
-def document_controller(doc: dict, tol: Tolerances = DEFAULT_TOL) -> tuple[Controller, np.ndarray]:
+def document_controller(doc: dict, tol: float = VALIDATION_TOL) -> tuple[Controller, np.ndarray]:
     """Rebuild the controller and target gate from a parsed document.
 
     Splits the stored generator into its omega and coupling blocks using

@@ -6,15 +6,14 @@ A controller is the constant skew-Hermitian generator
 
 acting on C^n, with Omega (k x k, skew-Hermitian) and W (k x (n-k)). The
 curve V(t) = exp(t X) V0 exp(-t Omega) through the standard base frame V0
-is a horizontal lift whose projected loop, when it closes at t = T, picks
+is a horizontal lift whose projected loop, when it closes at t = 1, picks
 up the holonomy
 
-    Gamma = V0^H exp(T X) V0 exp(-T Omega).
+    Gamma = V0^H exp(X) V0 exp(-Omega).
 
-The projected curve length is tr(W^H W) * T, independent of Omega. The
-public API normalizes the traversal time to T = 1; the analytic operations
-keep an explicit T argument so composition and consistency laws remain
-testable.
+The projected curve length is tr(W^H W), independent of Omega. As in the
+paper, every controller traverses its loop in unit time, and the loop counts
+as closed when its Grassmannian closure defect is at most `CLOSURE_TOL`.
 """
 
 from __future__ import annotations
@@ -24,9 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, OpenLoop
-from .linalg import as_complex_matrix, check_skew, check_unitary, expm_eigen
+from .linalg import VALIDATION_TOL, as_complex_matrix, check_skew, check_unitary, expm_eigen
+
+CLOSURE_TOL = 1e-8  # a loop whose closure defect ||g P0 g^H - P0||_F exceeds this is open
 
 
 def standard_base_frame(n: int, k: int) -> np.ndarray:
@@ -54,13 +54,13 @@ class Controller:
         coupling: k x (n-k) block tying the working subspace to its
             complement; its squared Frobenius norm is the loop length
             per unit time. The lower-right block of X is identically zero.
-        tol: the tolerances `omega` is checked against for
-            skew-Hermiticity; read by no other check.
+        tol: the bound `omega` is checked against for skew-Hermiticity;
+            read by no other check.
     """
 
     omega: np.ndarray
     coupling: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, kw_only=True)
+    tol: float = field(default=VALIDATION_TOL, kw_only=True)
 
     def __post_init__(self):
         omega = check_skew(self.omega, self.tol, what="controller omega block")
@@ -127,63 +127,57 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
 
 
 def _closure_defect(ctrl: Controller, g: np.ndarray) -> float:
-    """||g P0 g^H - P0||_F for g = exp(T X) and P0 the base projector."""
+    """||g P0 g^H - P0||_F for g = exp(X) and P0 the base projector."""
     v0 = ctrl.base_frame()
     p0 = v0 @ v0.conj().T
     return float(np.linalg.norm(g @ p0 @ g.conj().T - p0))
 
 
-def loop_closure_defect(ctrl: Controller, t_final: float = 1.0) -> float:
-    """||exp(T X) P0 exp(-T X) - P0||_F with P0 the base projector."""
-    return _closure_defect(ctrl, expm_eigen(*ctrl._spectrum, t_final))
+def loop_closure_defect(ctrl: Controller) -> float:
+    """||exp(X) P0 exp(-X) - P0||_F with P0 the base projector."""
+    return _closure_defect(ctrl, expm_eigen(*ctrl._spectrum))
 
 
-def _closed_holonomy(
-    ctrl: Controller, t_final: float, tol: Tolerances
-) -> tuple[np.ndarray, float]:
-    """(Gamma, closure defect), both from one g = exp(T X); OpenLoop if open."""
-    g = expm_eigen(*ctrl._spectrum, t_final)
+def _closed_holonomy(ctrl: Controller) -> tuple[np.ndarray, float]:
+    """(Gamma, closure defect), both from one g = exp(X); OpenLoop if open."""
+    g = expm_eigen(*ctrl._spectrum)
     defect = _closure_defect(ctrl, g)
-    if defect > tol.closure:
-        raise OpenLoop(
-            f"loop closure defect {defect:.3e} exceeds {tol.closure:.1e} "
-            f"at T={t_final}"
-        )
+    if defect > CLOSURE_TOL:
+        raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
     v0 = ctrl.base_frame()
-    unwind = expm_eigen(*ctrl._omega_spectrum, -t_final)
+    unwind = expm_eigen(*ctrl._omega_spectrum, -1.0)
     return v0.conj().T @ g @ v0 @ unwind, defect
 
 
-def holonomy_analytic(
-    ctrl: Controller, t_final: float = 1.0, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Holonomy Gamma = V0^H exp(T X) V0 exp(-T Omega) of the closed loop.
+def holonomy_analytic(ctrl: Controller) -> np.ndarray:
+    """Holonomy Gamma = V0^H exp(X) V0 exp(-Omega) of the closed loop.
 
     ||Gamma^H Gamma - I||_F <= closure^2 / 2, so closure bounds unitarity.
 
     Raises:
-        OpenLoop: the projected curve misses its start point at t = T, in
+        OpenLoop: the projected curve misses its start point at t = 1, in
             which case the product above would not be unitary and the
-            boundary-value problem is simply unsolved for this (X, T).
+            boundary-value problem is simply unsolved for this X.
     """
-    return _closed_holonomy(ctrl, t_final, tol)[0]
+    return _closed_holonomy(ctrl)[0]
 
 
-def length_analytic(ctrl: Controller, t_final: float = 1.0) -> float:
-    """Loop length tr(W^H W) * T of the projected extremal curve."""
+def length_analytic(ctrl: Controller) -> float:
+    """Loop length tr(W^H W) of the projected extremal curve."""
     w = ctrl.coupling
-    return float(np.trace(w.conj().T @ w).real * t_final)
+    return float(np.trace(w.conj().T @ w).real)
 
 
-def check_target_shape(ctrl: Controller, target: np.ndarray) -> None:
-    """DimensionError unless the target gate is k x k for this controller."""
+def check_target(ctrl: Controller, target, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """The target gate as a matrix, checked unitary within `tol` and k x k
+    for this controller (NonUnitaryInput, DimensionError otherwise)."""
+    target = check_unitary(target, tol, what="target gate")
     if target.shape != (ctrl.k, ctrl.k):
         raise DimensionError(f"target gate has shape {target.shape}, not {(ctrl.k, ctrl.k)}")
+    return target
 
 
-def transform_controller(
-    ctrl: Controller, h1, h2, tol: Tolerances = DEFAULT_TOL
-) -> Controller:
+def transform_controller(ctrl: Controller, h1, h2, tol: float = VALIDATION_TOL) -> Controller:
     """Conjugate a controller by block unitaries (h1, h2).
 
     Returns the controller with omega' = h1 omega h1^H and
@@ -225,20 +219,17 @@ class HolonomyReport:
     target: np.ndarray
     holonomy_error: float
     loop_defect: float
-    length_analytic: float = field(default=0.0)
+    length_analytic: float
 
 
-def evaluate_controller(
-    ctrl: Controller, target, t_final: float = 1.0, tol: Tolerances = DEFAULT_TOL
-) -> HolonomyReport:
+def evaluate_controller(ctrl: Controller, target, tol: float = VALIDATION_TOL) -> HolonomyReport:
     """Holonomy, closure and length of a controller versus a target gate."""
-    target = check_unitary(target, tol, what="target gate")
-    check_target_shape(ctrl, target)
-    gamma, defect = _closed_holonomy(ctrl, t_final, tol)
+    target = check_target(ctrl, target, tol)
+    gamma, defect = _closed_holonomy(ctrl)
     return HolonomyReport(
         gamma_matrix=gamma,
         target=target,
         holonomy_error=float(np.linalg.norm(gamma - target)),
         loop_defect=defect,
-        length_analytic=length_analytic(ctrl, t_final),
+        length_analytic=length_analytic(ctrl),
     )

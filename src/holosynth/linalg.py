@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     ConvergenceFailure,
     DimensionError,
@@ -24,6 +23,7 @@ from .errors import (
 TWO_PI = 2.0 * np.pi
 PHASE_SNAP = 1e-12  # eig_unitary snaps eigenphases this close to 0 or 2*pi to 0
 SINGULAR_FLOOR = 1e-12  # polar_unitary refuses a matrix whose smallest singular value is <= this
+VALIDATION_TOL = 1e-10  # default bound on unitarity, skewness, frame Gram and eigen-reconstruction defects
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -49,33 +49,31 @@ def skewness_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a + a.conj().T))
 
 
-def check_unitary(u, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+def check_unitary(u, tol: float = VALIDATION_TOL, what: str = "matrix") -> np.ndarray:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > tol.validation:
+    if defect > tol:
         raise NonUnitaryInput(
-            f"{what} fails unitarity: ||U^H U - I||_F = {defect:.3e} > {tol.validation:.1e}"
+            f"{what} fails unitarity: ||U^H U - I||_F = {defect:.3e} > {tol:.1e}"
         )
     return u
 
 
-def check_skew(a, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+def check_skew(a, tol: float = VALIDATION_TOL, what: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
     defect = skewness_defect(a)
-    if defect > tol.validation:
+    if defect > tol:
         raise NonSkewInput(
-            f"{what} fails skew-Hermiticity: ||A + A^H||_F = {defect:.3e} > {tol.validation:.1e}"
+            f"{what} fails skew-Hermiticity: ||A + A^H||_F = {defect:.3e} > {tol:.1e}"
         )
     return a
 
 
-def eig_unitary(
-    u, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def eig_unitary(u, tol: float = VALIDATION_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a unitary matrix into phases and a unitary diagonalizer.
 
     Returns `(r, gammas)` with `r^H @ u @ r = diag(exp(1j * gammas))`.
@@ -96,7 +94,7 @@ def eig_unitary(
     Raises:
         NonUnitaryInput: input fails the unitarity tolerance.
         ConvergenceFailure: an eigenvalue iteration failed, or the
-            reconstruction check exceeded `tol.validation`.
+            reconstruction check exceeded `tol`.
     """
     u = check_unitary(u, tol, what="eig_unitary input")
     eye = np.eye(u.shape[0])
@@ -122,10 +120,9 @@ def eig_unitary(
     r = r * np.conj(lead / np.abs(lead))
 
     recon = float(np.linalg.norm(r @ np.diag(np.exp(1j * gammas)) @ r.conj().T - u))
-    if recon > tol.validation:
+    if recon > tol:
         raise ConvergenceFailure(
-            f"eigendecomposition reconstruction defect {recon:.3e} exceeds "
-            f"{tol.validation:.1e}"
+            f"eigendecomposition reconstruction defect {recon:.3e} exceeds {tol:.1e}"
         )
     return r, gammas
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import ParamShapeMismatch
 from .extremal import Controller
-from .linalg import check_unitary, eig_unitary
+from .linalg import VALIDATION_TOL, check_unitary, eig_unitary
 
 _NEG_CLAMP = 1e-14
 
@@ -115,7 +114,7 @@ def synthesize(
     params: SynthesisParams | None = None,
     channel_order: tuple[int, ...] | None = None,
     channel_signs: tuple[int, ...] | None = None,
-    tol: Tolerances = DEFAULT_TOL,
+    tol: float = VALIDATION_TOL,
 ) -> SynthesisResult:
     """Construct the controller whose holonomy equals `gate`.
 

@@ -36,13 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
 from .extremal import (
-    Controller, check_target_shape, curve_samples, holonomy_analytic,
+    CLOSURE_TOL, Controller, check_target, curve_samples, holonomy_analytic,
     loop_closure_defect, standard_base_frame,
 )
-from .linalg import _haar_stack, polar_unitary, unitarity_defect
+from .linalg import VALIDATION_TOL, _haar_stack, polar_unitary, unitarity_defect
 
 _SLOPE_WINDOW = (-2.5, -1.5)
 _ROUNDOFF_FLOOR = 1e-12
@@ -57,13 +56,13 @@ class SampledLoop:
 
     `frames` has shape (M+1, n, k). Validation confirms the grid is uniform
     on [0, 1], the first and last frames span the same subspace (their
-    projectors agree within `tol.closure`), and every frame is orthonormal,
-    ||V^H V - I||_F within `tol.validation`.
+    projectors agree within `extremal.CLOSURE_TOL`), and every frame is
+    orthonormal, ||V^H V - I||_F within `tol`.
     """
 
     times: np.ndarray
     frames: np.ndarray
-    tol: Tolerances = DEFAULT_TOL
+    tol: float = VALIDATION_TOL
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -75,7 +74,7 @@ class SampledLoop:
         steps = np.diff(times)
         if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-12):
             raise DimensionError("time grid is not uniform")
-        _check_endpoints(frames[0], frames[-1], self.tol)
+        _check_endpoints(frames[0], frames[-1])
         _check_frames(frames, self.tol)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "frames", frames)
@@ -107,8 +106,8 @@ def _central_differences(arr: np.ndarray, dt: float) -> np.ndarray:
     return d
 
 
-def loop_length_numeric(projectors, duration: float = 1.0) -> float:
-    """Quadrature of the curve energy integral(0.5 * tr(Pdot^2)) dt.
+def loop_length_numeric(projectors) -> float:
+    """Quadrature of the curve energy integral(0.5 * tr(Pdot^2)) dt over [0, 1].
 
     `projectors` is a uniformly sampled (M+1, n, n) stack, such as
     `SampledLoop.projectors`. Pdot comes from second-order finite
@@ -123,7 +122,7 @@ def loop_length_numeric(projectors, duration: float = 1.0) -> float:
     if arr.shape[0] < 3:
         raise TooFewSamples(f"need at least 3 samples, got {arr.shape[0]}")
     m = arr.shape[0] - 1
-    dt = duration / m
+    dt = 1.0 / m
     pdot = _central_differences(arr, dt)
     integrand = 0.5 * np.einsum("mij,mji->m", pdot, pdot).real
     if m % 2 == 0:
@@ -140,59 +139,61 @@ def loop_length_numeric(projectors, duration: float = 1.0) -> float:
 class OracleReport:
     """Cross-validation record of numeric versus analytic holonomy.
 
-    `deviation` is the finest-grid Frobenius distance between the two.
-    `convergence_order_estimate` is the least-squares slope of
-    log(deviation) against log(steps); it is NaN when the deviations sit
-    at the roundoff floor, where no order can be estimated. The
-    polar-unitarized chain converges at order 2, so a slope outside the
-    second-order window [-2.5, -1.5] sets `anomalous` instead of raising;
-    it is False when the slope is NaN.
+    `deviation` is the finest-grid Frobenius distance between the two,
+    reached at `steps`. `convergence_order_estimate` is the least-squares
+    slope of log(deviation) against log(steps); it is NaN when the
+    deviations sit at the roundoff floor, where no order can be estimated.
+    The polar-unitarized chain converges at order 2, so a slope outside
+    the second-order window [-2.5, -1.5] sets `anomalous` instead of
+    raising; it is False when the slope is NaN.
     """
 
     gamma_numeric: np.ndarray
     gamma_analytic: np.ndarray
-    deviation: float
-    steps: int
     convergence_order_estimate: float
     anomalous: bool
     schedule: tuple[int, ...]
     deviations: tuple[float, ...]
     target_error: float
 
+    @property
+    def deviation(self) -> float:
+        return self.deviations[-1]
 
-def _check_closed(ctrl: Controller, steps: int, tol: Tolerances) -> None:
+    @property
+    def steps(self) -> int:
+        return self.schedule[-1]
+
+
+def _check_closed(ctrl: Controller, steps: int) -> None:
     """Reject too few steps or an analytically open loop before sampling."""
     if steps < 2:
         raise TooFewSamples(f"steps must be >= 2, got {steps}")
-    defect = loop_closure_defect(ctrl, 1.0)
-    if defect > tol.closure:
-        raise OpenLoop(
-            f"loop closure defect {defect:.3e} exceeds {tol.closure:.1e}"
-        )
+    defect = loop_closure_defect(ctrl)
+    if defect > CLOSURE_TOL:
+        raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
 
 
-def _check_endpoints(first: np.ndarray, last: np.ndarray, tol: Tolerances) -> None:
+def _check_endpoints(first: np.ndarray, last: np.ndarray) -> None:
     closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
-    if closure > tol.closure:
+    if closure > CLOSURE_TOL:
         raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
 
 
-def _check_frames(frames: np.ndarray, tol: Tolerances) -> None:
+def _check_frames(frames: np.ndarray, tol: float) -> None:
     worst = unitarity_defect(frames)
-    if worst > tol.validation:
+    if worst > tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
 
 
-def sample_loop(
-    ctrl: Controller, steps: int, tol: Tolerances = DEFAULT_TOL
-) -> SampledLoop:
+def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
     """Sample the controller's projected loop at steps+1 uniform times.
 
     Raises:
         OpenLoop: the controller does not close its loop at t = 1.
         TooFewSamples: steps < 2.
     """
-    _check_closed(ctrl, steps, tol)
+    _check_closed(ctrl, steps)
     times = np.linspace(0.0, 1.0, steps + 1)
     return SampledLoop(times=times, frames=curve_samples(ctrl, times), tol=tol)
 
@@ -256,7 +257,7 @@ def _chunk_frames(n: int, k: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * n * k))
 
 
-def _interior_chunks(ctrl: Controller, steps: int, tol: Tolerances):
+def _interior_chunks(ctrl: Controller, steps: int, tol: float):
     """The frames V_1, ..., V_{steps-1} of the uniform grid, sampled and
     Gram-checked one chunk at a time. Times are computed as linspace
     computes them, so each frame equals its `sample_loop` counterpart."""
@@ -272,14 +273,14 @@ def cross_validate(
     ctrl: Controller,
     gate,
     steps_schedule: tuple[int, ...] = (10**3, 10**4, 10**5),
-    tol: Tolerances = DEFAULT_TOL,
+    tol: float = VALIDATION_TOL,
 ) -> OracleReport:
     """Run the oracle over a refinement schedule and fit its convergence.
 
     Each schedule point is sampled and transported in fixed-size chunks
     (see the module docstring), so memory does not grow with the steps.
     Each point gives `numeric_holonomy(sample_loop(ctrl, steps, tol))`. The
-    closure, step-count, target-shape and endpoint checks are decided once
+    closure, step-count, target-gate and endpoint checks are decided once
     per call, before the interior frames are sampled and Gram-checked.
 
     The slope fit only uses schedule points whose deviation exceeds the
@@ -294,16 +295,15 @@ def cross_validate(
     [-2.5, -1.5] (near -1, say, when the polar step is lost) sets
     `anomalous`.
     """
-    gate = np.asarray(gate, dtype=complex)
     schedule = tuple(int(s) for s in steps_schedule)
     if not schedule:
         raise DimensionError("steps_schedule must not be empty")
-    analytic = holonomy_analytic(ctrl, 1.0, tol)
+    analytic = holonomy_analytic(ctrl)
     if min(schedule) < 2:
         raise TooFewSamples(f"steps must be >= 2, got {min(schedule)}")
-    check_target_shape(ctrl, gate)
+    gate = check_target(ctrl, gate, tol)
     ends = curve_samples(ctrl, np.array([0.0, 1.0]))
-    _check_endpoints(ends[0], ends[1], tol)
+    _check_endpoints(ends[0], ends[1])
     _check_frames(ends, tol)
     v0 = ctrl.base_frame()
     deviations = []
@@ -325,8 +325,6 @@ def cross_validate(
     return OracleReport(
         gamma_numeric=gamma_numeric,
         gamma_analytic=analytic,
-        deviation=deviations[-1],
-        steps=schedule[-1],
         convergence_order_estimate=slope,
         anomalous=anomalous,
         schedule=schedule,

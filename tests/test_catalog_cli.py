@@ -328,6 +328,30 @@ class TestCliVerify:
         assert f"target gate has shape ({dim}, {dim})" in err
         assert "Traceback" not in err
 
+    def test_a_gate_the_controller_does_not_implement_exits_4(self, capsys, tmp_path):
+        def replace_gate(doc):
+            doc["gate"]["matrix"] = encode_matrix(np.eye(4))
+
+        target = self._perturbed_cnot(capsys, tmp_path, replace_gate)
+        report = tmp_path / "report.json"
+        code, _, err = run_cli(
+            capsys, "verify", "--doc", str(target), "--steps", "1000", "--out", str(report)
+        )
+        assert code == 4
+        assert "target error 2.000e+00 >= bound 1.000e-10" in err
+        assert "oracle deviation" not in err
+        assert json.loads(report.read_text())["target_error"] == pytest.approx(2.0)
+
+    def test_a_non_unitary_gate_exits_3(self, capsys, tmp_path):
+        def replace_gate(doc):
+            doc["gate"]["matrix"] = encode_matrix(2.0 * np.eye(4))
+
+        target = self._perturbed_cnot(capsys, tmp_path, replace_gate)
+        code, err = _run_process("verify", "--doc", str(target), "--steps", "1000")
+        assert code == 3
+        assert "target gate fails unitarity" in err
+        assert "Traceback" not in err
+
     def test_failed_oracle_check_is_named(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -1,17 +1,13 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from holosynth import (
-    DEFAULT_TOL,
     ConvergenceFailure,
     Controller,
     InvalidFrame,
     NonSkewInput,
     NonUnitaryInput,
     SampledLoop,
-    Tolerances,
     catalog_get,
     eig_unitary,
     sample_loop,
@@ -20,11 +16,6 @@ from holosynth import (
 from holosynth.linalg import check_unitary
 
 HADAMARD = catalog_get("hadamard").matrix
-
-
-def test_two_fields():
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["validation", "closure"]
-    assert DEFAULT_TOL == Tolerances(validation=1e-10, closure=1e-8)
 
 
 def _rough_gate(tol):
@@ -60,5 +51,5 @@ def _roundoff_reconstruction(tol):
 )
 def test_validation_governs_every_check(check, error):
     with pytest.raises(error):
-        check(Tolerances(validation=1e-17))
-    check(Tolerances(validation=1e-8))
+        check(1e-17)
+    check(1e-8)

@@ -6,10 +6,10 @@ from holosynth import (
     Controller,
     DimensionError,
     InvalidFrame,
+    NonUnitaryInput,
     OpenLoop,
     SampledLoop,
     SingularInput,
-    Tolerances,
     TooFewSamples,
     catalog_get,
     cross_validate,
@@ -18,6 +18,7 @@ from holosynth import (
     gauge_invariance_check,
     holonomy_analytic,
     length_analytic,
+    loop_closure_defect,
     loop_length_numeric,
     numeric_holonomy,
     sample_loop,
@@ -89,12 +90,12 @@ class TestLoopValidationTolerance:
 
     def test_validation_override_admits_rough_projectors(self):
         times, frames = self._rough_loop_data()
-        tol = Tolerances(validation=1e-8)
+        tol = 1e-8
         loop = SampledLoop(times=times, frames=frames, tol=tol)
         assert loop.tol is tol
 
     def test_sample_loop_passes_its_tolerance_on(self):
-        tol = Tolerances(validation=1e-8)
+        tol = 1e-8
         loop = sample_loop(synthesize(HADAMARD).controller, 10, tol)
         assert loop.tol is tol
 
@@ -271,7 +272,7 @@ class TestStreamedOracle:
 
     def test_frame_tolerance_reaches_both_paths(self):
         ctrl = self._controller(4)
-        tol = Tolerances(validation=0.0)
+        tol = 0.0
         with pytest.raises(InvalidFrame):
             sample_loop(ctrl, 1000, tol)
         with pytest.raises(InvalidFrame):
@@ -330,6 +331,43 @@ class TestStreamedOracle:
     def test_rejects_a_target_of_the_wrong_shape(self, dim):
         with pytest.raises(DimensionError, match=rf"shape \({dim}, {dim}\)"):
             cross_validate(self._controller(2), np.eye(dim), (10,))
+
+    def test_rejects_a_non_unitary_target(self):
+        with pytest.raises(NonUnitaryInput, match="target gate fails unitarity"):
+            cross_validate(self._controller(2), 2.0 * np.eye(2), (10,))
+
+
+class TestOneClosureBound:
+    """Couplings scaled by 1 + eps open the loop by about 4.4-5.7 eps; every
+    closure check admits eps = 1e-9 and rejects eps = 3e-9."""
+
+    GATES = ["hadamard", "cnot", "random-4"]
+
+    @staticmethod
+    def _scaled(gate, eps):
+        base = synthesize(catalog_get(gate).matrix).controller
+        return Controller(omega=base.omega, coupling=base.coupling * (1 + eps))
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_a_defect_below_the_bound_is_closed(self, gate):
+        ctrl = self._scaled(gate, 1e-9)
+        assert 4e-9 < loop_closure_defect(ctrl) < 6e-9
+        holonomy_analytic(ctrl)
+        sample_loop(ctrl, 100)
+        cross_validate(ctrl, catalog_get(gate).matrix, (1000,))
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_a_defect_above_the_bound_is_open(self, gate):
+        ctrl = self._scaled(gate, 3e-9)
+        assert 1.3e-8 < loop_closure_defect(ctrl) < 1.8e-8
+        with pytest.raises(OpenLoop, match="exceeds 1.0e-08$"):
+            holonomy_analytic(ctrl)
+        with pytest.raises(OpenLoop, match="exceeds 1.0e-08$"):
+            sample_loop(ctrl, 100)
+        with pytest.raises(OpenLoop):
+            cross_validate(ctrl, catalog_get(gate).matrix, (1000,))
+        with pytest.raises(OpenLoop, match="endpoint projectors"):
+            SampledLoop(times=[0.0, 0.5, 1.0], frames=curve_samples(ctrl, [0.0, 0.5, 1.0]))
 
 
 class TestOracleAgreementEnsemble:
