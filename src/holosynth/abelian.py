@@ -115,7 +115,7 @@ def berry_holonomy(ctrl: BerryController) -> complex:
     """
     rho = ctrl.rho
     n = int(round(rho / np.pi))
-    if n < 1 or abs(rho - n * np.pi) > _WINDING_TOL:
+    if n < 1 or not abs(rho - n * np.pi) <= _WINDING_TOL:
         raise OpenLoop(
             f"||w|| = {rho:.12g} is not a positive multiple of pi; "
             "the projected circle does not close at t = 1"

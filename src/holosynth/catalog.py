@@ -39,26 +39,6 @@ class GateCatalogEntry:
     paper_order: tuple[int, ...] | None = None
     paper_signs: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        if self.paper_order is not None:
-            if sorted(self.paper_order) != list(range(self.dim)):
-                raise ValueError(
-                    f"paper_order {self.paper_order} is not a permutation "
-                    f"of 0..{self.dim - 1}"
-                )
-        if self.paper_signs is not None and len(self.paper_signs) != self.dim:
-            raise ValueError("paper_signs must carry one factor per channel")
-
-
-def _hadamard() -> np.ndarray:
-    return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-
-
-def _cnot() -> np.ndarray:
-    return np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-
 
 def _dft2() -> np.ndarray:
     j = np.arange(4)
@@ -69,7 +49,7 @@ _FIXED: dict[str, GateCatalogEntry] = {
     "hadamard": GateCatalogEntry(
         name="hadamard",
         dim=2,
-        matrix=_hadamard(),
+        matrix=np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
         paper_order=(0, 1),
         paper_signs=(1, 1),
     ),
@@ -86,7 +66,9 @@ _FIXED: dict[str, GateCatalogEntry] = {
     "cnot": GateCatalogEntry(
         name="cnot",
         dim=4,
-        matrix=_cnot(),
+        matrix=np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        ),
         paper_order=(0, 1, 2, 3),
         paper_signs=(1, 1, 1, -1),
     ),

@@ -14,6 +14,7 @@ Exit codes are stable so shell pipelines can gate on them:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
 from .extremal import evaluate_controller
 from .linalg import VALIDATION_TOL
 from .synth import SynthesisParams, synthesize
-from .verify import cross_validate, sample_loop
+from .verify import _closed_loop, _grid_chunks, cross_validate
 
 HOLONOMY_BOUND = 1e-10
 CLOSURE_BOUND = 1e-10
@@ -53,6 +54,18 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 
 def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
+
+def _positive_float(value) -> float:
+    number = float(value)
+    if not 0.0 < number < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value!r}")
+    return number
+
+def _seed(value) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="controller document to verify")
     ver.add_argument("--steps", type=_csv_ints, default=None,
                      metavar="N[,N...]", help="oracle refinement schedule")
-    ver.add_argument("--bound", type=float, default=None,
+    ver.add_argument("--bound", type=_positive_float, default=None,
                      help="max allowed finest-grid oracle deviation")
-    ver.add_argument("--tolerance", type=float, default=None,
+    ver.add_argument("--tolerance", type=_positive_float, default=None,
                      help="override the validation tolerance")
     ver.add_argument("--config", metavar="FILE",
                      help="JSON file of default flag values")
@@ -101,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     lst.set_defaults(func=cmd_catalog_list)
     shw = cat_sub.add_parser("show", help="print one catalog entry")
     shw.add_argument("name")
-    shw.add_argument("--seed", type=int, default=0)
+    shw.add_argument("--seed", type=_seed, default=0)
     shw.set_defaults(func=cmd_catalog_show)
 
     return parser
@@ -120,9 +133,9 @@ def _synth_options(p: argparse.ArgumentParser) -> None:
                    help="per-channel winding numbers (>= 1)")
     p.add_argument("--paper-order", action="store_true",
                    help="reorder channels into the gate's tabulated layout")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="seed for random-<k> catalog gates (default 0)")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_positive_float, default=None,
                    help="override the validation tolerance")
     p.add_argument("--config", metavar="FILE",
                    help="JSON file of default flag values")
@@ -132,9 +145,9 @@ _CONFIG_KEYS = {
     "phases": lambda v: tuple(float(x) for x in v),
     "windings": lambda v: tuple(int(x) for x in v),
     "steps": lambda v: tuple(int(x) for x in v) if isinstance(v, list) else int(v),
-    "bound": float,
-    "seed": int,
-    "tolerance": float,
+    "bound": _positive_float,
+    "seed": _seed,
+    "tolerance": _positive_float,
 }
 
 
@@ -162,14 +175,8 @@ def _apply_config(args) -> None:
         if key in config and hasattr(args, key) and getattr(args, key) is None:
             try:
                 setattr(args, key, convert(config[key]))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise ParamShapeMismatch(f"config key {key!r}: {exc}") from exc
-
-
-def _tol(args) -> float:
-    if getattr(args, "tolerance", None) is not None:
-        return args.tolerance
-    return VALIDATION_TOL
 
 
 def _load_gate(args) -> tuple[np.ndarray, str | None, GateCatalogEntry | None]:
@@ -199,7 +206,7 @@ def _params(args, k: int) -> SynthesisParams:
 
 def _run_synthesis(args):
     gate, gate_name, entry = _load_gate(args)
-    tol = _tol(args)
+    tol = args.tolerance if args.tolerance is not None else VALIDATION_TOL
     params = _params(args, gate.shape[0])
     order = signs = None
     if args.paper_order and entry is not None:
@@ -224,12 +231,22 @@ def _verdict(checks) -> int:
     return 0
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text, out: str | None) -> None:
+    """Write `text`, a string or an iterable of strings, to stdout or to
+    the file `out`. The file is written as `<out>.partial` and renamed into
+    place once complete, so a failure part-way leaves `out` untouched."""
+    parts = [text] if isinstance(text, str) else text
+    if not out:
+        sys.stdout.writelines(parts)
+        return
+    partial = out + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(parts)
+        os.replace(partial, out)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def cmd_synthesize(args) -> int:
@@ -269,7 +286,7 @@ def cmd_verify(args) -> int:
     _apply_config(args)
     with open(args.doc, "r", encoding="utf-8") as fh:
         doc = loads(fh.read())
-    tol = _tol(args)
+    tol = args.tolerance if args.tolerance is not None else VALIDATION_TOL
     ctrl, gate = document_controller(doc, tol)
     schedule = _as_schedule(args.steps, DEFAULT_SCHEDULE)
     bound = args.bound if args.bound is not None else ORACLE_BOUND
@@ -289,7 +306,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     _apply_config(args)
-    tol = _tol(args)
+    tol = args.tolerance if args.tolerance is not None else VALIDATION_TOL
     if args.doc:
         with open(args.doc, "r", encoding="utf-8") as fh:
             ctrl, _ = document_controller(loads(fh.read()), tol)
@@ -299,7 +316,7 @@ def cmd_sample(args) -> int:
     steps = args.steps if args.steps is not None else 100
     if not isinstance(steps, int):
         raise ParamShapeMismatch("sample takes a single integer step count")
-    loop = sample_loop(ctrl, steps, tol)
+    _closed_loop(ctrl, steps, tol)
     n, k = ctrl.n, ctrl.k
     header = ["t"]
     for i in range(n):
@@ -311,15 +328,20 @@ def cmd_sample(args) -> int:
     bloch = k == 1 and n == 2
     if bloch:
         header += ["r1", "r2", "r3"]
-    m, p = len(loop.times), loop.projectors
-    columns = [loop.times[:, None], loop.frames.reshape(m, -1).view(float),
-               p.reshape(m, -1).view(float)]
-    if bloch:
-        columns.append(np.stack([2.0 * p[:, 0, 1].real, -2.0 * p[:, 0, 1].imag,
-                                 (p[:, 0, 0] - p[:, 1, 1]).real], axis=1))
-    rows = np.concatenate(columns, axis=1).tolist()
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for times, frames in _grid_chunks(ctrl, steps, 0, steps + 1, tol):
+            m, p = len(times), np.einsum("mik,mjk->mij", frames, frames.conj())
+            columns = [times[:, None], frames.reshape(m, -1).view(float),
+                       p.reshape(m, -1).view(float)]
+            if bloch:
+                columns.append(np.stack([2.0 * p[:, 0, 1].real, -2.0 * p[:, 0, 1].imag,
+                                         (p[:, 0, 0] - p[:, 1, 1]).real], axis=1))
+            rows = np.concatenate(columns, axis=1).tolist()
+            yield "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
+
+    _emit(blocks(), args.out)
     return 0
 
 

@@ -159,7 +159,7 @@ def document_controller(doc: dict, tol: float = VALIDATION_TOL) -> tuple[Control
         )
     mirror = float(np.linalg.norm(x[k:, :k] + x[:k, k:].conj().T))
     tail = float(np.linalg.norm(x[k:, k:]))
-    if max(mirror, tail) > 1e-12:
+    if not (mirror <= 1e-12 and tail <= 1e-12):
         raise DimensionError(
             "stored generator is not in controller block form "
             f"(mirror defect {mirror:.3e}, tail norm {tail:.3e})"

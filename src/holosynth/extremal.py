@@ -142,7 +142,7 @@ def _closed_holonomy(ctrl: Controller) -> tuple[np.ndarray, float]:
     """(Gamma, closure defect), both from one g = exp(X); OpenLoop if open."""
     g = expm_eigen(*ctrl._spectrum)
     defect = _closure_defect(ctrl, g)
-    if defect > CLOSURE_TOL:
+    if not defect <= CLOSURE_TOL:
         raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
     v0 = ctrl.base_frame()
     unwind = expm_eigen(*ctrl._omega_spectrum, -1.0)

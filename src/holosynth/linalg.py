@@ -54,7 +54,7 @@ def check_unitary(u, tol: float = VALIDATION_TOL, what: str = "matrix") -> np.nd
     if u.shape[0] != u.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect > tol:
+    if not defect <= tol:
         raise NonUnitaryInput(
             f"{what} fails unitarity: ||U^H U - I||_F = {defect:.3e} > {tol:.1e}"
         )
@@ -66,7 +66,7 @@ def check_skew(a, tol: float = VALIDATION_TOL, what: str = "matrix") -> np.ndarr
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {a.shape}")
     defect = skewness_defect(a)
-    if defect > tol:
+    if not defect <= tol:
         raise NonSkewInput(
             f"{what} fails skew-Hermiticity: ||A + A^H||_F = {defect:.3e} > {tol:.1e}"
         )
@@ -120,7 +120,7 @@ def eig_unitary(u, tol: float = VALIDATION_TOL) -> tuple[np.ndarray, np.ndarray]
     r = r * np.conj(lead / np.abs(lead))
 
     recon = float(np.linalg.norm(r @ np.diag(np.exp(1j * gammas)) @ r.conj().T - u))
-    if recon > tol:
+    if not recon <= tol:
         raise ConvergenceFailure(
             f"eigendecomposition reconstruction defect {recon:.3e} exceeds {tol:.1e}"
         )
@@ -143,7 +143,7 @@ def polar_unitary(m) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"polar_unitary needs a square matrix, got {m.shape}")
     u, s, vh = np.linalg.svd(m)
-    if s[-1] <= SINGULAR_FLOOR:
+    if not s[-1] > SINGULAR_FLOOR:
         raise SingularInput(
             f"smallest singular value {s[-1]:.3e} at or below {SINGULAR_FLOOR:.1e}"
         )

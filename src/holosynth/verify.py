@@ -14,15 +14,18 @@ frame choice at the interior samples gives the same answer up to
 roundoff, which `gauge_invariance_check` verifies literally. No n x n
 matrix is formed per sample.
 
-`cross_validate` streams each loop: it samples the interior frames in
-chunks sized to a fixed byte budget (512 frames at n = 8, k = 4),
-Gram-checks each chunk, folds its overlaps into a running k x k product
-and carries the chunk's last frame into the next. The endpoint closure
-needs only V_0 and V_M, so memory does not grow with the step count.
-`SampledLoop` and `numeric_holonomy` serve callers that hold a whole loop
-and go through the same checks and the same fold. `loop_length_numeric`
-is the matching length oracle: a finite-difference quadrature of the
-curve energy over a loop's projector stack.
+`cross_validate` and the CLI's `sample` read a loop through one grid
+sampler, in chunks sized to a fixed byte budget (512 frames at n = 8,
+k = 4), each chunk Gram-checked. The oracle folds a chunk's overlaps into
+a running k x k product and carries its last frame into the next; `sample`
+writes a chunk's CSV rows. Both check the step count, the analytic
+closure and the end frames V_0, V_M once beforehand, so memory does not
+grow with the step count. `SampledLoop` and `numeric_holonomy` serve
+callers that hold a whole loop, through the same checks and fold.
+`loop_length_numeric` is the length oracle: the periodic trapezoid rule
+on central differences that wrap around a closed projector stack,
+
+    E = sum_{i=0}^{M-1} ||P_{i+1} - P_{i-1}||_F^2 * M / 8,  P_{-1} = P_{M-1}.
 
 Convention note: the holonomy compared against is Gamma = V(0)^H V(T) of
 the horizontal lift (the composition matching a unitary gate acting on
@@ -93,46 +96,28 @@ class SampledLoop:
         return np.einsum("mik,mjk->mij", self.frames, self.frames.conj())
 
 
-def _central_differences(arr: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order time derivative of a sampled matrix curve.
-
-    Central differences in the interior, one-sided three-point stencils at
-    the endpoints; both are O(dt^2) accurate.
-    """
-    d = np.empty_like(arr)
-    d[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * dt)
-    d[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * dt)
-    d[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * dt)
-    return d
-
-
 def loop_length_numeric(projectors) -> float:
-    """Quadrature of the curve energy integral(0.5 * tr(Pdot^2)) dt over [0, 1].
+    """Curve energy integral(0.5 * tr(Pdot^2)) dt over [0, 1] of a closed loop.
 
-    `projectors` is a uniformly sampled (M+1, n, n) stack, such as
-    `SampledLoop.projectors`. Pdot comes from second-order finite
-    differences. Composite Simpson weights apply when the sample count is
-    odd (an even number of intervals); otherwise the trapezoid rule is
-    used. Either way the result converges at O(dt^2), dominated by the
-    stencil error.
+    `projectors` is an (M+1, n, n) stack on a uniform grid, such as
+    `SampledLoop.projectors`, summed by the periodic rule of the module
+    docstring. Its O(dt^2) error is the stencil's alone, so Richardson
+    extrapolation of two grids cancels it.
+
+    Raises:
+        OpenLoop: ||P_M - P_0||_F exceeds `extremal.CLOSURE_TOL`.
     """
     arr = np.asarray(projectors, dtype=complex)
     if arr.ndim != 3:
         raise DimensionError("expected a sequence of equally shaped matrices")
     if arr.shape[0] < 3:
         raise TooFewSamples(f"need at least 3 samples, got {arr.shape[0]}")
+    closure = float(np.linalg.norm(arr[-1] - arr[0]))
+    if not closure <= CLOSURE_TOL:
+        raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
     m = arr.shape[0] - 1
-    dt = 1.0 / m
-    pdot = _central_differences(arr, dt)
-    integrand = 0.5 * np.einsum("mij,mji->m", pdot, pdot).real
-    if m % 2 == 0:
-        weights = np.ones(m + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        return float(np.sum(weights * integrand) * dt / 3.0)
-    weights = np.ones(m + 1)
-    weights[0] = weights[-1] = 0.5
-    return float(np.sum(weights * integrand) * dt)
+    diffs = arr[1:] - np.roll(arr[:-1], 1, axis=0)
+    return float(np.vdot(diffs, diffs).real) * m / 8.0
 
 
 @dataclass(frozen=True)
@@ -170,19 +155,19 @@ def _check_closed(ctrl: Controller, steps: int) -> None:
     if steps < 2:
         raise TooFewSamples(f"steps must be >= 2, got {steps}")
     defect = loop_closure_defect(ctrl)
-    if defect > CLOSURE_TOL:
+    if not defect <= CLOSURE_TOL:
         raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
 
 
 def _check_endpoints(first: np.ndarray, last: np.ndarray) -> None:
     closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
-    if closure > CLOSURE_TOL:
+    if not closure <= CLOSURE_TOL:
         raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
 
 
 def _check_frames(frames: np.ndarray, tol: float) -> None:
     worst = unitarity_defect(frames)
-    if worst > tol:
+    if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
 
 
@@ -257,16 +242,30 @@ def _chunk_frames(n: int, k: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * n * k))
 
 
-def _interior_chunks(ctrl: Controller, steps: int, tol: float):
-    """The frames V_1, ..., V_{steps-1} of the uniform grid, sampled and
-    Gram-checked one chunk at a time. Times are computed as linspace
-    computes them, so each frame equals its `sample_loop` counterpart."""
+def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
+    """(times, frames) of the grid points lo, ..., hi-1 of the uniform grid
+    t_i = i / steps, sampled and Gram-checked one chunk at a time. Times are
+    computed as linspace computes them, t_steps exactly 1.0, so each frame
+    equals its `sample_loop` counterpart."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
-    for start in range(1, steps, chunk):
-        times = np.arange(start, min(start + chunk, steps)) * (1.0 / steps)
+    for start in range(lo, hi, chunk):
+        index = np.arange(start, min(start + chunk, hi))
+        times = np.where(index == steps, 1.0, index * (1.0 / steps))
         frames = curve_samples(ctrl, times)
         _check_frames(frames, tol)
-        yield frames
+        yield times, frames
+
+
+def _closed_loop(ctrl: Controller, steps: int, tol: float) -> np.ndarray:
+    """Gamma, once the step count, the analytic closure (decided by
+    `holonomy_analytic`) and the end frames V(0), V(1) pass their checks."""
+    if steps < 2:
+        raise TooFewSamples(f"steps must be >= 2, got {steps}")
+    gamma = holonomy_analytic(ctrl)
+    ends = curve_samples(ctrl, np.array([0.0, 1.0]))
+    _check_endpoints(ends[0], ends[1])
+    _check_frames(ends, tol)
+    return gamma
 
 
 def cross_validate(
@@ -280,7 +279,7 @@ def cross_validate(
     Each schedule point is sampled and transported in fixed-size chunks
     (see the module docstring), so memory does not grow with the steps.
     Each point gives `numeric_holonomy(sample_loop(ctrl, steps, tol))`. The
-    closure, step-count, target-gate and endpoint checks are decided once
+    step-count, closure, endpoint and target-gate checks are decided once
     per call, before the interior frames are sampled and Gram-checked.
 
     The slope fit only uses schedule points whose deviation exceeds the
@@ -298,17 +297,13 @@ def cross_validate(
     schedule = tuple(int(s) for s in steps_schedule)
     if not schedule:
         raise DimensionError("steps_schedule must not be empty")
-    analytic = holonomy_analytic(ctrl)
-    if min(schedule) < 2:
-        raise TooFewSamples(f"steps must be >= 2, got {min(schedule)}")
+    analytic = _closed_loop(ctrl, min(schedule), tol)
     gate = check_target(ctrl, gate, tol)
-    ends = curve_samples(ctrl, np.array([0.0, 1.0]))
-    _check_endpoints(ends[0], ends[1])
-    _check_frames(ends, tol)
     v0 = ctrl.base_frame()
     deviations = []
     for steps in schedule:
-        gamma_numeric = _chain_holonomy(_interior_chunks(ctrl, steps, tol), v0)
+        interior = _grid_chunks(ctrl, steps, 1, steps, tol)
+        gamma_numeric = _chain_holonomy((frames for _, frames in interior), v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     usable = [
         (np.log(s), np.log(d))

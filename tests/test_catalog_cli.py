@@ -9,7 +9,8 @@ import pytest
 
 import holosynth
 from holosynth import (
-    UnknownGate, catalog_get, catalog_names, cli, extremal, synthesize, verify,
+    InvalidFrame, UnknownGate, catalog_get, catalog_names, cli, extremal, synthesize,
+    verify,
 )
 from holosynth.cli import main
 from holosynth.document import (
@@ -24,6 +25,7 @@ from holosynth.extremal import curve_samples, evaluate_controller
 from holosynth.linalg import unitarity_defect
 from holosynth.synth import SynthesisParams
 from holosynth.verify import sample_loop
+from helpers import traced_peak
 
 
 class TestCatalog:
@@ -476,6 +478,55 @@ class TestCliBadInput:
         assert field in err
 
 
+class TestCliFailsClosed:
+    """A NaN defect, a NaN or non-positive bound and a negative seed each
+    end in a documented exit code that names the culprit."""
+
+    FILES = {
+        "overflowing.json": canonical_dumps(encode_matrix(np.diag([1.0, 1e200]))),
+        "doubled.json": canonical_dumps(encode_matrix(2.0 * np.eye(2))),
+        "nan_tolerance.json": '{"tolerance": NaN}',
+        "infinite_bound.json": '{"bound": Infinity}',
+        "negative_seed.json": '{"seed": -1}',
+    }
+    # argv (a *.json argument names a file in the test's directory), exit
+    # code, text stderr must contain
+    CASES = {
+        "overflowing_gate": (
+            ["synthesize", "--matrix", "overflowing.json"], 3, "target gate fails unitarity"),
+        "nan_tolerance_on_a_non_unitary_gate": (
+            ["synthesize", "--matrix", "doubled.json", "--tolerance", "nan"], 2, "--tolerance"),
+        "nan_tolerance_on_verify": (
+            ["verify", "--doc", "doc.json", "--tolerance", "nan"], 2, "--tolerance"),
+        "negative_tolerance": (
+            ["synthesize", "--gate", "hadamard", "--tolerance", "-1"], 2, "--tolerance"),
+        "nan_bound": (["verify", "--doc", "doc.json", "--bound", "nan"], 2, "--bound"),
+        "negative_seed": (["synthesize", "--gate", "random-2", "--seed", "-1"], 2, "--seed"),
+        "negative_catalog_seed": (["catalog", "show", "random-2", "--seed", "-1"], 2, "--seed"),
+        "config_nan_tolerance": (
+            ["synthesize", "--gate", "hadamard", "--config", "nan_tolerance.json"],
+            2, "'tolerance'"),
+        "config_infinite_bound": (
+            ["verify", "--doc", "doc.json", "--config", "infinite_bound.json"], 2, "'bound'"),
+        "config_negative_seed": (
+            ["synthesize", "--gate", "random-2", "--config", "negative_seed.json"], 2, "'seed'"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code(self, case, tmp_path):
+        argv, code, named = self.CASES[case]
+        assert main(["synthesize", "--gate", "hadamard",
+                     "--out", str(tmp_path / "doc.json")]) == 0
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        got, err = _run_process(
+            *(str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv)
+        )
+        assert got == code, err
+        assert named in err
+        assert "Traceback" not in err
+
+
 class TestCliSample:
     def test_identity_rows_are_constant(self, capsys):
         code, out, _ = run_cli(
@@ -520,15 +571,19 @@ class TestCliSample:
         p_cols = [i for i, name in enumerate(header) if name.startswith("p_")]
         assert np.max(np.abs(first[p_cols] - last[p_cols])) < 1e-10
 
-    @pytest.mark.parametrize("gate", ["dft2", "phase-0.7"])
-    def test_csv_reproduces_the_sampled_loop(self, gate, capsys):
-        code, out, _ = run_cli(capsys, "sample", "--gate", gate, "--steps", "50")
+    @pytest.mark.parametrize(
+        "gate, steps",
+        [("dft2", 50), ("phase-0.7", 50), ("dft2", 1500)],
+        ids=["dft2", "phase-0.7", "dft2-1500"],  # 1500 steps are 3 chunks at k = 4
+    )
+    def test_csv_reproduces_the_sampled_loop(self, gate, steps, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--gate", gate, "--steps", str(steps))
         assert code == 0
         header, *lines = out.strip().split("\n")
         values = np.array([[float(x) for x in line.split(",")] for line in lines])
         col = dict(zip(header.split(","), values.T))
         ctrl = synthesize(catalog_get(gate).matrix).controller
-        loop = sample_loop(ctrl, 50)
+        loop = sample_loop(ctrl, steps)
         frames = curve_samples(ctrl, loop.times)
         p = loop.projectors
         np.testing.assert_array_equal(col["t"], loop.times)
@@ -544,18 +599,59 @@ class TestCliSample:
             np.testing.assert_array_equal(col["r1"] + 1j * col["r2"], 2.0 * p[:, 0, 1].conj())
 
     def test_samples_the_curve_once(self, capsys, monkeypatch):
-        calls = []
+        # the 2-frame endpoint probe, then one pass over the grid in chunks
+        sampled = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return curve_samples(*args, **kwargs)
+        def recording(ctrl, times):
+            sampled.append(np.asarray(times))
+            return curve_samples(ctrl, times)
 
         for module in (extremal, verify, cli):
             if getattr(module, "curve_samples", None) is curve_samples:
-                monkeypatch.setattr(module, "curve_samples", counting)
+                monkeypatch.setattr(module, "curve_samples", recording)
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)  # 8 frames at k = 4
         code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "20")
         assert code == 0
-        assert len(calls) == 1
+        probe, *grid = sampled
+        assert probe.tolist() == [0.0, 1.0]
+        assert len(grid) == 3
+        np.testing.assert_array_equal(np.concatenate(grid), np.linspace(0.0, 1.0, 21))
+
+    def test_memory_does_not_grow_with_steps(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**11)  # 16 frames at k = 2
+        out = str(tmp_path / "loop.csv")
+
+        def sample(steps):
+            assert main(["sample", "--gate", "hadamard", "--steps", str(steps),
+                         "--out", out]) == 0
+
+        coarse = traced_peak(sample, 200)
+        fine = traced_peak(sample, 2000)
+        assert fine <= 1.2 * coarse, (fine, coarse)
+
+    def test_a_check_failing_mid_stream_leaves_out_untouched(self, capsys, monkeypatch, tmp_path):
+        # calls: the endpoint probe, the first chunk, then the second chunk
+        calls = []
+        check = verify._check_frames
+
+        def failing_second_chunk(frames, tol):
+            calls.append(len(frames))
+            if len(calls) == 3:
+                raise InvalidFrame("rough frame in the second chunk")
+            check(frames, tol)
+
+        monkeypatch.setattr(verify, "_check_frames", failing_second_chunk)
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)
+        out = tmp_path / "loop.csv"
+        out.write_text("earlier run\n")
+        code, _, err = run_cli(
+            capsys, "sample", "--gate", "dft2", "--steps", "100", "--out", str(out)
+        )
+        assert code == 4
+        assert "second chunk" in err
+        assert calls == [2, 8, 8]
+        assert out.read_text() == "earlier run\n"
+        assert os.listdir(tmp_path) == ["loop.csv"]
 
     def test_sample_from_document(self, capsys, tmp_path):
         target = tmp_path / "doc.json"

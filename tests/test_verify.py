@@ -439,10 +439,26 @@ class TestLoopLengthNumeric:
         fine = abs(loop_length_numeric(_loop_projectors(ctrl, 1001)) - exact)
         assert coarse / fine >= 3.5
 
-    def test_even_sample_count_uses_trapezoid(self):
+    def test_even_sample_count(self):
         ctrl = synthesize(HALF_TURN).controller
         s = loop_length_numeric(_loop_projectors(ctrl, 5000))
         assert abs(s - np.pi**2) < 1e-4
+
+    @pytest.mark.parametrize("gate", ["hadamard", "dft2", "phase-1.5"])
+    def test_richardson_extrapolation_cancels_the_stencil_error(self, gate):
+        # the periodic rule's error is c dt^2 + O(dt^4); one-sided endpoint
+        # stencils would leave an O(dt^3) term that this cannot cancel
+        ctrl = synthesize(catalog_get(gate).matrix).controller
+        coarse = loop_length_numeric(_loop_projectors(ctrl, 1001))
+        fine = loop_length_numeric(_loop_projectors(ctrl, 2001))
+        exact = length_analytic(ctrl)
+        assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-10 * exact
+
+    def test_open_stack_is_rejected(self):
+        good = synthesize(HADAMARD).controller
+        bad = Controller(omega=good.omega, coupling=0.9 * good.coupling)
+        with pytest.raises(OpenLoop, match="endpoint projectors"):
+            loop_length_numeric(_loop_projectors(bad, 101))
 
     def test_too_few_samples(self):
         p = _base_projector(3, 1)
