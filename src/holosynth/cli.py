@@ -50,19 +50,33 @@ DEFAULT_SCHEDULE = (10**3, 10**4, 10**5)
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip() != "")
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 def _positive_float(value) -> float:
-    number = float(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
     if not 0.0 < number < np.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value!r}")
     return number
 
 def _seed(value) -> int:
-    number = int(value)
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
     if number < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
     return number
@@ -141,12 +155,22 @@ def _synth_options(p: argparse.ArgumentParser) -> None:
                    help="JSON file of default flag values")
 
 
+def _whole(value) -> int:
+    """A JSON number that is an integer (10 or 10.0); bools, fractions and
+    other types raise, where int() would truncate 10.9 to 10."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 _CONFIG_KEYS = {
     "phases": lambda v: tuple(float(x) for x in v),
-    "windings": lambda v: tuple(int(x) for x in v),
-    "steps": lambda v: tuple(int(x) for x in v) if isinstance(v, list) else int(v),
+    "windings": lambda v: tuple(_whole(x) for x in v),
+    "steps": lambda v: tuple(_whole(x) for x in v) if isinstance(v, list) else _whole(v),
     "bound": _positive_float,
-    "seed": _seed,
+    "seed": lambda v: _seed(_whole(v)),
     "tolerance": _positive_float,
 }
 
@@ -331,7 +355,7 @@ def cmd_sample(args) -> int:
 
     def blocks():
         yield ",".join(header) + "\n"
-        for times, frames in _grid_chunks(ctrl, steps, 0, steps + 1, tol):
+        for times, frames, _ in _grid_chunks(ctrl, steps, 0, steps + 1, tol):
             m, p = len(times), np.einsum("mik,mjk->mij", frames, frames.conj())
             columns = [times[:, None], frames.reshape(m, -1).view(float),
                        p.reshape(m, -1).view(float)]

@@ -113,17 +113,28 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     With X = q_X diag(i w_X) q_X^H and Omega = q_O diag(i w_O) q_O^H this is
     V(t) = q_X (e^{i t w_X} e^{-i t w_O}^T * C) q_O^H for the fixed n x k
     core C = q_X^H V0 q_O: one eigendecomposition of X and one of Omega
-    serve every sample, and each sample costs a column scaling and two
-    products with fixed factors.
+    serve every sample. The two scalings run on a (k, n, len(times)) stack,
+    sample axis innermost; q_O^H and then q_X multiply all samples in one
+    matrix product each, and a last copy puts the sample axis first.
     """
     times = np.asarray(times, dtype=float)
     w_x, q_x = ctrl._spectrum
     w_o, q_o = ctrl._omega_spectrum
+    n, k, m = ctrl.n, ctrl.k, len(times)
     core = q_x.conj().T @ ctrl.base_frame() @ q_o
-    scaled = np.exp(1j * np.multiply.outer(times, w_x))[:, :, None] * core
-    scaled *= np.exp(-1j * np.multiply.outer(times, w_o))[:, None, :]
-    rotated = scaled.reshape(-1, ctrl.k) @ q_o.conj().T
-    return q_x @ rotated.reshape(scaled.shape)
+    scaled = _unit_phases(np.multiply.outer(w_x, times))[None, :, :] * core.T[:, :, None]
+    scaled *= _unit_phases(-np.multiply.outer(w_o, times))[:, None, :]
+    rotated = scaled.reshape(k, n * m).T @ q_o.conj().T
+    frames = q_x @ rotated.reshape(n, m * k)
+    return np.ascontiguousarray(np.swapaxes(frames.reshape(n, m, k), 0, 1))
+
+
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta}, its cosine and sine written into one complex buffer."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _closure_defect(ctrl: Controller, g: np.ndarray) -> float:

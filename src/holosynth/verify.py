@@ -17,11 +17,27 @@ matrix is formed per sample.
 `cross_validate` and the CLI's `sample` read a loop through one grid
 sampler, in chunks sized to a fixed byte budget (512 frames at n = 8,
 k = 4), each chunk Gram-checked. The oracle folds a chunk's overlaps into
-a running k x k product and carries its last frame into the next; `sample`
+a running product and carries its last frame into the next; `sample`
 writes a chunk's CSV rows. Both check the step count, the analytic
 closure and the end frames V_0, V_M once beforehand, so memory does not
 grow with the step count. `SampledLoop` and `numeric_holonomy` serve
 callers that hold a whole loop, through the same checks and fold.
+
+The per-sample k x k products run in real arithmetic, which numpy's
+batched matmul does several times faster than complex for small k. A
+chunk's frames are copied once into their real transposed form
+(`linalg._adjoint`); one real batched matmul then gives the Gram matrices
+V^H V for the check and one more the overlaps, each recombined as
+V_i^H B = Re(V_i)^T B - i Im(V_i)^T B. The chain multiplies the real
+2k x 2k embeddings
+
+    E(Z) = Re Z (x) I_2 + Im Z (x) [[0, 1], [-1, 0]],
+
+each entry x + iy of Z becoming the block [[x, y], [-y, x]]. E is exact
+for products, E(Y Z) = E(Y) E(Z), its complex view holds Z in the even
+rows and iZ in the odd ones, so each overlap is written straight into it,
+and K is read back from the even rows before the polar step.
+
 `loop_length_numeric` is the length oracle: the periodic trapezoid rule
 on central differences that wrap around a closed projector stack,
 
@@ -44,7 +60,9 @@ from .extremal import (
     CLOSURE_TOL, Controller, check_target, curve_samples, holonomy_analytic,
     loop_closure_defect, standard_base_frame,
 )
-from .linalg import VALIDATION_TOL, _haar_stack, polar_unitary, unitarity_defect
+from .linalg import (
+    VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect, _haar_stack, polar_unitary,
+)
 
 _SLOPE_WINDOW = (-2.5, -1.5)
 _ROUNDOFF_FLOOR = 1e-12
@@ -69,7 +87,7 @@ class SampledLoop:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        frames = np.asarray(self.frames, dtype=complex)
+        frames = np.ascontiguousarray(self.frames, dtype=complex)
         if times.ndim != 1 or frames.ndim != 3 or len(times) != frames.shape[0]:
             raise DimensionError("times and frames must align 1:1")
         if len(times) < 3:
@@ -165,10 +183,14 @@ def _check_endpoints(first: np.ndarray, last: np.ndarray) -> None:
         raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
 
 
-def _check_frames(frames: np.ndarray, tol: float) -> None:
-    worst = unitarity_defect(frames)
+def _check_frames(frames: np.ndarray, tol: float) -> np.ndarray:
+    """Gram-check a contiguous (c, n, k) frame stack and return its
+    `linalg._adjoint`, which the overlap fold reuses."""
+    adjoint = _adjoint(frames)
+    worst = _gram_defect(adjoint, frames)
     if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
+    return adjoint
 
 
 def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
@@ -204,20 +226,26 @@ def _ordered_chain(factors: np.ndarray) -> np.ndarray:
 def _chain_holonomy(chunks, v0: np.ndarray) -> np.ndarray:
     """Polar factor of V0^H V_{M-1} . V_{M-1}^H V_{M-2} ... V_1^H V0.
 
-    `chunks` yields the interior frames V_1, ..., V_{M-1} as (c, n, k)
-    stacks in ascending time order. Each chunk's overlaps are reduced
-    pairwise and left-multiplied into a running k x k product, and its last
-    frame is carried into the next chunk, so one chunk is held at a time.
+    `chunks` yields the interior frames V_1, ..., V_{M-1} as (frames,
+    adjoint) pairs in ascending time order: a contiguous (c, n, k) stack
+    and its `linalg._adjoint`. Each chunk's overlaps come from one batched
+    matmul and are written straight into their real embeddings (see the
+    module docstring), which are reduced pairwise and left-multiplied
+    into a running 2k x 2k product; the chunk's last frame is carried into
+    the next, so one chunk is held at a time.
     """
-    chain, prev = np.eye(v0.shape[1], dtype=complex), v0
-    for frames in chunks:
-        overlaps = np.concatenate([
-            (frames[0].conj().T @ prev)[None],
-            np.swapaxes(frames[1:], -2, -1).conj() @ frames[:-1],
-        ])
-        chain = _ordered_chain(overlaps[::-1]) @ chain
+    k = v0.shape[1]
+    chain, prev = np.eye(2 * k), v0
+    for frames, adjoint in chunks:
+        embedded = np.empty((len(frames), k, 2, k), dtype=complex)
+        overlaps = embedded[:, :, 0, :]
+        _adjoint_product(adjoint[:1], prev[None], overlaps[:1])
+        _adjoint_product(adjoint[1:], frames[:-1], overlaps[1:])
+        np.multiply(overlaps, 1j, out=embedded[:, :, 1, :])
+        factors = embedded.view(float).reshape(len(frames), 2 * k, 2 * k)
+        chain = _ordered_chain(factors[::-1]) @ chain
         prev = frames[-1]
-    return polar_unitary(v0.conj().T @ prev @ chain)
+    return polar_unitary(v0.conj().T @ prev @ chain.view(complex)[0::2])
 
 
 def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
@@ -234,7 +262,8 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
             loop was sampled too coarsely for transport.
     """
     v0 = standard_base_frame(loop.frames.shape[1], loop.rank)
-    return _chain_holonomy([loop.frames[1:-1]], v0)
+    interior = loop.frames[1:-1]
+    return _chain_holonomy([(interior, _adjoint(interior))], v0)
 
 
 def _chunk_frames(n: int, k: int) -> int:
@@ -243,17 +272,17 @@ def _chunk_frames(n: int, k: int) -> int:
 
 
 def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
-    """(times, frames) of the grid points lo, ..., hi-1 of the uniform grid
-    t_i = i / steps, sampled and Gram-checked one chunk at a time. Times are
-    computed as linspace computes them, t_steps exactly 1.0, so each frame
-    equals its `sample_loop` counterpart."""
+    """(times, frames, adjoint) of the grid points lo, ..., hi-1 of the
+    uniform grid t_i = i / steps, sampled and Gram-checked one chunk at a
+    time; `adjoint` is the check's `linalg._adjoint` of the frames.
+    Times are computed as linspace computes them, t_steps exactly 1.0, so
+    each frame equals its `sample_loop` counterpart."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
     for start in range(lo, hi, chunk):
         index = np.arange(start, min(start + chunk, hi))
         times = np.where(index == steps, 1.0, index * (1.0 / steps))
         frames = curve_samples(ctrl, times)
-        _check_frames(frames, tol)
-        yield times, frames
+        yield times, frames, _check_frames(frames, tol)
 
 
 def _closed_loop(ctrl: Controller, steps: int, tol: float) -> np.ndarray:
@@ -303,7 +332,7 @@ def cross_validate(
     deviations = []
     for steps in schedule:
         interior = _grid_chunks(ctrl, steps, 1, steps, tol)
-        gamma_numeric = _chain_holonomy((frames for _, frames in interior), v0)
+        gamma_numeric = _chain_holonomy(((f, a) for _, f, a in interior), v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     usable = [
         (np.log(s), np.log(d))

@@ -488,6 +488,10 @@ class TestCliFailsClosed:
         "nan_tolerance.json": '{"tolerance": NaN}',
         "infinite_bound.json": '{"bound": Infinity}',
         "negative_seed.json": '{"seed": -1}',
+        "fractional_steps.json": '{"steps": 10.9}',
+        "fractional_seed.json": '{"seed": 1.5}',
+        "boolean_seed.json": '{"seed": true}',
+        "fractional_windings.json": '{"windings": [1, 1.5]}',
     }
     # argv (a *.json argument names a file in the test's directory), exit
     # code, text stderr must contain
@@ -510,6 +514,15 @@ class TestCliFailsClosed:
             ["verify", "--doc", "doc.json", "--config", "infinite_bound.json"], 2, "'bound'"),
         "config_negative_seed": (
             ["synthesize", "--gate", "random-2", "--config", "negative_seed.json"], 2, "'seed'"),
+        "config_fractional_steps": (
+            ["sample", "--gate", "hadamard", "--config", "fractional_steps.json"], 2, "'steps'"),
+        "config_fractional_seed": (
+            ["synthesize", "--gate", "random-2", "--config", "fractional_seed.json"], 2, "'seed'"),
+        "config_boolean_seed": (
+            ["synthesize", "--gate", "random-2", "--config", "boolean_seed.json"], 2, "'seed'"),
+        "config_fractional_windings": (
+            ["synthesize", "--gate", "hadamard", "--config", "fractional_windings.json"],
+            2, "'windings'"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -525,6 +538,57 @@ class TestCliFailsClosed:
         assert got == code, err
         assert named in err
         assert "Traceback" not in err
+
+
+    def test_an_overflowing_gate_prints_one_error_line(self, tmp_path):
+        # its Gram matrix overflows; numpy's warnings must not reach stderr
+        (tmp_path / "overflowing.json").write_text(self.FILES["overflowing.json"])
+        code, err = _run_process("synthesize", "--matrix", str(tmp_path / "overflowing.json"))
+        assert code == 3
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: target gate fails unitarity")
+
+    def test_an_integral_float_in_the_config_is_an_integer(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"steps": 10.0}')
+        code, out, _ = run_cli(capsys, "sample", "--gate", "hadamard", "--config", str(config))
+        assert code == 0
+        assert len(out.splitlines()) == 12  # header + 11 samples
+
+
+class TestCliNonNumericFlags:
+    """A flag given a word where it wants a number exits 2 with a message
+    naming the flag and what it expected, not a private helper."""
+
+    CASES = [
+        (["synthesize", "--gate", "hadamard", "--phases", "abc"], "--phases",
+         "expected comma-separated numbers"),
+        (["synthesize", "--gate", "hadamard", "--windings", "abc"], "--windings",
+         "expected comma-separated integers"),
+        (["synthesize", "--gate", "hadamard", "--steps", "abc"], "--steps",
+         "expected comma-separated integers"),
+        (["synthesize", "--gate", "random-2", "--seed", "abc"], "--seed",
+         "expected an integer"),
+        (["synthesize", "--gate", "hadamard", "--tolerance", "abc"], "--tolerance",
+         "expected a number"),
+        (["verify", "--doc", "doc.json", "--tolerance", "abc"], "--tolerance",
+         "expected a number"),
+        (["verify", "--doc", "doc.json", "--bound", "abc"], "--bound", "expected a number"),
+        (["verify", "--doc", "doc.json", "--steps", "abc"], "--steps",
+         "expected comma-separated integers"),
+        (["sample", "--gate", "hadamard", "--phases", "abc"], "--phases",
+         "expected comma-separated numbers"),
+        (["catalog", "show", "random-2", "--seed", "abc"], "--seed", "expected an integer"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, expected", CASES)
+    def test_exits_2_saying_what_was_expected(self, argv, flag, expected, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {expected}, got 'abc'" in err
+        assert "invalid" not in err and "_" not in err.splitlines()[-1]
 
 
 class TestCliSample:

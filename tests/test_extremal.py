@@ -20,7 +20,7 @@ from holosynth import (
     synthesize,
     transform_controller,
 )
-from holosynth.linalg import unitarity_defect
+from holosynth.linalg import expm_eigen, unitarity_defect
 from helpers import random_haar
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -115,6 +115,25 @@ class TestCurvePoint:
         batch = curve_samples(ctrl, times)
         for i, t in enumerate(times):
             np.testing.assert_allclose(batch[i], curve_samples(ctrl, [t])[0], atol=1e-13)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_a_per_sample_reference_at_every_length(self, k):
+        # exp(tX) V0 exp(-t Omega) one time at a time, from eigendecompositions
+        # made here, against the batched sample-axis-innermost evaluation
+        ctrl = synthesize(random_haar(np.random.default_rng(50 + k), k)).controller
+        w_x, q_x = np.linalg.eigh(-1j * ctrl.matrix)
+        w_o, q_o = np.linalg.eigh(-1j * ctrl.omega)
+        v0 = ctrl.base_frame()
+        rng = np.random.default_rng(k)
+        for length in (1, 2, 3, 511, 512, 513):
+            times = rng.uniform(0.0, 1.0, length)
+            frames = curve_samples(ctrl, times)
+            assert frames.shape == (length, ctrl.n, k)
+            assert frames.flags.c_contiguous
+            reference = np.array([
+                expm_eigen(w_x, q_x, t) @ v0 @ expm_eigen(w_o, q_o, -t) for t in times
+            ])
+            assert np.abs(frames - reference).max() <= 1e-14, length
 
 
 class TestHolonomy:

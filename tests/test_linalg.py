@@ -258,3 +258,37 @@ class TestHaarUnitary:
         gram = np.swapaxes(stack, -2, -1).conj() @ stack
         assert np.abs(gram - np.eye(3)).max() < 1e-13
         assert not np.allclose(stack[0], stack[1])
+
+
+class TestAdjointProduct:
+    """A^H B and the Gram defect, formed in real arithmetic, against
+    numpy's complex product."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 16])
+    def test_matches_the_complex_product(self, k):
+        rng = np.random.default_rng(k)
+        shape = (5, 2 * k + 1, k)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        product = linalg._adjoint_product(linalg._adjoint(a), b)
+        reference = np.swapaxes(a, -2, -1).conj() @ b
+        assert product.shape == (5, k, k)
+        assert np.abs(product - reference).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+    def test_gram_defect_is_the_largest_gram_distance(self, k):
+        rng = np.random.default_rng(10 + k)
+        frames = np.array([random_haar(rng, 2 * k)[:, :k] for _ in range(6)])
+        frames[4] *= 1.0 + 1e-6
+        grams = np.swapaxes(frames, -2, -1).conj() @ frames
+        reference = np.linalg.norm(grams - np.eye(k), axis=(-2, -1)).max()
+        defect = linalg._gram_defect(linalg._adjoint(frames), frames)
+        assert defect == pytest.approx(reference, rel=1e-6)
+        assert linalg.unitarity_defect(frames) == pytest.approx(reference, rel=1e-6)
+
+    def test_overflow_gives_an_inf_defect_without_a_warning(self):
+        # pytest turns a RuntimeWarning into an error
+        big = np.diag([1.0, 1e200]).astype(complex)
+        assert not linalg.unitarity_defect(big) <= 1.0
+        stack = np.ascontiguousarray(np.stack([np.eye(2, dtype=complex), big]))
+        assert not linalg._gram_defect(linalg._adjoint(stack), stack) <= 1.0

@@ -210,6 +210,47 @@ class TestCrossValidate:
         assert len(report.deviations) == 3
 
 
+def _plain_chain(frames, v0):
+    """Polar factor of V0^H V_{M-1} ... V_1^H V0, multiplied one complex
+    overlap at a time in time order, without the library's fold."""
+    chain, prev = np.eye(v0.shape[1], dtype=complex), v0
+    for frame in frames[1:-1]:
+        chain = (frame.conj().T @ prev) @ chain
+        prev = frame
+    u, _, vh = np.linalg.svd(v0.conj().T @ prev @ chain)
+    return u @ vh
+
+
+class TestRealFormFold:
+    """The oracle folds its overlaps in the real 2k x 2k embedding; it must
+    agree with the complex chain written out above."""
+
+    @staticmethod
+    def _case(k):
+        gate = random_haar(np.random.default_rng(40 + k), k)
+        return synthesize(gate).controller, gate
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+    def test_matches_the_plain_complex_chain(self, k):
+        ctrl, gate = self._case(k)
+        loop = sample_loop(ctrl, 700)
+        plain = _plain_chain(loop.frames, ctrl.base_frame())
+        assert np.linalg.norm(numeric_holonomy(loop) - plain) <= 1e-13
+        streamed = cross_validate(ctrl, gate, (700,)).gamma_numeric
+        assert np.linalg.norm(streamed - plain) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_matches_the_plain_chain_on_a_regauged_loop(self, k):
+        ctrl, _ = self._case(k)
+        loop = sample_loop(ctrl, 300)
+        rng = np.random.default_rng(60 + k)
+        gauges = np.array([random_haar(rng, k) for _ in loop.times])
+        regauged = SampledLoop(times=loop.times, frames=loop.frames @ gauges)
+        plain = _plain_chain(regauged.frames, ctrl.base_frame())
+        assert np.linalg.norm(numeric_holonomy(regauged) - plain) <= 1e-13
+        assert np.linalg.norm(numeric_holonomy(regauged) - numeric_holonomy(loop)) <= 1e-12
+
+
 class TestGaugeInvariance:
     def test_constant_loop(self):
         ctrl = Controller(
@@ -279,12 +320,18 @@ class TestStreamedOracle:
             cross_validate(ctrl, np.eye(4), (1000,), tol)
 
     def test_a_rough_frame_inside_a_later_chunk_is_rejected(self, monkeypatch):
+        self._reject_a_later_frame(monkeypatch, 1.0 + 1e-9)
+
+    def test_a_nan_frame_inside_a_later_chunk_is_rejected(self, monkeypatch):
+        self._reject_a_later_frame(monkeypatch, np.nan)
+
+    def _reject_a_later_frame(self, monkeypatch, factor):
         # 2000 steps put t = 0.5 in the second chunk of interior frames
         sample = verify.curve_samples
 
         def rough(ctrl, times):
             frames = sample(ctrl, times)
-            frames[np.asarray(times) == 0.5] *= 1.0 + 1e-9
+            frames[np.asarray(times) == 0.5] *= factor
             return frames
 
         monkeypatch.setattr(verify, "curve_samples", rough)
