@@ -3,7 +3,8 @@
 Exit codes are stable so shell pipelines can gate on them:
 
     0   success, all requested checks within bounds
-    2   argument, file or format errors (including unknown gates)
+    2   argument, file or format errors (including unknown gates), or a
+        request too large to fit in memory
     3   a matrix that must be unitary is not
     4   a verification bound was exceeded, the oracle grid is too
         coarse to transport (its overlap chain is numerically singular),
@@ -41,12 +42,11 @@ from .errors import (
 from .extremal import evaluate_controller
 from .linalg import VALIDATION_TOL
 from .synth import SynthesisParams, synthesize
-from .verify import _closed_loop, _grid_chunks, cross_validate
+from .verify import DEFAULT_SCHEDULE, _closed_loop, _grid_chunks, cross_validate
 
 HOLONOMY_BOUND = 1e-10
 CLOSURE_BOUND = 1e-10
 ORACLE_BOUND = 2e-3
-DEFAULT_SCHEDULE = (10**3, 10**4, 10**5)
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -228,9 +228,13 @@ def _params(args, k: int) -> SynthesisParams:
     return SynthesisParams(phases=phases, windings=windings)
 
 
+def _tol(args) -> float:
+    return args.tolerance if args.tolerance is not None else VALIDATION_TOL
+
+
 def _run_synthesis(args):
     gate, gate_name, entry = _load_gate(args)
-    tol = args.tolerance if args.tolerance is not None else VALIDATION_TOL
+    tol = _tol(args)
     params = _params(args, gate.shape[0])
     order = signs = None
     if args.paper_order and entry is not None:
@@ -279,9 +283,8 @@ def cmd_synthesize(args) -> int:
     report = evaluate_controller(result.controller, result.gate, tol=tol)
     oracle = None
     if args.oracle:
-        schedule = _as_schedule(args.steps, DEFAULT_SCHEDULE)
         oracle = cross_validate(result.controller, result.gate,
-                                steps_schedule=schedule, tol=tol)
+                                steps_schedule=_as_schedule(args.steps), tol=tol)
     doc = controller_document(
         result, report, params,
         gate_name=gate_name,
@@ -298,9 +301,9 @@ def cmd_synthesize(args) -> int:
     return _verdict(checks)
 
 
-def _as_schedule(steps, fallback) -> tuple[int, ...]:
+def _as_schedule(steps) -> tuple[int, ...]:
     if steps is None:
-        return fallback
+        return DEFAULT_SCHEDULE
     if isinstance(steps, int):
         return (steps,)
     return tuple(steps)
@@ -310,11 +313,10 @@ def cmd_verify(args) -> int:
     _apply_config(args)
     with open(args.doc, "r", encoding="utf-8") as fh:
         doc = loads(fh.read())
-    tol = args.tolerance if args.tolerance is not None else VALIDATION_TOL
+    tol = _tol(args)
     ctrl, gate = document_controller(doc, tol)
-    schedule = _as_schedule(args.steps, DEFAULT_SCHEDULE)
     bound = args.bound if args.bound is not None else ORACLE_BOUND
-    oracle = cross_validate(ctrl, gate, steps_schedule=schedule, tol=tol)
+    oracle = cross_validate(ctrl, gate, steps_schedule=_as_schedule(args.steps), tol=tol)
     report = oracle_document(oracle)
     report.update(
         target_error=float(oracle.target_error),
@@ -330,7 +332,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     _apply_config(args)
-    tol = args.tolerance if args.tolerance is not None else VALIDATION_TOL
+    tol = _tol(args)
     if args.doc:
         with open(args.doc, "r", encoding="utf-8") as fh:
             ctrl, _ = document_controller(loads(fh.read()), tol)
@@ -394,7 +396,7 @@ _EXIT_CODES = (
     (NonUnitaryInput, 3),
     (OpenLoop, 5),
     ((UnknownGate, DimensionError, ParamShapeMismatch, TooFewSamples,
-      OSError, ValueError), 2),
+      OSError, ValueError, MemoryError), 2),
     (HolosynthError, 4),
 )
 

@@ -166,8 +166,8 @@ def eig_unitary(u, tol: float = VALIDATION_TOL) -> tuple[np.ndarray, np.ndarray]
 
 
 def expm_eigen(w, q, t=1.0) -> np.ndarray:
-    """exp(i t H) for Hermitian H = q diag(w) q^H."""
-    return q @ (np.exp(1j * np.multiply.outer(t, w))[:, None] * q.conj().T)
+    """exp(i t H) for Hermitian H = q diag(w) q^H and a scalar time t."""
+    return q @ (np.exp(1j * float(t) * w)[:, None] * q.conj().T)
 
 
 def polar_unitary(m) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent numerical holonomy oracle.
 
 The oracle never touches the closed-form solution: it consumes only the
-sampled loop of orthonormal k-frames V_0 ... V_M and the base frame V0.
+sampled loop of orthonormal k-frames V_i = V(t_i) on the fixed grid
+t_i = i/M, i = 0 ... M, and the base frame V0.
 The discrete transporter is the ordered overlap (Wilson-loop) chain
 
     K = V0^H V_{M-1} . V_{M-1}^H V_{M-2} ... V_2^H V_1 . V_1^H V0
@@ -39,9 +40,10 @@ rows and iZ in the odd ones, so each overlap is written straight into it,
 and K is read back from the even rows before the polar step.
 
 `loop_length_numeric` is the length oracle: the periodic trapezoid rule
-on central differences that wrap around a closed projector stack,
+on central differences that wrap around the closed loop, V_{-1} = V_{M-1},
+of the chordal distance ||P_b - P_a||_F^2 = 2 ||V_b - V_a V_a^H V_b||_F^2:
 
-    E = sum_{i=0}^{M-1} ||P_{i+1} - P_{i-1}||_F^2 * M / 8,  P_{-1} = P_{M-1}.
+    E = sum_{i=0}^{M-1} ||R_i||_F^2 * M / 4,  R_i = V_{i+1} - V_{i-1} (V_{i-1}^H V_{i+1}).
 
 Convention note: the holonomy compared against is Gamma = V(0)^H V(T) of
 the horizontal lift (the composition matching a unitary gate acting on
@@ -69,73 +71,50 @@ _ROUNDOFF_FLOOR = 1e-12
 # Byte budget of one streamed chunk's (c, n, k) frame stack: 512 frames at
 # n = 8, k = 4, which was the fastest budget measured there.
 _CHUNK_BYTES = 2**18
+DEFAULT_SCHEDULE = (10**3, 10**4, 10**5)
 
 
 @dataclass(frozen=True)
 class SampledLoop:
-    """A closed curve of orthonormal k-frames sampled on a uniform time grid.
+    """A closed curve of orthonormal k-frames V_i = V(i/M), i = 0 ... M.
 
-    `frames` has shape (M+1, n, k). Validation confirms the grid is uniform
-    on [0, 1], the first and last frames span the same subspace (their
-    projectors agree within `extremal.CLOSURE_TOL`), and every frame is
-    orthonormal, ||V^H V - I||_F within `tol`.
+    `frames` has shape (M+1, n, k). Validation confirms the first and last
+    frames span the same subspace (their projectors agree within
+    `extremal.CLOSURE_TOL`) and every frame is orthonormal,
+    ||V^H V - I||_F within `tol`.
     """
 
-    times: np.ndarray
     frames: np.ndarray
     tol: float = VALIDATION_TOL
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
         frames = np.ascontiguousarray(self.frames, dtype=complex)
-        if times.ndim != 1 or frames.ndim != 3 or len(times) != frames.shape[0]:
-            raise DimensionError("times and frames must align 1:1")
-        if len(times) < 3:
-            raise TooFewSamples(f"need at least 3 samples, got {len(times)}")
-        steps = np.diff(times)
-        if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-12):
-            raise DimensionError("time grid is not uniform")
+        if frames.ndim != 3:
+            raise DimensionError(f"frames must have shape (M+1, n, k), got ndim={frames.ndim}")
+        if len(frames) < 3:
+            raise TooFewSamples(f"need at least 3 samples, got {len(frames)}")
         _check_endpoints(frames[0], frames[-1])
         _check_frames(frames, self.tol)
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "frames", frames)
-
-    @property
-    def steps(self) -> int:
-        return len(self.times) - 1
 
     @property
     def rank(self) -> int:
         return self.frames.shape[2]
 
-    @property
-    def projectors(self) -> np.ndarray:
-        """The (M+1, n, n) stack P = V V^H, formed on every access."""
-        return np.einsum("mik,mjk->mij", self.frames, self.frames.conj())
 
+def loop_length_numeric(loop: SampledLoop) -> float:
+    """Curve energy integral(0.5 * tr(Pdot^2)) dt over [0, 1] of a sampled loop.
 
-def loop_length_numeric(projectors) -> float:
-    """Curve energy integral(0.5 * tr(Pdot^2)) dt over [0, 1] of a closed loop.
-
-    `projectors` is an (M+1, n, n) stack on a uniform grid, such as
-    `SampledLoop.projectors`, summed by the periodic rule of the module
-    docstring. Its O(dt^2) error is the stencil's alone, so Richardson
-    extrapolation of two grids cancels it.
-
-    Raises:
-        OpenLoop: ||P_M - P_0||_F exceeds `extremal.CLOSURE_TOL`.
+    Summed from the loop's frames by the periodic rule of the module
+    docstring, which holds no n x n matrix. Its O(dt^2) error is the
+    stencil's alone, so Richardson extrapolation of two grids cancels it.
     """
-    arr = np.asarray(projectors, dtype=complex)
-    if arr.ndim != 3:
-        raise DimensionError("expected a sequence of equally shaped matrices")
-    if arr.shape[0] < 3:
-        raise TooFewSamples(f"need at least 3 samples, got {arr.shape[0]}")
-    closure = float(np.linalg.norm(arr[-1] - arr[0]))
-    if not closure <= CLOSURE_TOL:
-        raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
-    m = arr.shape[0] - 1
-    diffs = arr[1:] - np.roll(arr[:-1], 1, axis=0)
-    return float(np.vdot(diffs, diffs).real) * m / 8.0
+    frames = loop.frames
+    m = len(frames) - 1
+    before, after = np.roll(frames[:-1], 1, axis=0), frames[1:]
+    residual = before @ (np.swapaxes(before, 1, 2).conj() @ after)
+    np.subtract(after, residual, out=residual)
+    return float(np.vdot(residual, residual).real) * m / 4.0
 
 
 @dataclass(frozen=True)
@@ -168,15 +147,6 @@ class OracleReport:
         return self.schedule[-1]
 
 
-def _check_closed(ctrl: Controller, steps: int) -> None:
-    """Reject too few steps or an analytically open loop before sampling."""
-    if steps < 2:
-        raise TooFewSamples(f"steps must be >= 2, got {steps}")
-    defect = loop_closure_defect(ctrl)
-    if not defect <= CLOSURE_TOL:
-        raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
-
-
 def _check_endpoints(first: np.ndarray, last: np.ndarray) -> None:
     closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
     if not closure <= CLOSURE_TOL:
@@ -194,15 +164,18 @@ def _check_frames(frames: np.ndarray, tol: float) -> np.ndarray:
 
 
 def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
-    """Sample the controller's projected loop at steps+1 uniform times.
+    """Sample the controller's projected loop at t_i = i / steps, i = 0 ... steps.
 
     Raises:
         OpenLoop: the controller does not close its loop at t = 1.
         TooFewSamples: steps < 2.
     """
-    _check_closed(ctrl, steps)
-    times = np.linspace(0.0, 1.0, steps + 1)
-    return SampledLoop(times=times, frames=curve_samples(ctrl, times), tol=tol)
+    if steps < 2:
+        raise TooFewSamples(f"steps must be >= 2, got {steps}")
+    defect = loop_closure_defect(ctrl)
+    if not defect <= CLOSURE_TOL:
+        raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
+    return SampledLoop(curve_samples(ctrl, np.linspace(0.0, 1.0, steps + 1)), tol)
 
 
 def _ordered_chain(factors: np.ndarray) -> np.ndarray:
@@ -300,7 +273,7 @@ def _closed_loop(ctrl: Controller, steps: int, tol: float) -> np.ndarray:
 def cross_validate(
     ctrl: Controller,
     gate,
-    steps_schedule: tuple[int, ...] = (10**3, 10**4, 10**5),
+    steps_schedule: tuple[int, ...] = DEFAULT_SCHEDULE,
     tol: float = VALIDATION_TOL,
 ) -> OracleReport:
     """Run the oracle over a refinement schedule and fit its convergence.
@@ -309,7 +282,8 @@ def cross_validate(
     (see the module docstring), so memory does not grow with the steps.
     Each point gives `numeric_holonomy(sample_loop(ctrl, steps, tol))`. The
     step-count, closure, endpoint and target-gate checks are decided once
-    per call, before the interior frames are sampled and Gram-checked.
+    per call, before the interior frames are sampled and Gram-checked. The
+    schedule must increase strictly: its last point is the finest grid.
 
     The slope fit only uses schedule points whose deviation exceeds the
     roundoff floor; when fewer than two such points remain the estimate is
@@ -327,6 +301,8 @@ def cross_validate(
     if not schedule:
         raise DimensionError("steps_schedule must not be empty")
     analytic = _closed_loop(ctrl, min(schedule), tol)
+    if any(a >= b for a, b in zip(schedule, schedule[1:])):
+        raise DimensionError(f"steps_schedule must be strictly increasing, got {schedule}")
     gate = check_target(ctrl, gate, tol)
     v0 = ctrl.base_frame()
     deviations = []
@@ -369,10 +345,7 @@ def gauge_invariance_check(loop: SampledLoop, trials: int, seed: int) -> float:
     baseline = numeric_holonomy(loop)
     worst = 0.0
     for _ in range(trials):
-        gauges = _haar_stack(loop.rank, rng, loop.times.shape)
-        regauged = SampledLoop(
-            times=loop.times, frames=loop.frames @ gauges, tol=loop.tol
-        )
-        gamma = numeric_holonomy(regauged)
+        gauges = _haar_stack(loop.rank, rng, loop.frames.shape[:1])
+        gamma = numeric_holonomy(SampledLoop(loop.frames @ gauges, loop.tol))
         worst = max(worst, float(np.linalg.norm(gamma - baseline)))
     return worst

@@ -193,7 +193,7 @@ def test_criterion_5_length_identity():
         )
         ctrl = synthesize(random_haar(rng, k), params).controller
         loop = sample_loop(ctrl, samples)
-        err = abs(loop_length_numeric(loop.projectors) - length_analytic(ctrl))
+        err = abs(loop_length_numeric(loop) - length_analytic(ctrl))
         worst = max(worst, err)
     worst_u1 = 0.0
     for gamma in (np.pi / 4, np.pi / 2, np.pi, 3 * np.pi / 2):
@@ -203,7 +203,7 @@ def test_criterion_5_length_identity():
                 gate, SynthesisParams(phases=(0.0,), windings=(n,))
             ).controller
             loop = sample_loop(ctrl, samples)
-            err = abs(loop_length_numeric(loop.projectors) - channel_length(gamma, n))
+            err = abs(loop_length_numeric(loop) - channel_length(gamma, n))
             worst_u1 = max(worst_u1, err)
     ok = worst < 1e-6 and worst_u1 < 1e-6
     assert report(

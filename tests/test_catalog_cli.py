@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import holosynth
+from holosynth import cli
 from holosynth import (
     InvalidFrame, UnknownGate, catalog_get, catalog_names, cli, extremal, synthesize,
     verify,
@@ -24,7 +25,6 @@ from holosynth.document import (
 from holosynth.extremal import curve_samples, evaluate_controller
 from holosynth.linalg import unitarity_defect
 from holosynth.synth import SynthesisParams
-from holosynth.verify import sample_loop
 from helpers import traced_peak
 
 
@@ -354,6 +354,15 @@ class TestCliVerify:
         assert "target gate fails unitarity" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("steps", ["1000,1000", "100,1000,100"])
+    def test_a_schedule_that_does_not_increase_exits_2(self, steps, capsys, tmp_path):
+        target = self._write_doc(capsys, tmp_path)
+        code, err = _run_process("verify", "--doc", str(target), "--steps", steps)
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: steps_schedule must be strictly increasing, got ({steps.replace(',', ', ')})"
+        ]
+
     def test_failed_oracle_check_is_named(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -424,6 +433,19 @@ def test_oracle_grid_too_coarse_to_transport_exits_4():
     assert code == 4
     assert "smallest singular value" in err
     assert "Traceback" not in err
+
+
+def test_running_out_of_memory_exits_2(capsys, monkeypatch):
+    # a huge random-<k> runs out of memory where the catalog draws it; the
+    # catalog is replaced here, so nothing large is requested
+    def exhausted(name, seed=0):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "catalog_get", exhausted)
+    code, out, err = run_cli(capsys, "synthesize", "--gate", "random-4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: Unable to allocate 74.5 GiB for an array\n"
 
 
 def test_failed_eigendecomposition_exits_4():
@@ -647,10 +669,10 @@ class TestCliSample:
         values = np.array([[float(x) for x in line.split(",")] for line in lines])
         col = dict(zip(header.split(","), values.T))
         ctrl = synthesize(catalog_get(gate).matrix).controller
-        loop = sample_loop(ctrl, steps)
-        frames = curve_samples(ctrl, loop.times)
-        p = loop.projectors
-        np.testing.assert_array_equal(col["t"], loop.times)
+        times = np.linspace(0.0, 1.0, steps + 1)
+        frames = curve_samples(ctrl, times)
+        p = np.einsum("mik,mjk->mij", frames, frames.conj())
+        np.testing.assert_array_equal(col["t"], times)
         for i in range(ctrl.n):
             for j in range(ctrl.k):
                 np.testing.assert_array_equal(col[f"v_re_{i}_{j}"], frames[:, i, j].real)

@@ -31,7 +31,7 @@ def _rough_omega(tol):
 def _rough_frames(tol):
     # ||V^H V - I||_F near 3e-9
     loop = sample_loop(synthesize(HADAMARD).controller, 100)
-    SampledLoop(times=loop.times, frames=loop.frames * (1.0 + 1e-9), tol=tol)
+    SampledLoop(loop.frames * (1.0 + 1e-9), tol)
 
 
 def _roundoff_reconstruction(tol):

@@ -16,6 +16,7 @@ from holosynth import (
     length_analytic,
     loop_closure_defect,
     loop_length_numeric,
+    sample_loop,
     standard_base_frame,
     synthesize,
     transform_controller,
@@ -313,9 +314,8 @@ class TestExtremalInvariants:
     def test_numeric_length_matches_analytic(self):
         rng = np.random.default_rng(15)
         ctrl = _random_controller(rng, 2)
-        frames = curve_samples(ctrl, np.linspace(0.0, 1.0, 20001))
-        projs = np.einsum("mik,mjk->mij", frames, frames.conj())
-        assert abs(loop_length_numeric(projs) - length_analytic(ctrl)) < 1e-6
+        loop = sample_loop(ctrl, 20000)
+        assert abs(loop_length_numeric(loop) - length_analytic(ctrl)) < 1e-6
 
 
 class TestWideAmbientSpace:

@@ -208,6 +208,18 @@ class TestExpmSkew:
         e1, e2 = truncation_error(1e-2), truncation_error(5e-3)
         assert e1 / e2 >= 7.5  # cubic remainder shrinks ~8x when t halves
 
+    @pytest.mark.parametrize("times", [[0.3, 0.7], [0.3, 0.7, 0.1]])
+    def test_an_array_of_times_is_rejected(self, times):
+        # an array of times would broadcast against the eigenvalues and
+        # scale the columns of q^H instead of its rows (off by 0.65 and 0.89
+        # for these two times), or pair each time with one eigenvalue
+        a = random_skew(np.random.default_rng(4), 3)
+        w, q = np.linalg.eigh(-1j * a)
+        with pytest.raises(TypeError):
+            linalg.expm_eigen(w, q, np.array(times))
+        for t in times:
+            assert np.linalg.norm(linalg.expm_eigen(w, q, t) - expm_taylor_squaring(a, t)) < 1e-12
+
 
 class TestPolarUnitary:
     def test_positive_scaling(self):

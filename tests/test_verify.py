@@ -35,7 +35,12 @@ def _warped_loop(ctrl, steps, strength=0.15):
     """Same geometric loop, resampled along a smooth monotone time warp."""
     times = np.linspace(0.0, 1.0, steps + 1)
     warped = times - strength * np.sin(2 * np.pi * times) / (2 * np.pi)
-    return SampledLoop(times=times, frames=curve_samples(ctrl, warped))
+    return SampledLoop(curve_samples(ctrl, warped))
+
+
+def _projectors(frames):
+    """The stack P = V V^H of a frame stack, formed here as the reference."""
+    return np.einsum("mik,mjk->mij", frames, frames.conj())
 
 
 class TestSampleLoop:
@@ -46,23 +51,24 @@ class TestSampleLoop:
         )
         loop = sample_loop(ctrl, 10)
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        for p in loop.projectors:
+        for p in _projectors(loop.frames):
             np.testing.assert_allclose(p, p0, atol=1e-12)
 
     def test_hadamard_endpoints(self):
         ctrl = synthesize(HADAMARD).controller
         loop = sample_loop(ctrl, 4)
-        assert loop.projectors.shape == (5, 4, 4)
+        assert loop.frames.shape == (5, 4, 2)
+        p = _projectors(loop.frames)
         p0 = np.zeros((4, 4), dtype=complex)
         p0[:2, :2] = np.eye(2)
-        np.testing.assert_allclose(loop.projectors[0], p0, atol=1e-12)
-        np.testing.assert_allclose(loop.projectors[-1], p0, atol=1e-10)
+        np.testing.assert_allclose(p[0], p0, atol=1e-12)
+        np.testing.assert_allclose(p[-1], p0, atol=1e-10)
 
     def test_half_turn_midpoint_reaches_antipode(self):
         ctrl = synthesize(HALF_TURN).controller
         loop = sample_loop(ctrl, 2)
         np.testing.assert_allclose(
-            loop.projectors[1], np.diag([0.0, 1.0]), atol=1e-12
+            _projectors(loop.frames)[1], np.diag([0.0, 1.0]), atol=1e-12
         )
 
     def test_open_controller_rejected(self):
@@ -78,20 +84,18 @@ class TestSampleLoop:
 
 
 class TestLoopValidationTolerance:
-    def _rough_loop_data(self):
+    def _rough_frames(self):
         # scaling by 1 + 1e-9 leaves a Gram defect ||V^H V - I||_F near 3e-9
         loop = sample_loop(synthesize(HADAMARD).controller, 100)
-        return loop.times, loop.frames * (1.0 + 1e-9)
+        return loop.frames * (1.0 + 1e-9)
 
     def test_default_tolerance_rejects_rough_projectors(self):
-        times, frames = self._rough_loop_data()
         with pytest.raises(InvalidFrame):
-            SampledLoop(times=times, frames=frames)
+            SampledLoop(self._rough_frames())
 
     def test_validation_override_admits_rough_projectors(self):
-        times, frames = self._rough_loop_data()
         tol = 1e-8
-        loop = SampledLoop(times=times, frames=frames, tol=tol)
+        loop = SampledLoop(self._rough_frames(), tol)
         assert loop.tol is tol
 
     def test_sample_loop_passes_its_tolerance_on(self):
@@ -244,8 +248,8 @@ class TestRealFormFold:
         ctrl, _ = self._case(k)
         loop = sample_loop(ctrl, 300)
         rng = np.random.default_rng(60 + k)
-        gauges = np.array([random_haar(rng, k) for _ in loop.times])
-        regauged = SampledLoop(times=loop.times, frames=loop.frames @ gauges)
+        gauges = np.array([random_haar(rng, k) for _ in loop.frames])
+        regauged = SampledLoop(loop.frames @ gauges)
         plain = _plain_chain(regauged.frames, ctrl.base_frame())
         assert np.linalg.norm(numeric_holonomy(regauged) - plain) <= 1e-13
         assert np.linalg.norm(numeric_holonomy(regauged) - numeric_holonomy(loop)) <= 1e-12
@@ -374,6 +378,22 @@ class TestStreamedOracle:
             cross_validate(self._controller(2), np.eye(2), (1000, 1))
         assert sampled == []
 
+    @pytest.mark.parametrize("schedule", [(1000, 1000), (100, 1000, 100)])
+    def test_a_schedule_that_does_not_increase_is_rejected_before_sampling(
+        self, schedule, monkeypatch
+    ):
+        sampled = []
+        sample = verify.curve_samples
+
+        def recording(ctrl, times):
+            sampled.append(np.asarray(times).tolist())
+            return sample(ctrl, times)
+
+        monkeypatch.setattr(verify, "curve_samples", recording)
+        with pytest.raises(DimensionError, match="strictly increasing"):
+            cross_validate(self._controller(2), np.eye(2), schedule)
+        assert sampled == [[0.0, 1.0]]
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_rejects_a_target_of_the_wrong_shape(self, dim):
         with pytest.raises(DimensionError, match=rf"shape \({dim}, {dim}\)"):
@@ -414,7 +434,7 @@ class TestOneClosureBound:
         with pytest.raises(OpenLoop):
             cross_validate(ctrl, catalog_get(gate).matrix, (1000,))
         with pytest.raises(OpenLoop, match="endpoint projectors"):
-            SampledLoop(times=[0.0, 0.5, 1.0], frames=curve_samples(ctrl, [0.0, 0.5, 1.0]))
+            SampledLoop(curve_samples(ctrl, [0.0, 0.5, 1.0]))
 
 
 class TestOracleAgreementEnsemble:
@@ -450,45 +470,51 @@ class TestLengthOracle:
         gate = random_haar(rng, 2)
         ctrl = synthesize(gate).controller
         loop = sample_loop(ctrl, 20000)
-        got = loop_length_numeric(loop.projectors)
+        got = loop_length_numeric(loop)
         assert abs(got - length_analytic(ctrl)) < 1e-6
 
 
-def _loop_projectors(ctrl, samples):
-    frames = curve_samples(ctrl, np.linspace(0.0, 1.0, samples))
-    return np.einsum("mik,mjk->mij", frames, frames.conj())
+def _loop(ctrl, samples):
+    return SampledLoop(curve_samples(ctrl, np.linspace(0.0, 1.0, samples)))
 
 
-def _base_projector(n, k):
-    v = standard_base_frame(n, k)
-    return v @ v.conj().T
+def _projector_stack_length(frames):
+    """The periodic rule summed over a whole projector stack, the form the
+    frame rule replaces: sum ||P_{i+1} - P_{i-1}||_F^2 * M / 8."""
+    p = _projectors(frames)
+    diffs = p[1:] - np.roll(p[:-1], 1, axis=0)
+    return float(np.vdot(diffs, diffs).real) * (len(p) - 1) / 8.0
+
+
+def _base_frames(n, k, samples):
+    return np.repeat(standard_base_frame(n, k)[None], samples, axis=0)
 
 
 class TestLoopLengthNumeric:
     def test_constant_curve(self):
-        p = _base_projector(3, 1)
-        assert loop_length_numeric([p] * 21) == pytest.approx(0.0, abs=1e-15)
+        loop = SampledLoop(_base_frames(3, 1, 21))
+        assert loop_length_numeric(loop) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_channel_half_turn_loop(self):
         ctrl = synthesize(HALF_TURN).controller
-        s = loop_length_numeric(_loop_projectors(ctrl, 20001))
+        s = loop_length_numeric(_loop(ctrl, 20001))
         assert abs(s - np.pi**2) < 5e-7
 
     def test_matches_analytic_length(self):
         ctrl = synthesize(HADAMARD).controller
-        s = loop_length_numeric(_loop_projectors(ctrl, 20001))
+        s = loop_length_numeric(_loop(ctrl, 20001))
         assert abs(s - length_analytic(ctrl)) < 1e-6
 
     def test_quadratic_convergence(self):
         ctrl = synthesize(HALF_TURN).controller
         exact = np.pi**2
-        coarse = abs(loop_length_numeric(_loop_projectors(ctrl, 501)) - exact)
-        fine = abs(loop_length_numeric(_loop_projectors(ctrl, 1001)) - exact)
+        coarse = abs(loop_length_numeric(_loop(ctrl, 501)) - exact)
+        fine = abs(loop_length_numeric(_loop(ctrl, 1001)) - exact)
         assert coarse / fine >= 3.5
 
     def test_even_sample_count(self):
         ctrl = synthesize(HALF_TURN).controller
-        s = loop_length_numeric(_loop_projectors(ctrl, 5000))
+        s = loop_length_numeric(_loop(ctrl, 5000))
         assert abs(s - np.pi**2) < 1e-4
 
     @pytest.mark.parametrize("gate", ["hadamard", "dft2", "phase-1.5"])
@@ -496,18 +522,44 @@ class TestLoopLengthNumeric:
         # the periodic rule's error is c dt^2 + O(dt^4); one-sided endpoint
         # stencils would leave an O(dt^3) term that this cannot cancel
         ctrl = synthesize(catalog_get(gate).matrix).controller
-        coarse = loop_length_numeric(_loop_projectors(ctrl, 1001))
-        fine = loop_length_numeric(_loop_projectors(ctrl, 2001))
+        coarse = loop_length_numeric(_loop(ctrl, 1001))
+        fine = loop_length_numeric(_loop(ctrl, 2001))
         exact = length_analytic(ctrl)
         assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    def test_matches_the_projector_stack_rule(self, k):
+        gate = random_haar(np.random.default_rng(70 + k), k)
+        loop = sample_loop(synthesize(gate).controller, 1000)
+        reference = _projector_stack_length(loop.frames)
+        assert loop_length_numeric(loop) == pytest.approx(reference, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_is_gauge_invariant(self, k):
+        gate = random_haar(np.random.default_rng(80 + k), k)
+        loop = sample_loop(synthesize(gate).controller, 500)
+        rng = np.random.default_rng(90 + k)
+        gauges = np.array([random_haar(rng, k) for _ in loop.frames])
+        regauged = SampledLoop(loop.frames @ gauges)
+        assert loop_length_numeric(regauged) == pytest.approx(
+            loop_length_numeric(loop), rel=1e-12)
+
+    def test_forms_no_projector_stack(self):
+        # a (M+1, n, n) stack alone would take 2 x frames.nbytes at n = 2k
+        gate = random_haar(np.random.default_rng(8), 8)
+        loop = sample_loop(synthesize(gate).controller, 10**4)
+        assert traced_peak(loop_length_numeric, loop) <= 4 * loop.frames.nbytes
 
     def test_open_stack_is_rejected(self):
         good = synthesize(HADAMARD).controller
         bad = Controller(omega=good.omega, coupling=0.9 * good.coupling)
         with pytest.raises(OpenLoop, match="endpoint projectors"):
-            loop_length_numeric(_loop_projectors(bad, 101))
+            _loop(bad, 101)
 
     def test_too_few_samples(self):
-        p = _base_projector(3, 1)
         with pytest.raises(TooFewSamples):
-            loop_length_numeric([p])
+            SampledLoop(_base_frames(3, 1, 2))
+
+    def test_a_single_frame_is_rejected(self):
+        with pytest.raises(DimensionError):
+            SampledLoop(standard_base_frame(3, 1))
