@@ -108,6 +108,8 @@ def catalog_get(name: str, seed: int = 0) -> GateCatalogEntry:
             gamma = float(raw)
         except ValueError as exc:
             raise UnknownGate(f"bad phase angle in gate name {name!r}") from exc
+        if not np.isfinite(gamma):
+            raise UnknownGate(f"phase angle must be finite in gate name {name!r}")
         matrix = np.array([[np.exp(1j * gamma)]], dtype=complex)
         return GateCatalogEntry(name=name, dim=1, matrix=matrix)
     if name.startswith("random-"):

@@ -165,13 +165,21 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A JSON number as a float; bools and strings raise, where float()
+    would read true as 1.0 and "0.5" as 0.5."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 _CONFIG_KEYS = {
-    "phases": lambda v: tuple(float(x) for x in v),
+    "phases": lambda v: tuple(_real(x) for x in v),
     "windings": lambda v: tuple(_whole(x) for x in v),
     "steps": lambda v: tuple(_whole(x) for x in v) if isinstance(v, list) else _whole(v),
-    "bound": _positive_float,
+    "bound": lambda v: _positive_float(_real(v)),
     "seed": lambda v: _seed(_whole(v)),
-    "tolerance": _positive_float,
+    "tolerance": lambda v: _positive_float(_real(v)),
 }
 
 
@@ -330,7 +338,17 @@ def cmd_verify(args) -> int:
     ])
 
 
+# Flags that choose a gate or its controller, which a document already fixes.
+_SYNTHESIS_FLAGS = ("gate", "matrix", "phases", "windings", "paper_order", "seed")
+
+
 def cmd_sample(args) -> int:
+    if args.doc:
+        given = [f"--{name.replace('_', '-')}" for name in _SYNTHESIS_FLAGS
+                 if getattr(args, name) is not None and getattr(args, name) is not False]
+        if given:
+            raise ParamShapeMismatch(
+                f"{', '.join(given)} cannot be combined with --doc, which fixes the controller")
     _apply_config(args)
     tol = _tol(args)
     if args.doc:
@@ -342,7 +360,7 @@ def cmd_sample(args) -> int:
     steps = args.steps if args.steps is not None else 100
     if not isinstance(steps, int):
         raise ParamShapeMismatch("sample takes a single integer step count")
-    _closed_loop(ctrl, steps, tol)
+    _closed_loop(ctrl, steps)
     n, k = ctrl.n, ctrl.k
     header = ["t"]
     for i in range(n):

@@ -53,6 +53,8 @@ class SynthesisParams:
             )
         if any(n < 1 for n in self.windings):
             raise ParamShapeMismatch("every winding number must be >= 1")
+        if not all(np.isfinite(self.phases)):
+            raise ParamShapeMismatch(f"every phase must be finite, got phases {self.phases}")
 
     @classmethod
     def defaults(cls, k: int) -> "SynthesisParams":

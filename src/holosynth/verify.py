@@ -19,10 +19,10 @@ matrix is formed per sample.
 sampler, in chunks sized to a fixed byte budget (512 frames at n = 8,
 k = 4), each chunk Gram-checked. The oracle folds a chunk's overlaps into
 a running product and carries its last frame into the next; `sample`
-writes a chunk's CSV rows. Both check the step count, the analytic
-closure and the end frames V_0, V_M once beforehand, so memory does not
-grow with the step count. `SampledLoop` and `numeric_holonomy` serve
-callers that hold a whole loop, through the same checks and fold.
+writes a chunk's CSV rows, so memory does not grow with the step count.
+Every grid reader, `sample_loop` too, first checks the step count and
+lets `holonomy_analytic` decide closure, once per call. `SampledLoop` and
+`numeric_holonomy` serve whole loops through the same Gram check and fold.
 
 The per-sample k x k products run in real arithmetic, which numpy's
 batched matmul does several times faster than complex for small k. A
@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
+# loop_closure_defect is not called here; perfbench's tracing wraps it by this module's name.
 from .extremal import (
     CLOSURE_TOL, Controller, check_target, curve_samples, holonomy_analytic,
     loop_closure_defect, standard_base_frame,
@@ -93,7 +94,10 @@ class SampledLoop:
             raise DimensionError(f"frames must have shape (M+1, n, k), got ndim={frames.ndim}")
         if len(frames) < 3:
             raise TooFewSamples(f"need at least 3 samples, got {len(frames)}")
-        _check_endpoints(frames[0], frames[-1])
+        first, last = frames[0], frames[-1]
+        closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
+        if not closure <= CLOSURE_TOL:
+            raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
         _check_frames(frames, self.tol)
         object.__setattr__(self, "frames", frames)
 
@@ -147,12 +151,6 @@ class OracleReport:
         return self.schedule[-1]
 
 
-def _check_endpoints(first: np.ndarray, last: np.ndarray) -> None:
-    closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
-    if not closure <= CLOSURE_TOL:
-        raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
-
-
 def _check_frames(frames: np.ndarray, tol: float) -> np.ndarray:
     """Gram-check a contiguous (c, n, k) frame stack and return its
     `linalg._adjoint`, which the overlap fold reuses."""
@@ -170,11 +168,7 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
         OpenLoop: the controller does not close its loop at t = 1.
         TooFewSamples: steps < 2.
     """
-    if steps < 2:
-        raise TooFewSamples(f"steps must be >= 2, got {steps}")
-    defect = loop_closure_defect(ctrl)
-    if not defect <= CLOSURE_TOL:
-        raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
+    _closed_loop(ctrl, steps)
     return SampledLoop(curve_samples(ctrl, np.linspace(0.0, 1.0, steps + 1)), tol)
 
 
@@ -228,13 +222,22 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
     in descending time order and unitarizes the product by polar
     decomposition. Converges to the holonomy of the canonical connection
     as the grid refines; the polar step guarantees a unitary result at any
-    resolution.
+    resolution. The chain starts from the standard base frame V0, so the
+    loop's first frame must span the same subspace: ||V_0 V_0^H - P0||_F
+    within `extremal.CLOSURE_TOL`, with P0 = V0 V0^H.
 
     Raises:
+        InvalidFrame: the loop does not start in the span of V0.
         SingularInput: the chain is numerically singular, which signals the
             loop was sampled too coarsely for transport.
     """
-    v0 = standard_base_frame(loop.frames.shape[1], loop.rank)
+    first = loop.frames[0]
+    v0 = standard_base_frame(first.shape[0], loop.rank)
+    offset = float(np.linalg.norm(first @ first.conj().T - v0 @ v0.conj().T))
+    if not offset <= CLOSURE_TOL:
+        raise InvalidFrame(
+            f"loop does not start at the base projector: ||V_0 V_0^H - P0||_F = "
+            f"{offset:.3e} exceeds {CLOSURE_TOL:.1e}")
     interior = loop.frames[1:-1]
     return _chain_holonomy([(interior, _adjoint(interior))], v0)
 
@@ -258,16 +261,12 @@ def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
         yield times, frames, _check_frames(frames, tol)
 
 
-def _closed_loop(ctrl: Controller, steps: int, tol: float) -> np.ndarray:
-    """Gamma, once the step count, the analytic closure (decided by
-    `holonomy_analytic`) and the end frames V(0), V(1) pass their checks."""
+def _closed_loop(ctrl: Controller, steps: int) -> np.ndarray:
+    """Gamma, once the step count passes and `holonomy_analytic` decides
+    the loop is closed; the one preamble of every grid reader."""
     if steps < 2:
         raise TooFewSamples(f"steps must be >= 2, got {steps}")
-    gamma = holonomy_analytic(ctrl)
-    ends = curve_samples(ctrl, np.array([0.0, 1.0]))
-    _check_endpoints(ends[0], ends[1])
-    _check_frames(ends, tol)
-    return gamma
+    return holonomy_analytic(ctrl)
 
 
 def cross_validate(
@@ -281,9 +280,9 @@ def cross_validate(
     Each schedule point is sampled and transported in fixed-size chunks
     (see the module docstring), so memory does not grow with the steps.
     Each point gives `numeric_holonomy(sample_loop(ctrl, steps, tol))`. The
-    step-count, closure, endpoint and target-gate checks are decided once
-    per call, before the interior frames are sampled and Gram-checked. The
-    schedule must increase strictly: its last point is the finest grid.
+    step-count, closure and target-gate checks are decided once per call,
+    before the interior frames are sampled and Gram-checked. The schedule
+    must increase strictly: its last point is the finest grid.
 
     The slope fit only uses schedule points whose deviation exceeds the
     roundoff floor; when fewer than two such points remain the estimate is
@@ -300,7 +299,7 @@ def cross_validate(
     schedule = tuple(int(s) for s in steps_schedule)
     if not schedule:
         raise DimensionError("steps_schedule must not be empty")
-    analytic = _closed_loop(ctrl, min(schedule), tol)
+    analytic = _closed_loop(ctrl, min(schedule))
     if any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise DimensionError(f"steps_schedule must be strictly increasing, got {schedule}")
     gate = check_target(ctrl, gate, tol)

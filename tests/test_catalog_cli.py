@@ -74,7 +74,8 @@ class TestCatalog:
             assert unitarity_defect(catalog_get(name).matrix) < 1e-15
 
     def test_unknown_names(self):
-        for bad in ("toffoli", "identity-x", "identity-0", "phase-abc"):
+        for bad in ("toffoli", "identity-x", "identity-0", "phase-abc", "phase-inf",
+                    "phase--inf", "phase-nan"):
             with pytest.raises(UnknownGate):
                 catalog_get(bad)
 
@@ -514,6 +515,10 @@ class TestCliFailsClosed:
         "fractional_seed.json": '{"seed": 1.5}',
         "boolean_seed.json": '{"seed": true}',
         "fractional_windings.json": '{"windings": [1, 1.5]}',
+        "stretched.json": canonical_dumps(encode_matrix(np.diag([1.0, 1.3]))),
+        "boolean_tolerance.json": '{"tolerance": true}',
+        "string_bound.json": '{"bound": "0.5"}',
+        "string_phases.json": '{"phases": "12"}',
     }
     # argv (a *.json argument names a file in the test's directory), exit
     # code, text stderr must contain
@@ -545,6 +550,15 @@ class TestCliFailsClosed:
         "config_fractional_windings": (
             ["synthesize", "--gate", "hadamard", "--config", "fractional_windings.json"],
             2, "'windings'"),
+        # read as tol = 1.0, true would admit the non-unitary diag(1, 1.3)
+        "config_boolean_tolerance": (
+            ["synthesize", "--matrix", "stretched.json", "--config", "boolean_tolerance.json"],
+            2, "'tolerance'"),
+        "config_string_bound": (
+            ["verify", "--doc", "doc.json", "--config", "string_bound.json"], 2, "'bound'"),
+        "config_string_phases": (
+            ["synthesize", "--gate", "hadamard", "--config", "string_phases.json"],
+            2, "'phases'"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -569,6 +583,20 @@ class TestCliFailsClosed:
         assert code == 3
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error: target gate fails unitarity")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["synthesize", "--gate", "hadamard", "--phases", "inf,0"], "phases"),
+        (["synthesize", "--gate", "hadamard", "--config", "infinite_phases.json"], "phases"),
+        (["synthesize", "--gate", "phase-inf"], "phase-inf"),
+    ], ids=["flag", "config", "gate-name"])
+    def test_a_non_finite_phase_prints_one_error_line(self, argv, named, tmp_path):
+        (tmp_path / "infinite_phases.json").write_text('{"phases": [Infinity, 0]}')
+        code, err = _run_process(
+            *(str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv)
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error:") and named in err
 
     def test_an_integral_float_in_the_config_is_an_integer(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -685,7 +713,7 @@ class TestCliSample:
             np.testing.assert_array_equal(col["r1"] + 1j * col["r2"], 2.0 * p[:, 0, 1].conj())
 
     def test_samples_the_curve_once(self, capsys, monkeypatch):
-        # the 2-frame endpoint probe, then one pass over the grid in chunks
+        # one pass over the grid in chunks, with no probe of the end frames first
         sampled = []
 
         def recording(ctrl, times):
@@ -698,10 +726,8 @@ class TestCliSample:
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)  # 8 frames at k = 4
         code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "20")
         assert code == 0
-        probe, *grid = sampled
-        assert probe.tolist() == [0.0, 1.0]
-        assert len(grid) == 3
-        np.testing.assert_array_equal(np.concatenate(grid), np.linspace(0.0, 1.0, 21))
+        assert len(sampled) == 3
+        np.testing.assert_array_equal(np.concatenate(sampled), np.linspace(0.0, 1.0, 21))
 
     def test_memory_does_not_grow_with_steps(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**11)  # 16 frames at k = 2
@@ -716,13 +742,13 @@ class TestCliSample:
         assert fine <= 1.2 * coarse, (fine, coarse)
 
     def test_a_check_failing_mid_stream_leaves_out_untouched(self, capsys, monkeypatch, tmp_path):
-        # calls: the endpoint probe, the first chunk, then the second chunk
+        # calls: the first chunk, then the second chunk
         calls = []
         check = verify._check_frames
 
         def failing_second_chunk(frames, tol):
             calls.append(len(frames))
-            if len(calls) == 3:
+            if len(calls) == 2:
                 raise InvalidFrame("rough frame in the second chunk")
             check(frames, tol)
 
@@ -735,9 +761,30 @@ class TestCliSample:
         )
         assert code == 4
         assert "second chunk" in err
-        assert calls == [2, 8, 8]
+        assert calls == [8, 8]
         assert out.read_text() == "earlier run\n"
         assert os.listdir(tmp_path) == ["loop.csv"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--gate", "hadamard"], ["--matrix", "gate.json"], ["--phases", "0,0,0,0"],
+        ["--windings", "5"], ["--paper-order"], ["--seed", "0"],
+    ], ids=lambda flags: flags[0])
+    def test_a_document_takes_no_flag_that_chooses_the_controller(self, flags, capsys, tmp_path):
+        doc = tmp_path / "cnot.json"
+        run_cli(capsys, "synthesize", "--gate", "cnot", "--out", str(doc))
+        code, out, err = run_cli(capsys, "sample", "--doc", str(doc), "--steps", "8", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + flags[0])
+
+    def test_a_document_ignores_config_keys_meant_for_synthesis(self, capsys, tmp_path):
+        doc, config = tmp_path / "cnot.json", tmp_path / "config.json"
+        run_cli(capsys, "synthesize", "--gate", "cnot", "--out", str(doc))
+        config.write_text('{"phases": [0.5], "windings": [3], "seed": 4}')
+        code, out, _ = run_cli(capsys, "sample", "--doc", str(doc), "--steps", "8",
+                               "--config", str(config))
+        assert code == 0
+        assert len(out.strip().split("\n")) == 10
 
     def test_sample_from_document(self, capsys, tmp_path):
         target = tmp_path / "doc.json"

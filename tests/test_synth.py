@@ -265,6 +265,11 @@ class TestSynthesizeErrors:
         with pytest.raises(ParamShapeMismatch):
             SynthesisParams(phases=(0.0,), windings=(0,))
 
+    @pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_phase(self, phase):
+        with pytest.raises(ParamShapeMismatch, match="phases"):
+            SynthesisParams(phases=(phase, 0.0), windings=(1, 1))
+
     def test_rejects_bad_channel_order(self):
         with pytest.raises(ParamShapeMismatch):
             synthesize(HADAMARD, channel_order=(0, 0))

@@ -255,6 +255,18 @@ class TestRealFormFold:
         assert np.linalg.norm(numeric_holonomy(regauged) - numeric_holonomy(loop)) <= 1e-12
 
 
+class TestBaseFrameStart:
+    def test_a_loop_rotated_off_the_base_projector_is_rejected(self):
+        # Q V_i is closed and orthonormal, but a chain from V0 would read a
+        # gate 0.7-1.9 away from the true one without complaint
+        gate = catalog_get("random-2", seed=3).matrix
+        loop = sample_loop(synthesize(gate).controller, 2000)
+        assert np.linalg.norm(numeric_holonomy(loop) - gate) < 1e-5
+        rotated = SampledLoop(random_haar(np.random.default_rng(1), 4) @ loop.frames)
+        with pytest.raises(InvalidFrame, match=r"\|\|V_0 V_0\^H - P0\|\|_F = \d"):
+            numeric_holonomy(rotated)
+
+
 class TestGaugeInvariance:
     def test_constant_loop(self):
         ctrl = Controller(
@@ -367,7 +379,10 @@ class TestStreamedOracle:
         monkeypatch.setattr(verify, "curve_samples", recording)
         cross_validate(self._controller(2), np.eye(2), (10, 20, 40))
         assert calls == {"holonomy_analytic": 1, "loop_closure_defect": 0}
-        assert sampled.count([0.0, 1.0]) == 1
+        # the oracle reads only the interior of each grid: no probe of V(0), V(1)
+        times = [t for chunk in sampled for t in chunk]
+        assert len(times) == 9 + 19 + 39
+        assert all(0.0 < t < 1.0 for t in times)
 
     def test_a_short_schedule_entry_is_rejected_before_sampling(self, monkeypatch):
         sampled = []
@@ -392,7 +407,7 @@ class TestStreamedOracle:
         monkeypatch.setattr(verify, "curve_samples", recording)
         with pytest.raises(DimensionError, match="strictly increasing"):
             cross_validate(self._controller(2), np.eye(2), schedule)
-        assert sampled == [[0.0, 1.0]]
+        assert sampled == []
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_rejects_a_target_of_the_wrong_shape(self, dim):
