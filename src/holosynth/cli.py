@@ -22,6 +22,8 @@ import numpy as np
 
 from .catalog import GateCatalogEntry, catalog_get, catalog_names
 from .document import (
+    _real,
+    _whole,
     canonical_dumps,
     controller_document,
     decode_matrix,
@@ -49,37 +51,52 @@ CLOSURE_BOUND = 1e-10
 ORACLE_BOUND = 2e-3
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
+def _listed(convert, what: str):
+    """An argparse type for a comma-separated list of `what`, each read by
+    `convert`; empty items are skipped."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(x) for x in text.split(",") if x.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+_integers = _listed(int, "integers")
 
-def _positive_float(value) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
-    if not 0.0 < number < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value!r}")
-    return number
 
-def _seed(value) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
-    return number
+def _checked(convert, what: str, admits, rule: str):
+    """An argparse type for one value read by `convert` (expecting `what`)
+    and admitted by `admits` (stated as `rule`)."""
+    def parse(value):
+        try:
+            number = convert(value)
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value!r}") from None
+        if not admits(number):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return number
+    return parse
+
+_positive_float = _checked(float, "a number", lambda x: 0.0 < x < np.inf, "finite and > 0")
+_seed = _checked(int, "an integer", lambda x: x >= 0, ">= 0")
+
+
+# The flags that choose a gate and its controller: declared once for
+# synthesize and sample, and refused by sample --doc, whose document fixes
+# both.
+_SOURCE_FLAGS = {
+    "--gate": dict(metavar="NAME", help="catalog gate name"),
+    "--matrix": dict(metavar="FILE",
+                     help="JSON matrix file {rows, cols, data: [[re, im], ...]}"),
+    "--phases": dict(type=_listed(float, "numbers"), metavar="CSV",
+                     help="per-channel free phases (radians)"),
+    "--windings": dict(type=_integers, metavar="CSV",
+                       help="per-channel winding numbers (>= 1)"),
+    "--paper-order": dict(action="store_true", default=None,
+                          help="reorder channels into the gate's tabulated layout"),
+    "--seed": dict(type=_seed, help="seed for random-<k> catalog gates (default 0)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,37 +106,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    syn = sub.add_parser("synthesize", help="build a controller for a gate")
-    _gate_source(syn)
-    _synth_options(syn)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--steps", type=_integers, metavar="N[,N...]",
+                        help="oracle step schedule; sample takes one step count "
+                             "(default 100)")
+    common.add_argument("--tolerance", type=_positive_float,
+                        help="override the validation tolerance")
+    common.add_argument("--config", metavar="FILE",
+                        help="JSON file of default flag values")
+    common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+    source = argparse.ArgumentParser(add_help=False)
+    for flag, spec in _SOURCE_FLAGS.items():
+        source.add_argument(flag, **spec)
+
+    syn = sub.add_parser("synthesize", parents=[source, common],
+                         help="build a controller for a gate")
     syn.add_argument("--oracle", action="store_true",
-                     help="also run the numeric transport oracle (slow)")
-    syn.add_argument("--steps", type=_csv_ints, default=None,
-                     metavar="N[,N...]", help="oracle refinement schedule")
-    syn.add_argument("--out", metavar="FILE", help="write document here instead of stdout")
+                     help="also run the numeric transport oracle (slow); --steps needs it")
     syn.set_defaults(func=cmd_synthesize)
 
-    ver = sub.add_parser("verify", help="oracle-check a controller document")
+    ver = sub.add_parser("verify", parents=[common], help="oracle-check a controller document")
     ver.add_argument("--doc", required=True, metavar="FILE",
                      help="controller document to verify")
-    ver.add_argument("--steps", type=_csv_ints, default=None,
-                     metavar="N[,N...]", help="oracle refinement schedule")
-    ver.add_argument("--bound", type=_positive_float, default=None,
+    ver.add_argument("--bound", type=_positive_float,
                      help="max allowed finest-grid oracle deviation")
-    ver.add_argument("--tolerance", type=_positive_float, default=None,
-                     help="override the validation tolerance")
-    ver.add_argument("--config", metavar="FILE",
-                     help="JSON file of default flag values")
-    ver.add_argument("--out", metavar="FILE", help="write report here instead of stdout")
     ver.set_defaults(func=cmd_verify)
 
-    smp = sub.add_parser("sample", help="emit the curve of a controller as CSV")
-    _gate_source(smp)
-    _synth_options(smp)
+    smp = sub.add_parser("sample", parents=[source, common],
+                         help="emit the curve of a controller as CSV")
     smp.add_argument("--doc", metavar="FILE", help="sample an existing document")
-    smp.add_argument("--steps", type=int, default=None, metavar="N",
-                     help="number of uniform time steps (default 100)")
-    smp.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     smp.set_defaults(func=cmd_sample)
 
     cat = sub.add_parser("catalog", help="inspect the named gate catalog")
@@ -134,81 +149,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gate_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gate", metavar="NAME", help="catalog gate name")
-    p.add_argument("--matrix", metavar="FILE",
-                   help="JSON matrix file {rows, cols, data: [[re, im], ...]}")
-
-
-def _synth_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--phases", type=_csv_floats, default=None, metavar="CSV",
-                   help="per-channel free phases (radians)")
-    p.add_argument("--windings", type=_csv_ints, default=None, metavar="CSV",
-                   help="per-channel winding numbers (>= 1)")
-    p.add_argument("--paper-order", action="store_true",
-                   help="reorder channels into the gate's tabulated layout")
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="seed for random-<k> catalog gates (default 0)")
-    p.add_argument("--tolerance", type=_positive_float, default=None,
-                   help="override the validation tolerance")
-    p.add_argument("--config", metavar="FILE",
-                   help="JSON file of default flag values")
-
-
-def _whole(value) -> int:
-    """A JSON number that is an integer (10 or 10.0); bools, fractions and
-    other types raise, where int() would truncate 10.9 to 10."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """A JSON number as a float; bools and strings raise, where float()
-    would read true as 1.0 and "0.5" as 0.5."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 _CONFIG_KEYS = {
     "phases": lambda v: tuple(_real(x) for x in v),
     "windings": lambda v: tuple(_whole(x) for x in v),
-    "steps": lambda v: tuple(_whole(x) for x in v) if isinstance(v, list) else _whole(v),
+    "steps": lambda v: tuple(_whole(x) for x in (v if isinstance(v, list) else [v])),
     "bound": lambda v: _positive_float(_real(v)),
     "seed": lambda v: _seed(_whole(v)),
     "tolerance": lambda v: _positive_float(_real(v)),
 }
 
 
-def _apply_config(args) -> None:
-    """Fill unset flags from the optional JSON config file.
-
-    Explicit command-line flags always win; the config only supplies
-    values for flags the user left out.
-    """
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        config = loads(fh.read())
-    if not isinstance(config, dict):
-        raise ParamShapeMismatch(
-            f"config file {path} must hold a JSON object of flag values"
-        )
-    unknown = set(config) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ParamShapeMismatch(
-            f"unknown config keys: {', '.join(sorted(unknown))}"
-        )
+def _apply_config(args, **defaults) -> None:
+    """Fill the flags left unset on the command line, first from the
+    optional JSON config file, then from `defaults` and the validation
+    tolerance. Explicit command-line flags always win."""
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = loads(fh.read())
+        if not isinstance(config, dict):
+            raise ParamShapeMismatch(
+                f"config file {args.config} must hold a JSON object of flag values")
+        unknown = set(config) - set(_CONFIG_KEYS)
+        if unknown:
+            raise ParamShapeMismatch(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, convert in _CONFIG_KEYS.items():
         if key in config and hasattr(args, key) and getattr(args, key) is None:
             try:
                 setattr(args, key, convert(config[key]))
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise ParamShapeMismatch(f"config key {key!r}: {exc}") from exc
+    for key, value in {"tolerance": VALIDATION_TOL, **defaults}.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _load_gate(args) -> tuple[np.ndarray, str | None, GateCatalogEntry | None]:
@@ -236,21 +209,16 @@ def _params(args, k: int) -> SynthesisParams:
     return SynthesisParams(phases=phases, windings=windings)
 
 
-def _tol(args) -> float:
-    return args.tolerance if args.tolerance is not None else VALIDATION_TOL
-
-
 def _run_synthesis(args):
     gate, gate_name, entry = _load_gate(args)
-    tol = _tol(args)
     params = _params(args, gate.shape[0])
     order = signs = None
     if args.paper_order and entry is not None:
         order = entry.paper_order
         signs = entry.paper_signs
     result = synthesize(gate, params, channel_order=order,
-                        channel_signs=signs, tol=tol)
-    return result, params, gate_name, tol
+                        channel_signs=signs, tol=args.tolerance)
+    return result, params, gate_name
 
 
 def _verdict(checks) -> int:
@@ -286,13 +254,15 @@ def _emit(text, out: str | None) -> None:
 
 
 def cmd_synthesize(args) -> int:
-    _apply_config(args)
-    result, params, gate_name, tol = _run_synthesis(args)
-    report = evaluate_controller(result.controller, result.gate, tol=tol)
+    if args.steps is not None and not args.oracle:
+        raise ParamShapeMismatch("--steps sets the oracle schedule and needs --oracle")
+    _apply_config(args, steps=DEFAULT_SCHEDULE)
+    result, params, gate_name = _run_synthesis(args)
+    report = evaluate_controller(result.controller, result.gate, tol=args.tolerance)
     oracle = None
     if args.oracle:
         oracle = cross_validate(result.controller, result.gate,
-                                steps_schedule=_as_schedule(args.steps), tol=tol)
+                                steps_schedule=args.steps, tol=args.tolerance)
     doc = controller_document(
         result, report, params,
         gate_name=gate_name,
@@ -309,22 +279,12 @@ def cmd_synthesize(args) -> int:
     return _verdict(checks)
 
 
-def _as_schedule(steps) -> tuple[int, ...]:
-    if steps is None:
-        return DEFAULT_SCHEDULE
-    if isinstance(steps, int):
-        return (steps,)
-    return tuple(steps)
-
-
 def cmd_verify(args) -> int:
-    _apply_config(args)
+    _apply_config(args, steps=DEFAULT_SCHEDULE, bound=ORACLE_BOUND)
     with open(args.doc, "r", encoding="utf-8") as fh:
         doc = loads(fh.read())
-    tol = _tol(args)
-    ctrl, gate = document_controller(doc, tol)
-    bound = args.bound if args.bound is not None else ORACLE_BOUND
-    oracle = cross_validate(ctrl, gate, steps_schedule=_as_schedule(args.steps), tol=tol)
+    ctrl, gate = document_controller(doc, args.tolerance)
+    oracle = cross_validate(ctrl, gate, steps_schedule=args.steps, tol=args.tolerance)
     report = oracle_document(oracle)
     report.update(
         target_error=float(oracle.target_error),
@@ -334,32 +294,27 @@ def cmd_verify(args) -> int:
     _emit(canonical_dumps(report), args.out)
     return _verdict([
         ("target error", oracle.target_error, HOLONOMY_BOUND),
-        ("oracle deviation", oracle.deviation, bound),
+        ("oracle deviation", oracle.deviation, args.bound),
     ])
-
-
-# Flags that choose a gate or its controller, which a document already fixes.
-_SYNTHESIS_FLAGS = ("gate", "matrix", "phases", "windings", "paper_order", "seed")
 
 
 def cmd_sample(args) -> int:
     if args.doc:
-        given = [f"--{name.replace('_', '-')}" for name in _SYNTHESIS_FLAGS
-                 if getattr(args, name) is not None and getattr(args, name) is not False]
+        given = [flag for flag in _SOURCE_FLAGS
+                 if getattr(args, flag[2:].replace("-", "_")) is not None]
         if given:
             raise ParamShapeMismatch(
                 f"{', '.join(given)} cannot be combined with --doc, which fixes the controller")
-    _apply_config(args)
-    tol = _tol(args)
+    _apply_config(args, steps=(100,))
     if args.doc:
         with open(args.doc, "r", encoding="utf-8") as fh:
-            ctrl, _ = document_controller(loads(fh.read()), tol)
+            ctrl, _ = document_controller(loads(fh.read()), args.tolerance)
     else:
-        result, _, _, _ = _run_synthesis(args)
+        result, _, _ = _run_synthesis(args)
         ctrl = result.controller
-    steps = args.steps if args.steps is not None else 100
-    if not isinstance(steps, int):
+    if len(args.steps) != 1:
         raise ParamShapeMismatch("sample takes a single integer step count")
+    steps, = args.steps
     _closed_loop(ctrl, steps)
     n, k = ctrl.n, ctrl.k
     header = ["t"]
@@ -375,7 +330,7 @@ def cmd_sample(args) -> int:
 
     def blocks():
         yield ",".join(header) + "\n"
-        for times, frames, _ in _grid_chunks(ctrl, steps, 0, steps + 1, tol):
+        for times, frames, _ in _grid_chunks(ctrl, steps, 0, steps + 1, args.tolerance):
             m, p = len(times), np.einsum("mik,mjk->mij", frames, frames.conj())
             columns = [times[:, None], frames.reshape(m, -1).view(float),
                        p.reshape(m, -1).view(float)]

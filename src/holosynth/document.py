@@ -20,6 +20,11 @@ Schema version "1":
 
     MATRIX = {rows: int, cols: int, data: [CPLX]}  (row-major)
     CPLX   = [re, im]
+
+JSON values read from matrix, document and config files pass one pair of
+converters: `_whole` takes an integer (10 or 10.0, not 10.9, true or "10")
+and `_real` a number (not true or "0.5"). Matrix `rows` and `cols` are
+whole numbers of at least 1, and each `[re, im]` entry holds two numbers.
 """
 
 from __future__ import annotations
@@ -49,20 +54,49 @@ def encode_matrix(m) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _pairs(a)}
 
 
+def _whole(value) -> int:
+    """A JSON number that is an integer (10 or 10.0); bools, fractions and
+    other types raise, where int() would truncate 10.9 to 10."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A JSON number as a float; bools, strings and integers beyond the
+    float range raise, where float() would read true as 1.0 and "0.5" as
+    0.5, or raise OverflowError."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def decode_matrix(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise DimensionError(f"malformed matrix object: {exc}") from exc
+    try:
+        rows, cols = _whole(rows), _whole(cols)
+    except ValueError as exc:
+        raise DimensionError(f"matrix rows and cols: {exc}") from exc
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"matrix of {rows} x {cols} is empty; rows and cols must be >= 1")
     if not isinstance(data, list):
         raise DimensionError(f"matrix data = {data!r} is not a list of [re, im]")
     flat = np.empty(len(data), dtype=complex)
     for i, entry in enumerate(data):
         try:
             re, im = entry
-            flat[i] = complex(re, im)
+            flat[i] = complex(_real(re), _real(im))
         except (TypeError, ValueError) as exc:
-            raise DimensionError(f"matrix data[{i}] = {entry!r} is not [re, im]") from exc
+            raise DimensionError(
+                f"matrix data[{i}] = {entry!r} is not an [re, im] pair of numbers") from exc
     if flat.size != rows * cols:
         raise DimensionError(
             f"matrix data length {flat.size} != rows*cols = {rows * cols}"
@@ -149,10 +183,10 @@ def document_controller(doc: dict, tol: float = VALIDATION_TOL) -> tuple[Control
     """
     x = decode_matrix(_field(doc, "synthesis", "controller"))
     gate = decode_matrix(_field(doc, "gate", "matrix"))
-    try:
-        k = len(_field(doc, "synthesis", "eigenphases"))
-    except TypeError as exc:
-        raise DimensionError(f"controller document eigenphases: {exc}") from exc
+    phases = _field(doc, "synthesis", "eigenphases")
+    if not isinstance(phases, list):
+        raise DimensionError(f"controller document eigenphases = {phases!r} is not a list")
+    k = len(phases)
     if x.shape[0] != x.shape[1] or x.shape[0] <= k:
         raise DimensionError(
             f"controller matrix shape {x.shape} inconsistent with k={k}"

@@ -89,8 +89,8 @@ def skewness_defect(a: np.ndarray) -> float:
 
 def check_unitary(u, tol: float = VALIDATION_TOL, what: str = "matrix") -> np.ndarray:
     u = as_complex_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise DimensionError(f"{what} must be square, got shape {u.shape}")
+    if u.shape[0] != u.shape[1] or u.size == 0:
+        raise DimensionError(f"{what} must be square and not empty, got shape {u.shape}")
     defect = unitarity_defect(u)
     if not defect <= tol:
         raise NonUnitaryInput(

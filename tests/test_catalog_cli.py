@@ -404,6 +404,23 @@ def test_cli_never_imports_scipy(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_the_console_script_runs():
+    # the `holosynth` command that pyproject.toml installs, called as its
+    # generated wrapper calls it
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["holosynth"]
+    module, function = target.split(":")
+    proc = _run_python("-c", (
+        "import sys\n"
+        f"from {module} import {function}\n"
+        "sys.argv = ['holosynth', 'catalog', 'list']\n"
+        f"{function}()\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert "hadamard" in proc.stdout.split()
+
+
 def test_public_surface_resolves():
     proc = _run_python("-c", (
         "import holosynth\n"
@@ -458,7 +475,25 @@ def test_failed_eigendecomposition_exits_4():
     assert "Traceback" not in err
 
 
+_HADAMARD_DATA = json.dumps(encode_matrix(catalog_get("hadamard").matrix)["data"])
+
+
 class TestCliBadInput:
+    # matrix files that --matrix must refuse
+    MATRICES = {
+        "empty_matrix": '{"rows": 0, "cols": 0, "data": []}',
+        "fractional_rows": f'{{"rows": 2.9, "cols": 2, "data": {_HADAMARD_DATA}}}',
+        "boolean_rows": '{"rows": true, "cols": true, "data": [[1.0, 0.0]]}',
+        "string_rows": f'{{"rows": "2", "cols": "2", "data": {_HADAMARD_DATA}}}',
+        "negative_rows": f'{{"rows": -2, "cols": -2, "data": {_HADAMARD_DATA}}}',
+        "boolean_entry": '{"rows": 1, "cols": 1, "data": [[true, false]]}',
+        # an integer beyond the float range, where float() raises OverflowError
+        "huge_entry": '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400),
+    }
+    # eigenphases that len() counts as k = 4 for a cnot document
+    EIGENPHASES = {"string_eigenphases": "abcd",
+                   "object_eigenphases": {"a": 0, "b": 0, "c": 0, "d": 0}}
+
     @pytest.mark.parametrize(
         "case, field",
         [
@@ -469,12 +504,32 @@ class TestCliBadInput:
             ("config_list", "JSON object"),
             ("config_scalar_phases", "phases"),
             ("one_step", "steps"),
+            ("empty_matrix", "empty"),
+            ("fractional_rows", "rows"),
+            ("boolean_rows", "rows"),
+            ("string_rows", "rows"),
+            ("negative_rows", "rows"),
+            ("boolean_entry", "data[0]"),
+            ("huge_entry", "data[0]"),
+            ("two_sample_steps", "single integer step count"),
+            ("string_eigenphases", "eigenphases"),
+            ("object_eigenphases", "eigenphases"),
         ],
     )
     def test_exits_2_naming_the_field(self, case, field, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         config = tmp_path / "config.json"
-        if case == "empty_document":
+        if case in self.MATRICES:
+            gate = tmp_path / "gate.json"
+            gate.write_text(self.MATRICES[case])
+            argv = ["synthesize", "--matrix", str(gate)]
+        elif case in self.EIGENPHASES:
+            assert main(["synthesize", "--gate", "cnot", "--out", str(doc)]) == 0
+            parsed = json.loads(doc.read_text())
+            parsed["synthesis"]["eigenphases"] = self.EIGENPHASES[case]
+            doc.write_text(json.dumps(parsed))
+            argv = ["verify", "--doc", str(doc), "--steps", "1000,2000"]
+        elif case == "empty_document":
             doc.write_text("{}")
             argv = ["verify", "--doc", str(doc)]
         elif case == "synthesis_list":
@@ -489,6 +544,8 @@ class TestCliBadInput:
                 parsed["synthesis"]["controller"]["data"] = 5
             doc.write_text(json.dumps(parsed))
             argv = ["verify", "--doc", str(doc)]
+        elif case == "two_sample_steps":
+            argv = ["sample", "--gate", "hadamard", "--steps", "10,20"]
         elif case == "one_step":
             assert main(["synthesize", "--gate", "hadamard", "--out", str(doc)]) == 0
             argv = ["verify", "--doc", str(doc), "--steps", "1"]
@@ -519,6 +576,7 @@ class TestCliFailsClosed:
         "boolean_tolerance.json": '{"tolerance": true}',
         "string_bound.json": '{"bound": "0.5"}',
         "string_phases.json": '{"phases": "12"}',
+        "huge_tolerance.json": '{"tolerance": 1%s}' % ("0" * 400),
     }
     # argv (a *.json argument names a file in the test's directory), exit
     # code, text stderr must contain
@@ -559,6 +617,9 @@ class TestCliFailsClosed:
         "config_string_phases": (
             ["synthesize", "--gate", "hadamard", "--config", "string_phases.json"],
             2, "'phases'"),
+        "config_huge_tolerance": (
+            ["synthesize", "--gate", "hadamard", "--config", "huge_tolerance.json"],
+            2, "'tolerance'"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -639,6 +700,56 @@ class TestCliNonNumericFlags:
         assert exit_info.value.code == 2
         assert f"argument {flag}: {expected}, got 'abc'" in err
         assert "invalid" not in err and "_" not in err.splitlines()[-1]
+
+
+class TestCliSteps:
+    """`--steps` is one comma-separated integer type on every command."""
+
+    @pytest.mark.parametrize("command", [
+        ["synthesize", "--gate", "hadamard", "--oracle"],
+        ["verify", "--doc", "doc.json"],
+        ["sample", "--gate", "hadamard"],
+    ], ids=lambda command: command[0])
+    def test_an_empty_list_exits_2(self, command, capsys, tmp_path):
+        doc = str(tmp_path / "doc.json")
+        assert main(["synthesize", "--gate", "hadamard", "--out", doc]) == 0
+        argv = [doc if arg == "doc.json" else arg for arg in command]
+        code, out, err = run_cli(capsys, *argv, "--steps", ",")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "step" in err
+
+    def test_synthesize_takes_steps_only_with_the_oracle(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "synthesize", "--gate", "hadamard", "--steps", "100")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --steps") and "--oracle" in err
+        # a config file may hold steps for the commands that read them
+        config = tmp_path / "config.json"
+        config.write_text('{"steps": 100}')
+        code, _, err = run_cli(capsys, "synthesize", "--gate", "hadamard",
+                               "--config", str(config))
+        assert code == 0, err
+
+
+class TestCliHelp:
+    SOURCE = ["--gate", "--matrix", "--phases", "--windings", "--paper-order", "--seed"]
+    COMMON = ["--steps", "--tolerance", "--config", "--out"]
+    FLAGS = {
+        "synthesize": SOURCE + COMMON + ["--oracle"],
+        "verify": COMMON + ["--doc", "--bound"],
+        "sample": SOURCE + COMMON + ["--doc"],
+    }
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_lists_each_flag_of_the_command_once(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        options = capsys.readouterr().out.split("\noptions:\n")[1]
+        listed = [line.split()[0].rstrip(",") for line in options.splitlines()
+                  if line.startswith("  -")]
+        assert sorted(listed) == sorted(["-h", *self.FLAGS[command]])
 
 
 class TestCliSample:

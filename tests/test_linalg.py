@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from holosynth import linalg
 from holosynth import (
     Controller,
+    DimensionError,
     NonSkewInput,
     NonUnitaryInput,
     SingularInput,
@@ -13,7 +14,9 @@ from holosynth import (
     haar_unitary,
     polar_unitary,
     synthesize,
+    transform_controller,
 )
+from holosynth.extremal import check_target
 from helpers import expm_taylor_squaring, random_haar, random_skew
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -39,6 +42,15 @@ class TestEigUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitaryInput):
             eig_unitary(np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex))
+
+    def test_rejects_an_empty_matrix(self):
+        # a 0 x 0 gate is square and vacuously unitary, but has no eigenphase
+        ctrl = synthesize(HADAMARD).controller
+        for call in (eig_unitary, synthesize, linalg.check_unitary,
+                     lambda u: check_target(ctrl, u),
+                     lambda u: transform_controller(ctrl, u, np.eye(2))):
+            with pytest.raises(DimensionError, match="empty"):
+                call(np.zeros((0, 0)))
 
     def test_phase_near_two_pi_snaps_to_zero(self):
         u = np.array([[np.exp(1j * (2 * np.pi - 1e-14))]], dtype=complex)
