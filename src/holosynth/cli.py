@@ -375,7 +375,11 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; unmapped exceptions propagate."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 for a rejected argument
+        return exc.code
     try:
         return args.func(args)
     except Exception as exc:

@@ -72,6 +72,9 @@ _ROUNDOFF_FLOOR = 1e-12
 # Byte budget of one streamed chunk's (c, n, k) frame stack: 512 frames at
 # n = 8, k = 4, which was the fastest budget measured there.
 _CHUNK_BYTES = 2**18
+# Above 2**53 steps the grid t_i = i / steps is not representable in
+# float64: neighbouring times coincide. A property of the format, not a setting.
+_MAX_STEPS = 2**53
 DEFAULT_SCHEDULE = (10**3, 10**4, 10**5)
 
 
@@ -167,6 +170,7 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
     Raises:
         OpenLoop: the controller does not close its loop at t = 1.
         TooFewSamples: steps < 2.
+        DimensionError: steps > 2**53.
     """
     _closed_loop(ctrl, steps)
     return SampledLoop(curve_samples(ctrl, np.linspace(0.0, 1.0, steps + 1)), tol)
@@ -261,11 +265,13 @@ def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
         yield times, frames, _check_frames(frames, tol)
 
 
-def _closed_loop(ctrl: Controller, steps: int) -> np.ndarray:
-    """Gamma, once the step count passes and `holonomy_analytic` decides
+def _closed_loop(ctrl: Controller, *steps: int) -> np.ndarray:
+    """Gamma, once every step count passes and `holonomy_analytic` decides
     the loop is closed; the one preamble of every grid reader."""
-    if steps < 2:
-        raise TooFewSamples(f"steps must be >= 2, got {steps}")
+    if min(steps) < 2:
+        raise TooFewSamples(f"steps must be >= 2, got {min(steps)}")
+    if max(steps) > _MAX_STEPS:
+        raise DimensionError(f"steps must be <= 2**53, got {max(steps)}")
     return holonomy_analytic(ctrl)
 
 
@@ -299,7 +305,7 @@ def cross_validate(
     schedule = tuple(int(s) for s in steps_schedule)
     if not schedule:
         raise DimensionError("steps_schedule must not be empty")
-    analytic = _closed_loop(ctrl, min(schedule))
+    analytic = _closed_loop(ctrl, *schedule)
     if any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise DimensionError(f"steps_schedule must be strictly increasing, got {schedule}")
     gate = check_target(ctrl, gate, tol)

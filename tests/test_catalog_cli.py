@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import holosynth
-from holosynth import cli
 from holosynth import (
     InvalidFrame, UnknownGate, catalog_get, catalog_names, cli, extremal, synthesize,
     verify,
@@ -326,7 +325,7 @@ class TestCliVerify:
             doc["gate"]["matrix"] = encode_matrix(np.eye(dim))
 
         target = self._perturbed_cnot(capsys, tmp_path, replace_gate)
-        code, err = _run_process("verify", "--doc", str(target), "--steps", "1000")
+        code, _, err = run_cli(capsys, "verify", "--doc", str(target), "--steps", "1000")
         assert code == 2
         assert f"target gate has shape ({dim}, {dim})" in err
         assert "Traceback" not in err
@@ -350,7 +349,7 @@ class TestCliVerify:
             doc["gate"]["matrix"] = encode_matrix(2.0 * np.eye(4))
 
         target = self._perturbed_cnot(capsys, tmp_path, replace_gate)
-        code, err = _run_process("verify", "--doc", str(target), "--steps", "1000")
+        code, _, err = run_cli(capsys, "verify", "--doc", str(target), "--steps", "1000")
         assert code == 3
         assert "target gate fails unitarity" in err
         assert "Traceback" not in err
@@ -358,7 +357,7 @@ class TestCliVerify:
     @pytest.mark.parametrize("steps", ["1000,1000", "100,1000,100"])
     def test_a_schedule_that_does_not_increase_exits_2(self, steps, capsys, tmp_path):
         target = self._write_doc(capsys, tmp_path)
-        code, err = _run_process("verify", "--doc", str(target), "--steps", steps)
+        code, _, err = run_cli(capsys, "verify", "--doc", str(target), "--steps", steps)
         assert code == 2
         assert err.splitlines() == [
             f"error: steps_schedule must be strictly increasing, got ({steps.replace(',', ', ')})"
@@ -386,12 +385,6 @@ def _run_python(*args):
     )
 
 
-def _run_process(*argv):
-    """Run the command line in a fresh interpreter; (exit code, stderr)."""
-    proc = _run_python("-m", "holosynth.cli", *argv)
-    return proc.returncode, proc.stderr
-
-
 def test_cli_never_imports_scipy(tmp_path):
     out = str(tmp_path / "doc.json")
     proc = _run_python("-c", (
@@ -411,14 +404,22 @@ def test_the_console_script_runs():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["holosynth"]
     module, function = target.split(":")
-    proc = _run_python("-c", (
-        "import sys\n"
-        f"from {module} import {function}\n"
-        "sys.argv = ['holosynth', 'catalog', 'list']\n"
-        f"{function}()\n"
-    ))
+
+    def run(*argv):
+        return _run_python("-c", (
+            "import sys\n"
+            f"from {module} import {function}\n"
+            f"sys.argv = ['holosynth', *{list(argv)!r}]\n"
+            f"{function}()\n"
+        ))
+
+    proc = run("catalog", "list")
     assert proc.returncode == 0, proc.stderr
     assert "hadamard" in proc.stdout.split()
+    # argparse's rejection: main returns its 2, and the process exits with it
+    proc = run("synthesize", "--gate", "cnot", "--tolerance", "abc")
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --tolerance: expected a number, got 'abc'" in proc.stderr
 
 
 def test_public_surface_resolves():
@@ -443,9 +444,9 @@ def test_tolerance_below_roundoff_keeps_a_closed_loop_passing(capsys):
     assert json.loads(out)["verification"]["closure_defect"] < 1e-10
 
 
-def test_oracle_grid_too_coarse_to_transport_exits_4():
-    code, err = _run_process(
-        "synthesize", "--gate", "phase-3.141592653589793",
+def test_oracle_grid_too_coarse_to_transport_exits_4(capsys):
+    code, _, err = run_cli(
+        capsys, "synthesize", "--gate", "phase-3.141592653589793",
         "--oracle", "--steps", "2",
     )
     assert code == 4
@@ -466,10 +467,22 @@ def test_running_out_of_memory_exits_2(capsys, monkeypatch):
     assert err == "error: Unable to allocate 74.5 GiB for an array\n"
 
 
-def test_failed_eigendecomposition_exits_4():
+def test_an_unmapped_exception_propagates_out_of_main(capsys, monkeypatch):
+    # what the exit-code table does not map fails an in-process test, where
+    # a process would only print its traceback
+    def broken(name, seed=0):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "catalog_get", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["synthesize", "--gate", "hadamard"])
+    assert capsys.readouterr().out == ""
+
+
+def test_failed_eigendecomposition_exits_4(capsys):
     # pauli-x is exactly unitary, but its eigendecomposition reconstructs
     # it only to roundoff, above the 1e-17 validation tolerance
-    code, err = _run_process("synthesize", "--gate", "pauli-x", "--tolerance", "1e-17")
+    code, _, err = run_cli(capsys, "synthesize", "--gate", "pauli-x", "--tolerance", "1e-17")
     assert code == 4
     assert "reconstruction defect 3.385e-16 exceeds 1.0e-17" in err
     assert "Traceback" not in err
@@ -552,7 +565,7 @@ class TestCliBadInput:
         else:
             config.write_text('["phases"]' if case == "config_list" else '{"phases": 1}')
             argv = ["synthesize", "--gate", "hadamard", "--config", str(config)]
-        code, err = _run_process(*argv)
+        code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "Traceback" not in err
         assert field in err
@@ -623,37 +636,37 @@ class TestCliFailsClosed:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_exit_code(self, case, tmp_path):
+    def test_exit_code(self, case, capsys, tmp_path):
         argv, code, named = self.CASES[case]
         assert main(["synthesize", "--gate", "hadamard",
                      "--out", str(tmp_path / "doc.json")]) == 0
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text)
-        got, err = _run_process(
-            *(str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv)
+        got, _, err = run_cli(
+            capsys, *(str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv)
         )
         assert got == code, err
         assert named in err
         assert "Traceback" not in err
 
-
     def test_an_overflowing_gate_prints_one_error_line(self, tmp_path):
-        # its Gram matrix overflows; numpy's warnings must not reach stderr
+        # its Gram matrix overflows; a real process must not print numpy's warnings
         (tmp_path / "overflowing.json").write_text(self.FILES["overflowing.json"])
-        code, err = _run_process("synthesize", "--matrix", str(tmp_path / "overflowing.json"))
-        assert code == 3
-        assert len(err.splitlines()) == 1, err
-        assert err.startswith("error: target gate fails unitarity")
+        proc = _run_python("-m", "holosynth.cli",
+                           "synthesize", "--matrix", str(tmp_path / "overflowing.json"))
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: target gate fails unitarity")
 
     @pytest.mark.parametrize("argv, named", [
         (["synthesize", "--gate", "hadamard", "--phases", "inf,0"], "phases"),
         (["synthesize", "--gate", "hadamard", "--config", "infinite_phases.json"], "phases"),
         (["synthesize", "--gate", "phase-inf"], "phase-inf"),
     ], ids=["flag", "config", "gate-name"])
-    def test_a_non_finite_phase_prints_one_error_line(self, argv, named, tmp_path):
+    def test_a_non_finite_phase_prints_one_error_line(self, argv, named, capsys, tmp_path):
         (tmp_path / "infinite_phases.json").write_text('{"phases": [Infinity, 0]}')
-        code, err = _run_process(
-            *(str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv)
+        code, _, err = run_cli(
+            capsys, *(str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv)
         )
         assert code == 2
         assert len(err.splitlines()) == 1, err
@@ -694,10 +707,8 @@ class TestCliNonNumericFlags:
 
     @pytest.mark.parametrize("argv, flag, expected", CASES)
     def test_exits_2_saying_what_was_expected(self, argv, flag, expected, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        err = capsys.readouterr().err
-        assert exit_info.value.code == 2
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
         assert f"argument {flag}: {expected}, got 'abc'" in err
         assert "invalid" not in err and "_" not in err.splitlines()[-1]
 
@@ -731,6 +742,20 @@ class TestCliSteps:
                                "--config", str(config))
         assert code == 0, err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--doc", "doc.json", "--steps", "1000,1" + "0" * 300],
+        ["sample", "--doc", "doc.json", "--steps", str(2**53 + 1)],
+    ], ids=lambda argv: argv[0])
+    def test_a_count_above_2_pow_53_exits_2(self, argv, capsys, tmp_path):
+        # the float64 grid t_i = i / steps has coinciding times there
+        doc = str(tmp_path / "doc.json")
+        assert main(["synthesize", "--gate", "hadamard", "--out", doc]) == 0
+        code, out, err = run_cli(capsys, *(doc if arg == "doc.json" else arg for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: steps must be <= 2**53, got ")
+        assert len(err.splitlines()) == 1, err
+
 
 class TestCliHelp:
     SOURCE = ["--gate", "--matrix", "--phases", "--windings", "--paper-order", "--seed"]
@@ -743,10 +768,9 @@ class TestCliHelp:
 
     @pytest.mark.parametrize("command", FLAGS)
     def test_lists_each_flag_of_the_command_once(self, command, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main([command, "--help"])
-        assert exit_info.value.code == 0
-        options = capsys.readouterr().out.split("\noptions:\n")[1]
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        options = out.split("\noptions:\n")[1]
         listed = [line.split()[0].rstrip(",") for line in options.splitlines()
                   if line.startswith("  -")]
         assert sorted(listed) == sorted(["-h", *self.FLAGS[command]])

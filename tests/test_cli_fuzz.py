@@ -1,6 +1,6 @@
 """Fuzzing `holosynth.cli.main` over numeric flags, config files and matrix
-files: every run ends in a documented exit code and raises nothing but
-argparse's SystemExit(2), and no run given a non-finite number succeeds."""
+files: every run returns a documented exit code and raises nothing, and no
+run given a non-finite number succeeds."""
 
 import contextlib
 import io
@@ -63,8 +63,6 @@ def runs(draw):
         argv += [f"--{key}", word]
     non_finite |= any(word in ("nan", "inf") for word in flags.values())
     config = draw(st.dictionaries(st.sampled_from(KEYS[command]), st.sampled_from(CONFIG_VALUES)))
-    if config.get("steps") == 1e300:  # 1e300 steps would never finish
-        del config["steps"]
     if config:
         files["config.json"] = json.dumps(config)
         argv += ["--config", "config.json"]
@@ -88,10 +86,6 @@ def test_main_ends_in_an_exit_code(workdir, run):
         (workdir / name).write_text(text)
     argv = [str(workdir / arg) if arg.endswith(".json") else arg for arg in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected an argument
-            assert exc.code == 2
-            code = 2
+        code = main(argv)
     assert code in (0, 2, 3, 4, 5)
     assert not (non_finite and code == 0), argv

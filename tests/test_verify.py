@@ -409,6 +409,21 @@ class TestStreamedOracle:
             cross_validate(self._controller(2), np.eye(2), schedule)
         assert sampled == []
 
+    def test_a_count_above_2_pow_53_is_rejected_before_sampling(self, monkeypatch):
+        # the float64 grid t_i = i / steps has coinciding times there
+        sampled = []
+        monkeypatch.setattr(
+            verify, "curve_samples", lambda ctrl, times: sampled.append(times)
+        )
+        ctrl = self._controller(2)
+        with pytest.raises(DimensionError, match=rf"got {2**53 + 1}$"):
+            cross_validate(ctrl, np.eye(2), (1000, 2**53 + 1))
+        with pytest.raises(DimensionError, match=rf"got {2**53 + 1}$"):
+            sample_loop(ctrl, 2**53 + 1)
+        assert sampled == []
+        # 2**53 itself passes the preamble; nothing is sampled at that size
+        np.testing.assert_array_equal(verify._closed_loop(ctrl, 2**53), holonomy_analytic(ctrl))
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_rejects_a_target_of_the_wrong_shape(self, dim):
         with pytest.raises(DimensionError, match=rf"shape \({dim}, {dim}\)"):
