@@ -6,6 +6,10 @@ numbers as [re, im] pairs. Parsing then re-serializing a document
 reproduces it byte for byte, which makes the artifacts diffable and the
 format unambiguous to reimplement.
 
+The bytes are `json.dumps(doc, sort_keys=True, indent=2, separators=(",",
+": "))` plus a newline, written by `_encode`, not by json's pure-Python
+indenting encoder: one format template per list of finite [re, im] pairs.
+
 Schema version "1":
 
     schema_version      "1"
@@ -30,6 +34,8 @@ whole numbers of at least 1, and each `[re, im]` entry holds two numbers.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -153,9 +159,43 @@ def controller_document(
     }
 
 
+def _encode(o, nl: str) -> str:
+    """Canonical text of a JSON value; `nl` is "\n" plus its line's indent."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    inner = nl + "  "
+    if isinstance(o, dict):
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        brackets = "{}"
+    elif isinstance(o, (list, tuple)):
+        if o and all(type(p) is list and len(p) == 2
+                     and type(p[0]) is type(p[1]) is float for p in o):
+            flat = [x for p in o for x in p]
+            if all(map(math.isfinite, flat)):
+                pair = f"{inner}[{inner}  %r,{inner}  %r{inner}]"
+                return "[" + ",".join([pair] * len(o)) % tuple(flat) + nl + "]"
+        items = [_encode(v, inner) for v in o]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
 def canonical_dumps(doc: dict) -> str:
     """Serialize with the canonical formatting (sorted keys, LF newline)."""
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    return _encode(doc, "\n") + "\n"
 
 
 def loads(text: str) -> dict:
