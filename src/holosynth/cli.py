@@ -22,8 +22,6 @@ import numpy as np
 
 from .catalog import GateCatalogEntry, catalog_get, catalog_names
 from .document import (
-    _real,
-    _whole,
     canonical_dumps,
     controller_document,
     decode_matrix,
@@ -43,7 +41,7 @@ from .errors import (
 )
 from .extremal import evaluate_controller
 from .linalg import VALIDATION_TOL
-from .synth import SynthesisParams, synthesize
+from .synth import SynthesisParams, _real, _whole, synthesize
 from .verify import DEFAULT_SCHEDULE, _closed_loop, _grid_chunks, cross_validate
 
 HOLONOMY_BOUND = 1e-10

@@ -26,9 +26,11 @@ Schema version "1":
     CPLX   = [re, im]
 
 JSON values read from matrix, document and config files pass one pair of
-converters: `_whole` takes an integer (10 or 10.0, not 10.9, true or "10")
-and `_real` a number (not true or "0.5"). Matrix `rows` and `cols` are
-whole numbers of at least 1, and each `[re, im]` entry holds two numbers.
+converters, `synth._whole` and `synth._real`, which also check
+`SynthesisParams`: `_whole` takes an integer (10 or 10.0, not 10.9, true
+or "10") and `_real` a number (not true or "0.5"). Matrix `rows` and
+`cols` are whole numbers of at least 1, and each `[re, im]` entry holds
+two numbers.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import DimensionError
 from .extremal import Controller, HolonomyReport
 from .linalg import VALIDATION_TOL
-from .synth import SynthesisParams, SynthesisResult
+from .synth import SynthesisParams, SynthesisResult, _real, _whole
 from .verify import OracleReport
 
 SCHEMA_VERSION = "1"
@@ -58,28 +60,6 @@ def encode_matrix(m) -> dict:
     if a.ndim != 2:
         raise DimensionError(f"can only encode 2-D matrices, got ndim={a.ndim}")
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _pairs(a)}
-
-
-def _whole(value) -> int:
-    """A JSON number that is an integer (10 or 10.0); bools, fractions and
-    other types raise, where int() would truncate 10.9 to 10."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """A JSON number as a float; bools, strings and integers beyond the
-    float range raise, where float() would read true as 1.0 and "0.5" as
-    0.5, or raise OverflowError."""
-    if not isinstance(value, (bool, str)):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"expected a number, got {value!r}")
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
@@ -146,8 +126,8 @@ def controller_document(
         "synthesis": {
             "eigenphases": [float(g) for g in result.eigenphases],
             "diagonalizer": encode_matrix(result.diagonalizer),
-            "omega_diag": _pairs(np.diag(result.omega_diag)),
-            "w_diag": _pairs(np.diag(result.w_diag)),
+            "omega_diag": _pairs(result.omega_diag.diagonal()),
+            "w_diag": _pairs(result.w_diag.diagonal()),
             "controller": encode_matrix(result.controller.matrix),
             "length": float(result.length),
         },

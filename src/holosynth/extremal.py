@@ -137,25 +137,24 @@ def _unit_phases(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closure_defect(ctrl: Controller, g: np.ndarray) -> float:
-    """||g P0 g^H - P0||_F for g = exp(X) and P0 the base projector."""
-    v0 = ctrl.base_frame()
+def _closure_defect(g: np.ndarray, v0: np.ndarray) -> float:
+    """||g P0 g^H - P0||_F for g = exp(X) and P0 = V0 V0^H the base projector."""
     p0 = v0 @ v0.conj().T
     return float(np.linalg.norm(g @ p0 @ g.conj().T - p0))
 
 
 def loop_closure_defect(ctrl: Controller) -> float:
     """||exp(X) P0 exp(-X) - P0||_F with P0 the base projector."""
-    return _closure_defect(ctrl, expm_eigen(*ctrl._spectrum))
+    return _closure_defect(expm_eigen(*ctrl._spectrum), ctrl.base_frame())
 
 
 def _closed_holonomy(ctrl: Controller) -> tuple[np.ndarray, float]:
     """(Gamma, closure defect), both from one g = exp(X); OpenLoop if open."""
     g = expm_eigen(*ctrl._spectrum)
-    defect = _closure_defect(ctrl, g)
+    v0 = ctrl.base_frame()
+    defect = _closure_defect(g, v0)
     if not defect <= CLOSURE_TOL:
         raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
-    v0 = ctrl.base_frame()
     unwind = expm_eigen(*ctrl._omega_spectrum, -1.0)
     return v0.conj().T @ g @ v0 @ unwind, defect
 

@@ -5,7 +5,9 @@ polar unitarization.
 
 Matrices are plain complex numpy arrays. Validation helpers raise typed
 exceptions from :mod:`holosynth.errors`, so callers can rely on inputs
-having been checked exactly once at the operation boundary.
+having been checked exactly once at the operation boundary. The k x k
+paths call ufuncs and ndarray methods, not numpy's Python-level wrappers
+(`np.angle`, `np.diff`), which cost more than their arithmetic.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise DimensionError("matrix contains non-finite entries")
     return a
 
@@ -111,7 +113,9 @@ def check_skew(a, tol: float = VALIDATION_TOL, what: str = "matrix") -> np.ndarr
     return a
 
 
-def eig_unitary(u, tol: float = VALIDATION_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_unitary(
+    u, tol: float = VALIDATION_TOL, what: str = "eig_unitary input"
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a unitary matrix into phases and a unitary diagonalizer.
 
     Returns `(r, gammas)` with `r^H @ u @ r = diag(exp(1j * gammas))`.
@@ -130,34 +134,37 @@ def eig_unitary(u, tol: float = VALIDATION_TOL) -> tuple[np.ndarray, np.ndarray]
     the lowest row), so the output is deterministic for a given platform.
 
     Raises:
-        NonUnitaryInput: input fails the unitarity tolerance.
+        NonUnitaryInput: `u` fails the unitarity tolerance; the message
+            names it `what`, so a caller may pass its own input unchecked.
         ConvergenceFailure: an eigenvalue iteration failed, or the
             reconstruction check exceeded `tol`.
     """
-    u = check_unitary(u, tol, what="eig_unitary input")
+    u = check_unitary(u, tol, what=what)
     eye = np.eye(u.shape[0])
     try:
-        alphas = np.sort(np.angle(np.linalg.eigvals(u)) % TWO_PI)
-        gaps = np.diff(alphas, append=alphas[0] + TWO_PI)
-        widest = int(np.argmax(gaps))
+        lam = np.linalg.eigvals(u)
+        alphas = np.arctan2(lam.imag, lam.real) % TWO_PI
+        alphas.sort()
+        gaps = np.concatenate((alphas[1:], [alphas[0] + TWO_PI])) - alphas
+        widest = int(gaps.argmax())
         v = np.exp(-1j * (alphas[widest] + gaps[widest] / 2)) * u
         _, z = np.linalg.eigh(-1j * np.linalg.solve(eye - v, eye + v))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceFailure(f"unitary eigendecomposition failed: {exc}") from exc
 
-    gammas = np.angle(np.einsum("ij,ij->j", z.conj(), u @ z)) % TWO_PI
-    gammas = np.where(np.abs(gammas - TWO_PI) <= PHASE_SNAP, 0.0, gammas)
-    gammas = np.where(np.abs(gammas) <= PHASE_SNAP, 0.0, gammas)
+    rayleigh = np.einsum("ij,ij->j", z.conj(), u @ z)
+    gammas = np.arctan2(rayleigh.imag, rayleigh.real) % TWO_PI
+    gammas[(np.abs(gammas - TWO_PI) <= PHASE_SNAP) | (np.abs(gammas) <= PHASE_SNAP)] = 0.0
 
-    order = np.argsort(gammas, kind="stable")
+    order = gammas.argsort(kind="stable")
     gammas = gammas[order]
     r = z[:, order]
     mags = np.abs(r)
-    pivot = np.argmax(mags > mags.max(axis=0) - 1e-12, axis=0)
+    pivot = (mags > mags.max(axis=0) - 1e-12).argmax(axis=0)
     lead = r[pivot, np.arange(r.shape[1])]
-    r = r * np.conj(lead / np.abs(lead))
+    r *= (lead / np.abs(lead)).conj()
 
-    recon = float(np.linalg.norm(r @ np.diag(np.exp(1j * gammas)) @ r.conj().T - u))
+    recon = float(np.linalg.norm((r * np.exp(1j * gammas)) @ r.conj().T - u))
     if not recon <= tol:
         raise ConvergenceFailure(
             f"eigendecomposition reconstruction defect {recon:.3e} exceeds {tol:.1e}"

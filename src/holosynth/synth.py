@@ -20,15 +20,46 @@ of controllers and default to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParamShapeMismatch
 from .extremal import Controller
-from .linalg import VALIDATION_TOL, check_unitary, eig_unitary
+from .linalg import VALIDATION_TOL, eig_unitary
 
 _NEG_CLAMP = 1e-14
+
+
+def _whole(value) -> int:
+    """An integer (10, numpy.int64(10) or 10.0); bools, fractions and other
+    types raise ValueError, where int() would truncate 10.9 to 10."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A number as a float; bools, strings, non-numbers and integers beyond
+    the float range raise ValueError, where float() would read true as 1.0
+    and "0.5" as 0.5, or raise OverflowError."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (OverflowError, TypeError):
+            pass
+    raise ValueError(f"expected a number, got {value!r}")
+
+
+def _param(convert, value, what: str):
+    """`convert(value)`; its ValueError becomes a ParamShapeMismatch naming `what`."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ParamShapeMismatch(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -45,15 +76,15 @@ class SynthesisParams:
     windings: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        object.__setattr__(self, "windings", tuple(int(n) for n in self.windings))
+        object.__setattr__(self, "phases", tuple(_param(_real, p, "phase") for p in self.phases))
+        object.__setattr__(self, "windings", tuple(_param(_whole, n, "winding") for n in self.windings))
         if len(self.phases) != len(self.windings):
             raise ParamShapeMismatch(
                 f"{len(self.phases)} phases vs {len(self.windings)} windings"
             )
         if any(n < 1 for n in self.windings):
             raise ParamShapeMismatch("every winding number must be >= 1")
-        if not all(np.isfinite(self.phases)):
+        if not all(map(math.isfinite, self.phases)):
             raise ParamShapeMismatch(f"every phase must be finite, got phases {self.phases}")
 
     @classmethod
@@ -86,6 +117,7 @@ def small_circle_params(gamma: float, phi: float = 0.0, n: int = 1) -> tuple[flo
     |tau|^2 + (omega/2)^2 = (n pi)^2, which is exactly the closure radius
     condition for winding number n.
     """
+    n = _param(_whole, n, "winding")
     if n < 1:
         raise ParamShapeMismatch(f"winding number must be >= 1, got {n}")
     half = n * np.pi - gamma
@@ -106,6 +138,7 @@ def channel_length(gamma: float, n: int = 1) -> float:
 
     Strictly increasing in n for fixed gamma > 0, so n = 1 is minimal.
     """
+    n = _param(_whole, n, "winding")
     if n < 1:
         raise ParamShapeMismatch(f"winding number must be >= 1, got {n}")
     return float((n * np.pi) ** 2 - (n * np.pi - gamma) ** 2)
@@ -135,7 +168,8 @@ def synthesize(
         NonUnitaryInput: gate fails the unitarity tolerance.
         ParamShapeMismatch: params or ordering data do not fit k channels.
     """
-    gate = check_unitary(gate, tol, what="target gate")
+    r, gammas = eig_unitary(gate, tol, what="target gate")
+    gate = np.asarray(gate, dtype=complex)
     k = gate.shape[0]
     if params is None:
         params = SynthesisParams.defaults(k)
@@ -143,10 +177,8 @@ def synthesize(
         raise ParamShapeMismatch(
             f"params carry {len(params.phases)} channels for a {k}-dim gate"
         )
-
-    r, gammas = eig_unitary(gate, tol)
     if channel_order is not None:
-        order = tuple(int(i) for i in channel_order)
+        order = tuple(_param(_whole, i, "channel_order entry") for i in channel_order)
         if sorted(order) != list(range(k)):
             raise ParamShapeMismatch(f"channel_order {order} is not a permutation")
         r = r[:, order]
@@ -170,9 +202,7 @@ def synthesize(
         omega=r @ omega_diag @ r.conj().T,
         coupling=r @ w_diag,
     )
-    length = sum(
-        channel_length(g, n) for g, n in zip(gammas, params.windings)
-    )
+    length = sum(map(channel_length, gammas, params.windings))
     return SynthesisResult(
         gate=gate,
         diagonalizer=r,

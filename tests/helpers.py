@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 
+from holosynth.errors import ConvergenceFailure
+from holosynth.linalg import PHASE_SNAP, TWO_PI, VALIDATION_TOL, check_unitary
+
 
 def expm_taylor_squaring(a, t=1.0, taylor_terms=18, squarings=12):
     """Matrix exponential by scaling-and-squaring a truncated Taylor series.
@@ -47,3 +50,38 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def eig_unitary_reference(u, tol=VALIDATION_TOL):
+    """`linalg.eig_unitary` as it was written with numpy's wrapper functions
+    (np.angle, np.diff, np.where, np.diag); the library's version must
+    return bit-identical `(r, gammas)`."""
+    u = check_unitary(u, tol, what="eig_unitary input")
+    eye = np.eye(u.shape[0])
+    try:
+        alphas = np.sort(np.angle(np.linalg.eigvals(u)) % TWO_PI)
+        gaps = np.diff(alphas, append=alphas[0] + TWO_PI)
+        widest = int(np.argmax(gaps))
+        v = np.exp(-1j * (alphas[widest] + gaps[widest] / 2)) * u
+        _, z = np.linalg.eigh(-1j * np.linalg.solve(eye - v, eye + v))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"unitary eigendecomposition failed: {exc}") from exc
+
+    gammas = np.angle(np.einsum("ij,ij->j", z.conj(), u @ z)) % TWO_PI
+    gammas = np.where(np.abs(gammas - TWO_PI) <= PHASE_SNAP, 0.0, gammas)
+    gammas = np.where(np.abs(gammas) <= PHASE_SNAP, 0.0, gammas)
+
+    order = np.argsort(gammas, kind="stable")
+    gammas = gammas[order]
+    r = z[:, order]
+    mags = np.abs(r)
+    pivot = np.argmax(mags > mags.max(axis=0) - 1e-12, axis=0)
+    lead = r[pivot, np.arange(r.shape[1])]
+    r = r * np.conj(lead / np.abs(lead))
+
+    recon = float(np.linalg.norm(r @ np.diag(np.exp(1j * gammas)) @ r.conj().T - u))
+    if not recon <= tol:
+        raise ConvergenceFailure(
+            f"eigendecomposition reconstruction defect {recon:.3e} exceeds {tol:.1e}"
+        )
+    return r, gammas

@@ -17,7 +17,7 @@ from holosynth import (
     transform_controller,
 )
 from holosynth.extremal import check_target
-from helpers import expm_taylor_squaring, random_haar, random_skew
+from helpers import eig_unitary_reference, expm_taylor_squaring, random_haar, random_skew
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -150,6 +150,79 @@ class TestEigUnitaryAdversarial:
     )
     def test_64_evenly_spread_phases(self, offset, seed):
         assert_decomposes(offset + TWO_PI * np.arange(64) / 64, seed)
+
+
+def assert_matches_reference(u):
+    """eig_unitary returns bit for bit what its reference implementation does."""
+    r, gammas = eig_unitary(u)
+    r_ref, gammas_ref = eig_unitary_reference(u)
+    assert np.array_equal(gammas, gammas_ref)
+    assert np.array_equal(r, r_ref)
+
+
+def spectrum_gate(gammas, seed):
+    q = random_haar(np.random.default_rng(seed), len(gammas))
+    return q @ np.diag(np.exp(1j * np.asarray(gammas, dtype=float))) @ q.conj().T
+
+
+class TestEigUnitaryMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 16), seed=SEEDS)
+    def test_haar_gates(self, k, seed):
+        assert_matches_reference(random_haar(np.random.default_rng(seed), k))
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_identity(self, k):
+        assert_matches_reference(np.eye(k, dtype=complex))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        clusters=st.lists(
+            st.tuples(st.floats(0.0, TWO_PI, exclude_max=True), st.integers(1, 4)),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=SEEDS,
+    )
+    def test_degenerate_clusters(self, clusters, seed):
+        assert_matches_reference(spectrum_gate([g for g, m in clusters for _ in range(m)], seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        near=st.lists(
+            st.tuples(st.sampled_from((0.0, TWO_PI)), st.floats(-1e-13, 1e-13)),
+            min_size=1,
+            max_size=4,
+        ),
+        extra=st.lists(st.floats(1e-6, TWO_PI - 1e-6), max_size=3),
+        seed=SEEDS,
+    )
+    def test_phases_next_to_zero_and_two_pi(self, near, extra, seed):
+        assert_matches_reference(spectrum_gate([a + d for a, d in near] + extra, seed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        start=st.floats(0.0, 5.0),
+        spread=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+        seed=SEEDS,
+    )
+    def test_widest_gap_wraps_around(self, start, spread, seed):
+        # every phase lies in [start, start + 1], so the gap from the last
+        # back round to the first, at least 2*pi - 1, is the widest
+        assert_matches_reference(spectrum_gate([start + s for s in spread], seed))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                 complex(np.inf, 0.0), complex(0.0, np.inf),
+                                 complex(-np.inf, 0.0), complex(0.0, -np.inf)])
+def test_a_non_finite_real_or_imaginary_part_is_rejected(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    for call in (linalg.check_unitary, polar_unitary,
+                 lambda a: Controller(omega=a, coupling=np.eye(2)),
+                 lambda a: Controller(omega=np.zeros((2, 2)), coupling=a)):
+        with pytest.raises(DimensionError, match="non-finite"):
+            call(m)
 
 
 def _expm(a, t=1.0):

@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from holosynth import linalg
 from holosynth import (
     NonUnitaryInput,
     ParamShapeMismatch,
     SynthesisParams,
     catalog_get,
     channel_length,
+    evaluate_controller,
     holonomy_analytic,
     length_analytic,
     loop_closure_defect,
@@ -277,3 +281,88 @@ class TestSynthesizeErrors:
     def test_rejects_bad_channel_signs(self):
         with pytest.raises(ParamShapeMismatch):
             synthesize(HADAMARD, channel_signs=(2, 1))
+
+    def test_a_non_unitary_gate_is_named_before_any_param_mismatch(self):
+        bad = np.array([[1.0, 0.2], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NonUnitaryInput, match=r"^target gate fails unitarity: \|\|U\^H U - I"):
+            synthesize(bad, SynthesisParams(phases=(0.0,), windings=(1,)))
+
+
+class TestParamValues:
+    """Public parameters are whole or real numbers; a value that int() or
+    float() would truncate or reinterpret raises, naming the value."""
+
+    @pytest.mark.parametrize("kwargs, shown", [
+        (dict(phases=(0.0,), windings=(1.9,)), "1.9"),
+        (dict(phases=(0.0,), windings=(True,)), "True"),
+        (dict(phases=("0.5",), windings=(1,)), "'0.5'"),
+        (dict(phases=(None,), windings=(1,)), "None"),
+    ])
+    def test_params_reject_a_value_they_would_truncate(self, kwargs, shown):
+        with pytest.raises(ParamShapeMismatch, match=re.escape(shown)):
+            SynthesisParams(**kwargs)
+
+    def test_params_take_numpy_integers_integral_floats_and_numpy_floats(self):
+        params = SynthesisParams(phases=(np.float32(0.5), np.float64(0.25), 1),
+                                 windings=(np.int64(2), 2.0, np.int32(1)))
+        assert params.windings == (2, 2, 1)
+        assert params.phases == (0.5, 0.25, 1.0)
+        assert {type(v) for v in params.windings + params.phases} == {int, float}
+
+    def test_channel_order_rejects_a_fraction(self):
+        with pytest.raises(ParamShapeMismatch, match="1.7"):
+            synthesize(HADAMARD, channel_order=(0, 1.7))
+
+    def test_channel_order_takes_numpy_integers_and_integral_floats(self):
+        want = synthesize(HADAMARD, channel_order=(1, 0))
+        got = synthesize(HADAMARD, channel_order=(np.int64(1), 0.0))
+        assert np.array_equal(got.controller.matrix, want.controller.matrix)
+
+    @pytest.mark.parametrize("call", [
+        lambda: small_circle_params(0.3, 0.0, 1.5),
+        lambda: channel_length(0.3, 1.5),
+        lambda: small_circle_params(0.3, 0.0, True),
+    ])
+    def test_circle_functions_reject_a_fractional_winding(self, call):
+        with pytest.raises(ParamShapeMismatch, match="winding"):
+            call()
+
+    def test_circle_functions_take_integral_floats(self):
+        assert small_circle_params(0.3, 0.0, 2.0) == small_circle_params(0.3, 0.0, 2)
+        assert channel_length(0.3, np.int64(2)) == channel_length(0.3, 2)
+
+
+@pytest.fixture
+def unitarity_checks(monkeypatch):
+    """Counts calls of `linalg.unitarity_defect`, the one unitarity test."""
+    calls = []
+    original = linalg.unitarity_defect
+
+    def counting(u):
+        calls.append(np.shape(u))
+        return original(u)
+
+    monkeypatch.setattr(linalg, "unitarity_defect", counting)
+    return calls
+
+
+class TestOneUnitarityCheckPerCall:
+    def test_synthesize_checks_the_gate_once(self, unitarity_checks):
+        synth_tabulated("cnot")
+        synthesize(random_haar(np.random.default_rng(3), 4))
+        assert unitarity_checks == [(4, 4), (4, 4)]
+
+    def test_evaluate_controller_checks_the_target_once(self, unitarity_checks):
+        gate = random_haar(np.random.default_rng(3), 4)
+        result = synthesize(gate)
+        unitarity_checks.clear()
+        evaluate_controller(result.controller, gate)
+        assert unitarity_checks == [(4, 4)]
+
+    def test_eig_unitary_checks_its_input_once(self, unitarity_checks):
+        linalg.eig_unitary(HADAMARD)
+        assert unitarity_checks == [(2, 2)]
+
+    def test_eig_unitary_names_its_input(self):
+        with pytest.raises(NonUnitaryInput, match=r"^eig_unitary input fails unitarity: "):
+            linalg.eig_unitary(np.array([[1.0, 0.2], [0.0, 1.0]], dtype=complex))
