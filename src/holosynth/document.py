@@ -196,27 +196,13 @@ def _field(doc, *path):
 def document_controller(doc: dict, tol: float = VALIDATION_TOL) -> tuple[Controller, np.ndarray]:
     """Rebuild the controller and target gate from a parsed document.
 
-    Splits the stored generator into its omega and coupling blocks using
-    the channel count, and rejects matrices whose lower blocks are not
-    the mirror image the generator structure implies. The omega block is
-    checked for skew-Hermiticity at `tol`.
+    The channel count k is the number of eigenphases; the stored generator
+    must be in controller block form for it (`Controller._from_matrix`),
+    and its omega block skew-Hermitian at `tol`.
     """
     x = decode_matrix(_field(doc, "synthesis", "controller"))
     gate = decode_matrix(_field(doc, "gate", "matrix"))
     phases = _field(doc, "synthesis", "eigenphases")
     if not isinstance(phases, list):
         raise DimensionError(f"controller document eigenphases = {phases!r} is not a list")
-    k = len(phases)
-    if x.shape[0] != x.shape[1] or x.shape[0] <= k:
-        raise DimensionError(
-            f"controller matrix shape {x.shape} inconsistent with k={k}"
-        )
-    mirror = float(np.linalg.norm(x[k:, :k] + x[:k, k:].conj().T))
-    tail = float(np.linalg.norm(x[k:, k:]))
-    if not (mirror <= 1e-12 and tail <= 1e-12):
-        raise DimensionError(
-            "stored generator is not in controller block form "
-            f"(mirror defect {mirror:.3e}, tail norm {tail:.3e})"
-        )
-    ctrl = Controller(omega=x[:k, :k], coupling=x[:k, k:], tol=tol)
-    return ctrl, gate
+    return Controller._from_matrix(x, len(phases), tol), gate

@@ -92,6 +92,19 @@ class Controller:
         x[k:, :k] = -self.coupling.conj().T
         return x
 
+    @classmethod
+    def _from_matrix(cls, x: np.ndarray, k: int, tol: float) -> "Controller":
+        """The controller whose `matrix` is `x` with k channels: DimensionError
+        unless x is n x n with n > k and [-W^H, 0] below within 1e-12."""
+        if x.shape[0] != x.shape[1] or x.shape[0] <= k:
+            raise DimensionError(f"controller matrix shape {x.shape} inconsistent with k={k}")
+        mirror = float(np.linalg.norm(x[k:, :k] + x[:k, k:].conj().T))
+        tail = float(np.linalg.norm(x[k:, k:]))
+        if not (mirror <= 1e-12 and tail <= 1e-12):
+            raise DimensionError("stored generator is not in controller block form "
+                                 f"(mirror defect {mirror:.3e}, tail norm {tail:.3e})")
+        return cls(omega=x[:k, :k], coupling=x[:k, k:], tol=tol)
+
     def base_frame(self) -> np.ndarray:
         return standard_base_frame(self.n, self.k)
 
@@ -116,8 +129,12 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     serve every sample. The two scalings run on a (k, n, len(times)) stack,
     sample axis innermost; q_O^H and then q_X multiply all samples in one
     matrix product each, and a last copy puts the sample axis first.
+    A lone sample at k = 1 is taken twice, as BLAS rounds the matrix-vector
+    product differently: no frame depends on the batch it is sampled in.
     """
     times = np.asarray(times, dtype=float)
+    if len(times) * ctrl.k == 1:
+        return curve_samples(ctrl, times.repeat(2))[:1]
     w_x, q_x = ctrl._spectrum
     w_o, q_o = ctrl._omega_spectrum
     n, k, m = ctrl.n, ctrl.k, len(times)

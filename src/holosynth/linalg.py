@@ -26,6 +26,7 @@ TWO_PI = 2.0 * np.pi
 PHASE_SNAP = 1e-12  # eig_unitary snaps eigenphases this close to 0 or 2*pi to 0
 SINGULAR_FLOOR = 1e-12  # polar_unitary refuses a matrix whose smallest singular value is <= this
 VALIDATION_TOL = 1e-10  # default bound on unitarity, skewness, frame Gram and eigen-reconstruction defects
+_MAX_WHOLE = 2**53  # above it float64 merges whole numbers: grid times i/M, angles n*pi coincide
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -12,10 +12,12 @@ with Omega_d = diag(i omega_j) and W_d = diag(i tau_j). The ambient space
 always has dimension n = 2k here: one auxiliary direction per channel is
 what lets every channel close its own loop independently.
 
-Winding numbers n_j >= 1 choose how often channel j wraps its circle;
-n_j = 1 is the shortest choice and the default. The phases phi_j never
-affect the holonomy or the length; they parametrize an equivalence class
-of controllers and default to zero.
+Winding numbers n_j choose how often channel j wraps its circle. They
+are whole numbers 1 <= n_j <= 2**53, beyond which the float64 angles
+n_j pi of neighbouring windings coincide; any other winding raises
+ParamShapeMismatch. n_j = 1 is the shortest choice and the default. The
+phases phi_j never affect the holonomy or the length; they parametrize an
+equivalence class of controllers and default to zero.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ParamShapeMismatch
 from .extremal import Controller
-from .linalg import VALIDATION_TOL, eig_unitary
+from .linalg import _MAX_WHOLE, VALIDATION_TOL, eig_unitary
 
 _NEG_CLAMP = 1e-14
 
@@ -62,14 +64,22 @@ def _param(convert, value, what: str):
         raise ParamShapeMismatch(f"{what}: {exc}") from exc
 
 
+def _winding(n) -> int:
+    """A winding number: a whole number 1 <= n <= 2**53 (ParamShapeMismatch otherwise)."""
+    n = _param(_whole, n, "winding")
+    if not 1 <= n <= _MAX_WHOLE:
+        raise ParamShapeMismatch(f"winding number must be >= 1 and <= 2**53, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class SynthesisParams:
     """Free per-channel synthesis choices.
 
     Attributes:
         phases: k free phases (radians) multiplying each channel coupling.
-        windings: k positive integers; how many times channel j traverses
-            its small circle.
+        windings: k whole numbers 1 <= n <= 2**53; how many times channel j
+            traverses its small circle.
     """
 
     phases: tuple[float, ...]
@@ -77,13 +87,9 @@ class SynthesisParams:
 
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(_param(_real, p, "phase") for p in self.phases))
-        object.__setattr__(self, "windings", tuple(_param(_whole, n, "winding") for n in self.windings))
+        object.__setattr__(self, "windings", tuple(map(_winding, self.windings)))
         if len(self.phases) != len(self.windings):
-            raise ParamShapeMismatch(
-                f"{len(self.phases)} phases vs {len(self.windings)} windings"
-            )
-        if any(n < 1 for n in self.windings):
-            raise ParamShapeMismatch("every winding number must be >= 1")
+            raise ParamShapeMismatch(f"{len(self.phases)} phases vs {len(self.windings)} windings")
         if not all(map(math.isfinite, self.phases)):
             raise ParamShapeMismatch(f"every phase must be finite, got phases {self.phases}")
 
@@ -110,6 +116,16 @@ class SynthesisResult:
     length: float
 
 
+def _channel(gamma: float, phi: float, n: int) -> tuple[float, complex, float]:
+    """(omega, tau, length) of one circle channel, n checked: the one rule of
+    `synthesize` and both functions below; roundoff to -1e-14 gives tau 0."""
+    half = n * np.pi - gamma
+    length = (n * np.pi) ** 2 - half**2
+    if length < -_NEG_CLAMP:
+        raise ParamShapeMismatch(f"negative circle radicand {length:.3e} for gamma={gamma}, n={n}")
+    return 2.0 * half, complex(np.exp(1j * phi) * np.sqrt(max(length, 0.0))), length
+
+
 def small_circle_params(gamma: float, phi: float = 0.0, n: int = 1) -> tuple[float, complex]:
     """Rotation rate and coupling amplitude of one closed circle channel.
 
@@ -117,31 +133,16 @@ def small_circle_params(gamma: float, phi: float = 0.0, n: int = 1) -> tuple[flo
     |tau|^2 + (omega/2)^2 = (n pi)^2, which is exactly the closure radius
     condition for winding number n.
     """
-    n = _param(_whole, n, "winding")
-    if n < 1:
-        raise ParamShapeMismatch(f"winding number must be >= 1, got {n}")
-    half = n * np.pi - gamma
-    omega = 2.0 * half
-    radicand = (n * np.pi) ** 2 - half**2
-    if radicand < 0.0:
-        if radicand < -_NEG_CLAMP:
-            raise ParamShapeMismatch(
-                f"negative circle radicand {radicand:.3e} for gamma={gamma}, n={n}"
-            )
-        radicand = 0.0
-    tau = np.exp(1j * phi) * np.sqrt(radicand)
-    return omega, complex(tau)
+    return _channel(gamma, phi, _winding(n))[:2]
 
 
 def channel_length(gamma: float, n: int = 1) -> float:
     """Loop length (n pi)^2 - (n pi - gamma)^2 of one circle channel.
 
-    Strictly increasing in n for fixed gamma > 0, so n = 1 is minimal.
+    Strictly increasing in n for fixed gamma > 0, so n = 1 is minimal; a
+    gamma beyond 2 n pi, where it is negative, raises ParamShapeMismatch.
     """
-    n = _param(_whole, n, "winding")
-    if n < 1:
-        raise ParamShapeMismatch(f"winding number must be >= 1, got {n}")
-    return float((n * np.pi) ** 2 - (n * np.pi - gamma) ** 2)
+    return float(_channel(gamma, 0.0, _winding(n))[2])
 
 
 def synthesize(
@@ -174,9 +175,7 @@ def synthesize(
     if params is None:
         params = SynthesisParams.defaults(k)
     if len(params.phases) != k:
-        raise ParamShapeMismatch(
-            f"params carry {len(params.phases)} channels for a {k}-dim gate"
-        )
+        raise ParamShapeMismatch(f"params carry {len(params.phases)} channels for a {k}-dim gate")
     if channel_order is not None:
         order = tuple(_param(_whole, i, "channel_order entry") for i in channel_order)
         if sorted(order) != list(range(k)):
@@ -189,20 +188,10 @@ def synthesize(
             raise ParamShapeMismatch("channel_signs must be k entries of +-1")
         r = r * signs[None, :]
 
-    omegas = np.empty(k)
-    taus = np.empty(k, dtype=complex)
-    for j in range(k):
-        omegas[j], taus[j] = small_circle_params(
-            gammas[j], params.phases[j], params.windings[j]
-        )
-
-    omega_diag = np.diag(1j * omegas)
-    w_diag = np.diag(1j * taus)
-    ctrl = Controller(
-        omega=r @ omega_diag @ r.conj().T,
-        coupling=r @ w_diag,
-    )
-    length = sum(map(channel_length, gammas, params.windings))
+    omegas, taus, lengths = zip(*map(_channel, gammas, params.phases, params.windings))
+    omega_diag = np.diag(1j * np.array(omegas))
+    w_diag = np.diag(1j * np.array(taus))
+    ctrl = Controller(omega=r @ omega_diag @ r.conj().T, coupling=r @ w_diag)
     return SynthesisResult(
         gate=gate,
         diagonalizer=r,
@@ -210,5 +199,5 @@ def synthesize(
         omega_diag=omega_diag,
         w_diag=w_diag,
         controller=ctrl,
-        length=float(length),
+        length=float(sum(lengths)),
     )

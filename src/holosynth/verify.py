@@ -20,9 +20,9 @@ sampler, in chunks sized to a fixed byte budget (512 frames at n = 8,
 k = 4), each chunk Gram-checked. The oracle folds a chunk's overlaps into
 a running product and carries its last frame into the next; `sample`
 writes a chunk's CSV rows, so memory does not grow with the step count.
-Every grid reader, `sample_loop` too, first checks the step count and
-lets `holonomy_analytic` decide closure, once per call. `SampledLoop` and
-`numeric_holonomy` serve whole loops through the same Gram check and fold.
+Every grid reader, `sample_loop` too, takes its times from `_grid_times`
+after `_closed_loop` checks the step count and lets `holonomy_analytic`
+decide closure, once per call; whole loops share the Gram check and fold.
 
 The per-sample k x k products run in real arithmetic, which numpy's
 batched matmul does several times faster than complex for small k. A
@@ -64,7 +64,8 @@ from .extremal import (
     loop_closure_defect, standard_base_frame,
 )
 from .linalg import (
-    VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect, _haar_stack, polar_unitary,
+    _MAX_WHOLE, VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect, _haar_stack,
+    polar_unitary,
 )
 
 _SLOPE_WINDOW = (-2.5, -1.5)
@@ -72,9 +73,6 @@ _ROUNDOFF_FLOOR = 1e-12
 # Byte budget of one streamed chunk's (c, n, k) frame stack: 512 frames at
 # n = 8, k = 4, which was the fastest budget measured there.
 _CHUNK_BYTES = 2**18
-# Above 2**53 steps the grid t_i = i / steps is not representable in
-# float64: neighbouring times coincide. A property of the format, not a setting.
-_MAX_STEPS = 2**53
 DEFAULT_SCHEDULE = (10**3, 10**4, 10**5)
 
 
@@ -97,8 +95,7 @@ class SampledLoop:
             raise DimensionError(f"frames must have shape (M+1, n, k), got ndim={frames.ndim}")
         if len(frames) < 3:
             raise TooFewSamples(f"need at least 3 samples, got {len(frames)}")
-        first, last = frames[0], frames[-1]
-        closure = float(np.linalg.norm(last @ last.conj().T - first @ first.conj().T))
+        closure = _span_distance(frames[-1], frames[0])
         if not closure <= CLOSURE_TOL:
             raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
         _check_frames(frames, self.tol)
@@ -154,6 +151,18 @@ class OracleReport:
         return self.schedule[-1]
 
 
+def _span_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """||A A^H - B B^H||_F: how far apart the spans of two n x k frames are."""
+    return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T))
+
+
+def _grid_times(steps: int, lo: int, hi: int) -> np.ndarray:
+    """Times t_i = i * (1 / steps) of the grid points lo, ..., hi-1, with
+    t_steps exactly 1.0: the one definition of the uniform grid."""
+    index = np.arange(lo, hi)
+    return np.where(index == steps, 1.0, index * (1.0 / steps))
+
+
 def _check_frames(frames: np.ndarray, tol: float) -> np.ndarray:
     """Gram-check a contiguous (c, n, k) frame stack and return its
     `linalg._adjoint`, which the overlap fold reuses."""
@@ -173,7 +182,7 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
         DimensionError: steps > 2**53.
     """
     _closed_loop(ctrl, steps)
-    return SampledLoop(curve_samples(ctrl, np.linspace(0.0, 1.0, steps + 1)), tol)
+    return SampledLoop(curve_samples(ctrl, _grid_times(steps, 0, steps + 1)), tol)
 
 
 def _ordered_chain(factors: np.ndarray) -> np.ndarray:
@@ -237,7 +246,7 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
     """
     first = loop.frames[0]
     v0 = standard_base_frame(first.shape[0], loop.rank)
-    offset = float(np.linalg.norm(first @ first.conj().T - v0 @ v0.conj().T))
+    offset = _span_distance(first, v0)
     if not offset <= CLOSURE_TOL:
         raise InvalidFrame(
             f"loop does not start at the base projector: ||V_0 V_0^H - P0||_F = "
@@ -252,15 +261,13 @@ def _chunk_frames(n: int, k: int) -> int:
 
 
 def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
-    """(times, frames, adjoint) of the grid points lo, ..., hi-1 of the
-    uniform grid t_i = i / steps, sampled and Gram-checked one chunk at a
-    time; `adjoint` is the check's `linalg._adjoint` of the frames.
-    Times are computed as linspace computes them, t_steps exactly 1.0, so
-    each frame equals its `sample_loop` counterpart."""
+    """(times, frames, adjoint) of the grid points lo, ..., hi-1 of
+    `_grid_times`, sampled and Gram-checked one chunk at a time; `adjoint`
+    is the check's `linalg._adjoint` of the frames. Each frame equals its
+    `sample_loop` counterpart."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
     for start in range(lo, hi, chunk):
-        index = np.arange(start, min(start + chunk, hi))
-        times = np.where(index == steps, 1.0, index * (1.0 / steps))
+        times = _grid_times(steps, start, min(start + chunk, hi))
         frames = curve_samples(ctrl, times)
         yield times, frames, _check_frames(frames, tol)
 
@@ -270,7 +277,7 @@ def _closed_loop(ctrl: Controller, *steps: int) -> np.ndarray:
     the loop is closed; the one preamble of every grid reader."""
     if min(steps) < 2:
         raise TooFewSamples(f"steps must be >= 2, got {min(steps)}")
-    if max(steps) > _MAX_STEPS:
+    if max(steps) > _MAX_WHOLE:
         raise DimensionError(f"steps must be <= 2**53, got {max(steps)}")
     return holonomy_analytic(ctrl)
 

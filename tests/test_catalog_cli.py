@@ -571,6 +571,42 @@ class TestCliBadInput:
         assert field in err
 
 
+class TestCliBlockForm:
+    """`verify --doc` refuses a stored generator that is not
+    X = [[Omega, W], [-W^H, 0]] for the document's channel count k."""
+
+    @staticmethod
+    def _tamper(parsed, case):
+        x = parsed["synthesis"]["controller"]  # hadamard: k = 2, n = 4, row-major
+        if case == "tail":
+            x["data"][3 * 4 + 3] = [0.5, 0.0]
+        elif case == "mirror":
+            x["data"][2 * 4 + 0][0] += 9.0
+        elif case == "not_square":
+            x["rows"], x["cols"] = 2, 8
+        else:  # n <= k: a 4 x 4 generator for four channels
+            parsed["synthesis"]["eigenphases"] = [0.0] * 4
+
+    BLOCKS = "stored generator is not in controller block form "
+
+    @pytest.mark.parametrize("case, message", [
+        ("tail", BLOCKS + "(mirror defect 0.000e+00, tail norm 5.000e-01)"),
+        ("mirror", BLOCKS + "(mirror defect 9.000e+00, tail norm 0.000e+00)"),
+        ("not_square", "controller matrix shape (2, 8) inconsistent with k=2"),
+        ("n_not_above_k", "controller matrix shape (4, 4) inconsistent with k=4"),
+    ])
+    def test_exits_2_naming_the_defect(self, case, message, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        assert main(["synthesize", "--gate", "hadamard", "--out", str(doc)]) == 0
+        parsed = json.loads(doc.read_text())
+        self._tamper(parsed, case)
+        doc.write_text(json.dumps(parsed))
+        code, out, err = run_cli(capsys, "verify", "--doc", str(doc), "--steps", "1000,2000")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestCliFailsClosed:
     """A NaN defect, a NaN or non-positive bound and a negative seed each
     end in a documented exit code that names the culprit."""
@@ -755,6 +791,29 @@ class TestCliSteps:
         assert out == ""
         assert err.startswith("error: steps must be <= 2**53, got ")
         assert len(err.splitlines()) == 1, err
+
+
+class TestCliWindings:
+    """A winding is a whole number 1 <= n <= 2**53, whether it comes from
+    --windings or from a config file; above that the float64 angles n pi
+    of neighbouring windings coincide."""
+
+    @pytest.mark.parametrize("source, huge", [
+        ("flag", 2**53 + 1), ("flag", 10**20), ("flag", 10**400),
+        ("config", 2**53 + 1), ("config", 10**400), ("config", 1e300),
+    ], ids=["flag-2**53+1", "flag-10**20", "flag-10**400",
+            "config-2**53+1", "config-10**400", "config-1e300"])
+    def test_a_winding_above_2_pow_53_exits_2_naming_it(self, source, huge, capsys, tmp_path):
+        argv = ["synthesize", "--gate", "pauli-z"]
+        if source == "flag":
+            argv += ["--windings", f"1,{huge}"]
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({"windings": [1, huge]}))
+            argv += ["--config", str(tmp_path / "config.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: winding number must be >= 1 and <= 2**53, got {int(huge)}\n"
 
 
 class TestCliHelp:

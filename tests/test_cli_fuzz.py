@@ -15,9 +15,13 @@ from holosynth.cli import main
 
 WORDS = ("nan", "inf", "-1", "0", "1e300", "abc", ",", "2.5", "1,2")
 CONFIG_VALUES = (True, "0.5", math.nan, 1e300, [], {})
+# Whole numbers at and beyond 2**53, where float64 stops holding every
+# integer. Half the windings and seeds drawn are one of them; a step count
+# that large would run for ever.
+HUGE = (2**53, 2**53 + 1, 10**400, 1e300)
 SIZES = (0, -1, 1, 2, 2.5, True)
 ENTRIES = (0.0, 1.0, math.nan, 1e300, True)
-GATES = ("hadamard", "cnot", "phase-1.0", "random-2")
+GATES = {"hadamard": 2, "cnot": 4, "phase-1.0": 1, "random-2": 2}  # name: channels
 DOCS = ("hadamard.json", "phase.json")
 SOURCE_KEYS = ("phases", "windings", "seed")
 KEYS = {  # the numeric flags and config keys each command reads
@@ -41,8 +45,11 @@ def runs(draw):
                "sample": ("matrix", "gate", "doc")}[command]
     source = draw(st.sampled_from(sources))
     non_finite = False
+    k = 2  # the channel count of a huge winding list
     if source == "gate":
-        argv += ["--gate", draw(st.sampled_from(GATES))]
+        gate = draw(st.sampled_from(sorted(GATES)))
+        argv += ["--gate", gate]
+        k = GATES[gate]
     elif source == "doc":
         argv += ["--doc", draw(st.sampled_from(DOCS))]
     else:
@@ -56,13 +63,25 @@ def runs(draw):
         non_finite = any(x != x for pair in data for x in pair)
     if command != "verify" and draw(st.booleans()):
         argv.append("--paper-order")
-    flags = draw(st.dictionaries(st.sampled_from(KEYS[command]), st.sampled_from(WORDS)))
+
+    def value(key, plain, text):
+        """A word (`text`) or config value for `key`: for a winding list or a
+        seed, half the time one that holds a number of `HUGE`."""
+        if key not in ("windings", "seed"):
+            return st.sampled_from(plain)
+        huge = list(HUGE) if key == "seed" else [[1] * (k - 1) + [n] for n in HUGE]
+        if text:
+            huge = [",".join(map(str, v)) if key == "windings" else str(v) for v in huge]
+        return st.sampled_from(plain) | st.sampled_from(huge)
+
+    keys = st.lists(st.sampled_from(KEYS[command]), unique=True)
+    flags = {key: draw(value(key, WORDS, True)) for key in draw(keys)}
     if oracle:  # the default schedule takes too long for a fuzzer
         flags.setdefault("steps", draw(st.sampled_from(WORDS)))
     for key, word in flags.items():
         argv += [f"--{key}", word]
     non_finite |= any(word in ("nan", "inf") for word in flags.values())
-    config = draw(st.dictionaries(st.sampled_from(KEYS[command]), st.sampled_from(CONFIG_VALUES)))
+    config = {key: draw(value(key, CONFIG_VALUES, False)) for key in draw(keys)}
     if config:
         files["config.json"] = json.dumps(config)
         argv += ["--config", "config.json"]

@@ -86,6 +86,57 @@ class TestChannelLength:
             lengths = [channel_length(gamma, n) for n in (1, 2, 3, 4)]
             assert all(a < b for a, b in zip(lengths, lengths[1:]))
 
+    @pytest.mark.parametrize("call", [
+        lambda: channel_length(7.0, 1),
+        lambda: small_circle_params(7.0, 0.0, 1),
+    ], ids=["channel_length", "small_circle_params"])
+    def test_a_phase_beyond_the_circle_raises(self, call):
+        # gamma > 2 n pi: (n pi)^2 - (n pi - gamma)^2 < 0, no circle of winding n closes
+        with pytest.raises(ParamShapeMismatch, match="negative circle radicand -5.0"):
+            call()
+
+
+class TestWindingBound:
+    """A winding is a whole number 1 <= n <= 2**53: above it the float64
+    angles n pi of neighbouring windings coincide."""
+
+    HUGE = [2**53 + 1, 10**20, 10**400, 1e300]
+
+    @pytest.mark.parametrize("n", HUGE, ids=str)
+    @pytest.mark.parametrize("call", [
+        lambda n: small_circle_params(0.3, 0.0, n),
+        lambda n: channel_length(0.3, n),
+        lambda n: SynthesisParams(phases=(0.0, 0.0), windings=(1, n)),
+    ], ids=["small_circle_params", "channel_length", "SynthesisParams"])
+    def test_a_winding_above_2_pow_53_raises_naming_it(self, call, n):
+        with pytest.raises(ParamShapeMismatch, match=rf"<= 2\*\*53, got {int(n)}$"):
+            call(n)
+
+    def test_2_pow_53_is_a_winding(self):
+        assert SynthesisParams(phases=(0.0,), windings=(2**53,)).windings == (2**53,)
+        assert channel_length(0.0, 2**53) == 0.0
+
+
+class TestChannelBitIdentity:
+    """`synthesize` builds each channel from the same floating-point
+    operations as `small_circle_params` and `channel_length`."""
+
+    GATES = ([catalog_get(name).matrix for name in ("hadamard", "pauli-x", "pauli-z", "cnot", "dft2")]
+             + [random_haar(np.random.default_rng(40 + k), k) for k in range(1, 17)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_channels_match_the_public_circle_functions(self, n):
+        for gate in self.GATES:
+            k = len(gate)
+            params = SynthesisParams(phases=(0.3,) * k, windings=(n,) * k)
+            result = synthesize(gate, params)
+            gammas = result.eigenphases
+            assert result.length == sum(channel_length(g, n) for g in gammas)
+            for j, gamma in enumerate(gammas):
+                omega, tau = small_circle_params(gamma, 0.3, n)
+                assert result.omega_diag[j, j] == 1j * omega
+                assert result.w_diag[j, j] == 1j * tau
+
 
 class TestSynthesizeExamples:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -327,6 +327,19 @@ class TestStreamedOracle:
             streamed = cross_validate(ctrl, np.eye(k), (steps,)).gamma_numeric
             assert np.linalg.norm(streamed - whole) <= 1e-13, steps
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_sample_loop_frames_are_the_grid_chunks_frames(self, k):
+        # one grid definition: the whole loop and the streamed chunks agree bit
+        # for bit, also where a chunk holds a lone frame (steps = chunk)
+        ctrl = self._controller(k)
+        chunk = verify._chunk_frames(ctrl.n, ctrl.k)
+        for steps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            chunks = list(verify._grid_chunks(ctrl, steps, 0, steps + 1, verify.VALIDATION_TOL))
+            streamed = np.concatenate([frames for _, frames, _ in chunks])
+            times = np.concatenate([t for t, _, _ in chunks])
+            assert times[-1] == 1.0 and len(times) == steps + 1
+            np.testing.assert_array_equal(sample_loop(ctrl, steps).frames, streamed)
+
     def test_frame_tolerance_reaches_both_paths(self):
         ctrl = self._controller(4)
         tol = 0.0
