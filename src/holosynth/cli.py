@@ -41,7 +41,7 @@ from .errors import (
 )
 from .extremal import evaluate_controller
 from .linalg import VALIDATION_TOL
-from .synth import SynthesisParams, _real, _whole, synthesize
+from .synth import SynthesisParams, _real, _whole, _winding, synthesize
 from .verify import DEFAULT_SCHEDULE, _closed_loop, _grid_chunks, cross_validate
 
 HOLONOMY_BOUND = 1e-10
@@ -147,9 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_list(convert, what: str):
+    """A config converter for a JSON list of `what`, each read by `convert`."""
+    def parse(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list of {what}, got {value!r}")
+        return tuple(convert(x) for x in value)
+    return parse
+
+
 _CONFIG_KEYS = {
-    "phases": lambda v: tuple(_real(x) for x in v),
-    "windings": lambda v: tuple(_whole(x) for x in v),
+    "phases": _json_list(_real, "numbers"),
+    "windings": _json_list(_winding, "whole numbers"),
     "steps": lambda v: tuple(_whole(x) for x in (v if isinstance(v, list) else [v])),
     "bound": lambda v: _positive_float(_real(v)),
     "seed": lambda v: _seed(_whole(v)),
@@ -175,7 +184,7 @@ def _apply_config(args, **defaults) -> None:
         if key in config and hasattr(args, key) and getattr(args, key) is None:
             try:
                 setattr(args, key, convert(config[key]))
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            except (TypeError, ValueError, ParamShapeMismatch, argparse.ArgumentTypeError) as exc:
                 raise ParamShapeMismatch(f"config key {key!r}: {exc}") from exc
     for key, value in {"tolerance": VALIDATION_TOL, **defaults}.items():
         if getattr(args, key) is None:

@@ -129,6 +129,8 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     serve every sample. The two scalings run on a (k, n, len(times)) stack,
     sample axis innermost; q_O^H and then q_X multiply all samples in one
     matrix product each, and a last copy puts the sample axis first.
+    The stack is allocated C-ordered: a broadcast product takes its
+    operands' order ("K", here (n, k, m)), and `reshape` would then copy it.
     A lone sample at k = 1 is taken twice, as BLAS rounds the matrix-vector
     product differently: no frame depends on the batch it is sampled in.
     """
@@ -139,7 +141,8 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     w_o, q_o = ctrl._omega_spectrum
     n, k, m = ctrl.n, ctrl.k, len(times)
     core = q_x.conj().T @ ctrl.base_frame() @ q_o
-    scaled = _unit_phases(np.multiply.outer(w_x, times))[None, :, :] * core.T[:, :, None]
+    scaled = np.empty((k, n, m), dtype=complex)
+    np.multiply(_unit_phases(np.multiply.outer(w_x, times)), core.T[:, :, None], out=scaled)
     scaled *= _unit_phases(-np.multiply.outer(w_o, times))[:, None, :]
     rotated = scaled.reshape(k, n * m).T @ q_o.conj().T
     frames = q_x @ rotated.reshape(n, m * k)

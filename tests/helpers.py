@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 
 from holosynth.errors import ConvergenceFailure
+from holosynth.extremal import _unit_phases
 from holosynth.linalg import PHASE_SNAP, TWO_PI, VALIDATION_TOL, check_unitary
 
 
@@ -85,3 +86,21 @@ def eig_unitary_reference(u, tol=VALIDATION_TOL):
             f"eigendecomposition reconstruction defect {recon:.3e} exceeds {tol:.1e}"
         )
     return r, gammas
+
+
+def curve_samples_reference(ctrl, times):
+    """`extremal.curve_samples` as it was written with the broadcast product,
+    whose (n, k, m) memory order made `reshape` copy the stack; the
+    library's version must return bit-identical frames."""
+    times = np.asarray(times, dtype=float)
+    if len(times) * ctrl.k == 1:
+        return curve_samples_reference(ctrl, times.repeat(2))[:1]
+    w_x, q_x = ctrl._spectrum
+    w_o, q_o = ctrl._omega_spectrum
+    n, k, m = ctrl.n, ctrl.k, len(times)
+    core = q_x.conj().T @ ctrl.base_frame() @ q_o
+    scaled = _unit_phases(np.multiply.outer(w_x, times))[None, :, :] * core.T[:, :, None]
+    scaled *= _unit_phases(-np.multiply.outer(w_o, times))[:, None, :]
+    rotated = scaled.reshape(k, n * m).T @ q_o.conj().T
+    frames = q_x @ rotated.reshape(n, m * k)
+    return np.ascontiguousarray(np.swapaxes(frames.reshape(n, m, k), 0, 1))

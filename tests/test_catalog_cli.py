@@ -813,7 +813,30 @@ class TestCliWindings:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == f"error: winding number must be >= 1 and <= 2**53, got {int(huge)}\n"
+        named = "config key 'windings': " if source == "config" else ""
+        assert err == f"error: {named}winding number must be >= 1 and <= 2**53, got {int(huge)}\n"
+
+
+class TestCliConfigLists:
+    """A config file gives `phases` and `windings` as JSON lists; a scalar
+    there, a string included, is refused naming its key."""
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"windings": NaN}', "'windings': expected a list of whole numbers, got nan"),
+        ('{"windings": 3}', "'windings': expected a list of whole numbers, got 3"),
+        ('{"phases": true}', "'phases': expected a list of numbers, got True"),
+        ('{"phases": "abc"}', "'phases': expected a list of numbers, got 'abc'"),
+    ], ids=["nan-windings", "scalar-windings", "boolean-phases", "string-phases"])
+    def test_a_config_list_key_given_a_scalar_exits_2_naming_it(
+        self, text, message, capsys, tmp_path
+    ):
+        (tmp_path / "config.json").write_text(text)
+        code, out, err = run_cli(
+            capsys, "synthesize", "--gate", "pauli-z", "--config", str(tmp_path / "config.json")
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config key {message}\n"
 
 
 class TestCliHelp:

@@ -22,7 +22,7 @@ from holosynth import (
     transform_controller,
 )
 from holosynth.linalg import expm_eigen, unitarity_defect
-from helpers import random_haar
+from helpers import curve_samples_reference, random_haar
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
@@ -135,6 +135,18 @@ class TestCurvePoint:
                 expm_eigen(w_x, q_x, t) @ v0 @ expm_eigen(w_o, q_o, -t) for t in times
             ])
             assert np.abs(frames - reference).max() <= 1e-14, length
+
+    @pytest.mark.parametrize("k", [*range(1, 9), 16])
+    def test_bit_equal_to_the_broadcast_product_reference(self, k):
+        # the C-ordered stack changes memory layout only: every frame keeps
+        # its floating-point operations, the lone k = 1 sample included
+        ctrl = synthesize(random_haar(np.random.default_rng(70 + k), k)).controller
+        rng = np.random.default_rng(k)
+        for length in (1, 2, 3, 511, 512, 513):
+            times = rng.uniform(0.0, 1.0, length)
+            frames = curve_samples(ctrl, times)
+            assert frames.flags.c_contiguous
+            assert frames.tobytes() == curve_samples_reference(ctrl, times).tobytes(), length
 
 
 class TestHolonomy:

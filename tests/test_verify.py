@@ -12,6 +12,7 @@ from holosynth import (
     SingularInput,
     TooFewSamples,
     catalog_get,
+    catalog_names,
     cross_validate,
     curve_samples,
     evaluate_controller,
@@ -25,7 +26,7 @@ from holosynth import (
     standard_base_frame,
     synthesize,
 )
-from helpers import random_haar, traced_peak
+from helpers import curve_samples_reference, random_haar, traced_peak
 
 HADAMARD = catalog_get("hadamard").matrix
 HALF_TURN = np.array([[np.exp(1j * np.pi)]], dtype=complex)
@@ -478,6 +479,23 @@ class TestOneClosureBound:
             cross_validate(ctrl, catalog_get(gate).matrix, (1000,))
         with pytest.raises(OpenLoop, match="endpoint projectors"):
             SampledLoop(curve_samples(ctrl, [0.0, 0.5, 1.0]))
+
+
+MULTI_CHANNEL_GATES = [
+    name for name in catalog_names() if "<" not in name and catalog_get(name).dim >= 2
+] + ["random-4"]
+
+
+class TestOracleBitIdentity:
+    @pytest.mark.parametrize("name", MULTI_CHANNEL_GATES)
+    def test_cross_validate_equals_the_broadcast_product_reference(self, name, monkeypatch):
+        gate = catalog_get(name).matrix
+        ctrl = synthesize(gate).controller
+        report = cross_validate(ctrl, gate, (1000, 10000))
+        monkeypatch.setattr(verify, "curve_samples", curve_samples_reference)
+        reference = cross_validate(ctrl, gate, (1000, 10000))
+        assert report.deviations == reference.deviations
+        assert report.gamma_numeric.tobytes() == reference.gamma_numeric.tobytes()
 
 
 class TestOracleAgreementEnsemble:
