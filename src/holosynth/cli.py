@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+import tempfile
+from contextlib import closing
 
 import numpy as np
 
@@ -206,13 +209,10 @@ def _load_gate(args) -> tuple[np.ndarray, str | None, GateCatalogEntry | None]:
 
 
 def _params(args, k: int) -> SynthesisParams:
+    """The flags' phases and windings, each defaulting to k channels;
+    `synthesize` checks their count against the gate."""
     phases = args.phases if args.phases is not None else (0.0,) * k
     windings = args.windings if args.windings is not None else (1,) * k
-    if len(phases) != k or len(windings) != k:
-        raise ParamShapeMismatch(
-            f"gate has {k} channels but got {len(phases)} phases "
-            f"and {len(windings)} windings"
-        )
     return SynthesisParams(phases=phases, windings=windings)
 
 
@@ -244,15 +244,31 @@ def _verdict(checks) -> int:
 
 def _emit(text, out: str | None) -> None:
     """Write `text`, a string or an iterable of strings, to stdout or to
-    the file `out`. The file is written as `<out>.partial` and renamed into
-    place once complete, so a failure part-way leaves `out` untouched."""
+    the file `out`. A regular file, or a path that does not exist yet, is
+    written as a temporary file beside it and renamed into place once
+    complete, so a failure part-way leaves `out` untouched. Anything else,
+    a symlink, a device or a FIFO, is written through."""
     parts = [text] if isinstance(text, str) else text
     if not out:
         sys.stdout.writelines(parts)
         return
-    partial = out + ".partial"
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
+        replace = stat.S_ISREG(os.lstat(out).st_mode)
+    except FileNotFoundError:
+        replace = True
+    if not replace:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(parts)
+        return
+    try:
+        fd, partial = tempfile.mkstemp(suffix=".partial", dir=os.path.dirname(out) or ".")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, out) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(partial, 0o666 & ~umask)  # the mode open() gives a new file, not 0o600
             fh.writelines(parts)
         os.replace(partial, out)
     finally:
@@ -335,9 +351,9 @@ def cmd_sample(args) -> int:
     if bloch:
         header += ["r1", "r2", "r3"]
 
-    def blocks():
+    def blocks(chunks):
         yield ",".join(header) + "\n"
-        for times, frames, _ in _grid_chunks(ctrl, steps, 0, steps + 1, args.tolerance):
+        for times, frames, _ in chunks:
             m, p = len(times), np.einsum("mik,mjk->mij", frames, frames.conj())
             columns = [times[:, None], frames.reshape(m, -1).view(float),
                        p.reshape(m, -1).view(float)]
@@ -347,7 +363,8 @@ def cmd_sample(args) -> int:
             rows = np.concatenate(columns, axis=1).tolist()
             yield "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
-    _emit(blocks(), args.out)
+    with closing(_grid_chunks(ctrl, steps, 0, steps + 1, args.tolerance)) as chunks:
+        _emit(blocks(chunks), args.out)
     return 0
 
 

@@ -49,23 +49,28 @@ def unitarity_defect(u) -> float:
         return float(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1)).max())
 
 
-def _adjoint(u: np.ndarray) -> np.ndarray:
+def _adjoint(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The real transposed copy of a contiguous complex (..., n, k) stack A
     that `_adjoint_product` takes in place of A^H, shape (..., 2k, n): rows
     0..k-1 hold Re of A's columns and rows k..2k-1 their Im. One copy
-    serves every product A^H B with the same A."""
+    serves every product A^H B with the same A. It is written into `out`,
+    a contiguous float array of that shape, when one is given."""
     n, k = u.shape[-2:]
+    out = np.empty(u.shape[:-2] + (2 * k, n)) if out is None else out
     parts = u.view(float).reshape(u.shape[:-1] + (k, 2))
-    return np.ascontiguousarray(np.swapaxes(parts, -3, -1)).reshape(u.shape[:-2] + (2 * k, n))
+    out.reshape(u.shape[:-2] + (2, k, n))[...] = np.swapaxes(parts, -3, -1)
+    return out
 
 
-def _adjoint_product(adjoint: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _adjoint_product(adjoint: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """A^H B for complex stacks, given `adjoint = _adjoint(A)`, in real
     arithmetic, which numpy's batched matmul forms several times faster
     than the complex product for small matrices. One real matmul gives
     [[Re(A)^T B], [Im(A)^T B]] in complex view, and
-    A^H B = Re(A)^T B - i Im(A)^T B."""
-    m = (adjoint @ b.view(float)).view(complex)
+    A^H B = Re(A)^T B - i Im(A)^T B. The real product is written into
+    `work`, a contiguous float (..., 2k, 2k) array, when one is given."""
+    m = np.matmul(adjoint, b.view(float), out=work).view(complex)
     k = m.shape[-1]
     out = np.multiply(m[..., k:, :], -1j, out=out)
     out += m[..., :k, :]

@@ -80,6 +80,8 @@ class SynthesisParams:
         phases: k free phases (radians) multiplying each channel coupling.
         windings: k whole numbers 1 <= n <= 2**53; how many times channel j
             traverses its small circle.
+
+    The count k is checked against the gate by `synthesize`.
     """
 
     phases: tuple[float, ...]
@@ -88,8 +90,6 @@ class SynthesisParams:
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(_param(_real, p, "phase") for p in self.phases))
         object.__setattr__(self, "windings", tuple(map(_winding, self.windings)))
-        if len(self.phases) != len(self.windings):
-            raise ParamShapeMismatch(f"{len(self.phases)} phases vs {len(self.windings)} windings")
         if not all(map(math.isfinite, self.phases)):
             raise ParamShapeMismatch(f"every phase must be finite, got phases {self.phases}")
 
@@ -174,8 +174,9 @@ def synthesize(
     k = gate.shape[0]
     if params is None:
         params = SynthesisParams.defaults(k)
-    if len(params.phases) != k:
-        raise ParamShapeMismatch(f"params carry {len(params.phases)} channels for a {k}-dim gate")
+    if not len(params.phases) == len(params.windings) == k:
+        raise ParamShapeMismatch(f"gate has {k} channels but got {len(params.phases)} phases "
+                                 f"and {len(params.windings)} windings")
     if channel_order is not None:
         order = tuple(_param(_whole, i, "channel_order entry") for i in channel_order)
         if sorted(order) != list(range(k)):

@@ -24,6 +24,13 @@ Every grid reader, `sample_loop` too, takes its times from `_grid_times`
 after `_closed_loop` checks the step count and lets `holonomy_analytic`
 decide closure, once per call; whole loops share the Gram check and fold.
 
+The two halves of a chunk's work overlap: one helper thread per stream
+samples the next chunk (`curve_samples`, whose numpy calls release the
+GIL) while the caller's thread Gram-checks and folds this one, a lookahead
+of one chunk, so one extra chunk is in flight and memory still does not
+grow with the step count. The checks run in chunk order, and the fold's
+chunk-sized work arrays are allocated once per stream and reused.
+
 The per-sample k x k products run in real arithmetic, which numpy's
 batched matmul does several times faster than complex for small k. A
 chunk's frames are copied once into their real transposed form
@@ -53,7 +60,10 @@ inverse exist in the literature and are not reconciled here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import queue
+import threading
+from contextlib import closing
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,6 +98,8 @@ class SampledLoop:
 
     frames: np.ndarray
     tol: float = VALIDATION_TOL
+    # the Gram check's `linalg._adjoint` of the frames, which the fold reuses
+    _checked_adjoint: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = np.ascontiguousarray(self.frames, dtype=complex)
@@ -98,7 +110,7 @@ class SampledLoop:
         closure = _span_distance(frames[-1], frames[0])
         if not closure <= CLOSURE_TOL:
             raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
-        _check_frames(frames, self.tol)
+        object.__setattr__(self, "_checked_adjoint", _check_frames(frames, self.tol))
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -163,10 +175,10 @@ def _grid_times(steps: int, lo: int, hi: int) -> np.ndarray:
     return np.where(index == steps, 1.0, index * (1.0 / steps))
 
 
-def _check_frames(frames: np.ndarray, tol: float) -> np.ndarray:
+def _check_frames(frames: np.ndarray, tol: float, out: np.ndarray | None = None) -> np.ndarray:
     """Gram-check a contiguous (c, n, k) frame stack and return its
-    `linalg._adjoint`, which the overlap fold reuses."""
-    adjoint = _adjoint(frames)
+    `linalg._adjoint`, written into `out` if given, for the overlap fold."""
+    adjoint = _adjoint(frames, out)
     worst = _gram_defect(adjoint, frames)
     if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
@@ -185,21 +197,22 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
     return SampledLoop(curve_samples(ctrl, _grid_times(steps, 0, steps + 1)), tol)
 
 
-def _ordered_chain(factors: np.ndarray) -> np.ndarray:
+def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Product factors[0] @ factors[1] @ ... @ factors[-1] by pairwise reduction.
 
     Associativity keeps the operand order intact while each pass halves
-    the count with one batched matmul, so long chains stay cheap.
+    the count with one batched matmul, so long chains stay cheap. The
+    passes alternate between the two halves of `work`, each holding at
+    least (len(factors) + 1) // 2 matrices.
     """
-    chain = factors
+    chain, halves = factors, np.split(work, 2)
     while chain.shape[0] > 1:
-        m = chain.shape[0]
-        half = (m // 2) * 2
-        paired = np.matmul(chain[0:half:2], chain[1:half:2])
-        if m % 2:
-            chain = np.concatenate([paired, chain[-1:]], axis=0)
-        else:
-            chain = paired
+        pairs, odd = divmod(chain.shape[0], 2)
+        paired, halves = halves[0][:pairs + odd], halves[::-1]
+        np.matmul(chain[0:2 * pairs:2], chain[1:2 * pairs:2], out=paired[:pairs])
+        if odd:
+            paired[pairs] = chain[-1]
+        chain = paired
     return chain[0]
 
 
@@ -212,18 +225,24 @@ def _chain_holonomy(chunks, v0: np.ndarray) -> np.ndarray:
     matmul and are written straight into their real embeddings (see the
     module docstring), which are reduced pairwise and left-multiplied
     into a running 2k x 2k product; the chunk's last frame is carried into
-    the next, so one chunk is held at a time.
+    the next, so one chunk is held at a time. The chunk-sized work arrays
+    are allocated at the first chunk, which no later chunk outgrows, and
+    reused for every chunk.
     """
     k = v0.shape[1]
-    chain, prev = np.eye(2 * k), v0
+    chain, prev, work = np.eye(2 * k), v0, None
     for frames, adjoint in chunks:
-        embedded = np.empty((len(frames), k, 2, k), dtype=complex)
-        overlaps = embedded[:, :, 0, :]
+        c = len(frames)
+        if work is None:
+            work = np.empty((2 * (c + (c + 1) // 2), 2 * k, 2 * k))
+            embedded = work[:c].view(complex).reshape(c, k, 2, k)
+            product, halves = work[c:2 * c], work[2 * c:]
+        overlaps = embedded[:c, :, 0, :]
         _adjoint_product(adjoint[:1], prev[None], overlaps[:1])
-        _adjoint_product(adjoint[1:], frames[:-1], overlaps[1:])
-        np.multiply(overlaps, 1j, out=embedded[:, :, 1, :])
-        factors = embedded.view(float).reshape(len(frames), 2 * k, 2 * k)
-        chain = _ordered_chain(factors[::-1]) @ chain
+        _adjoint_product(adjoint[1:], frames[:-1], overlaps[1:], product[:c - 1])
+        np.multiply(overlaps, 1j, out=embedded[:c, :, 1, :])
+        factors = embedded[:c].view(float).reshape(c, 2 * k, 2 * k)
+        chain = _ordered_chain(factors[::-1], halves) @ chain
         prev = frames[-1]
     return polar_unitary(v0.conj().T @ prev @ chain.view(complex)[0::2])
 
@@ -251,8 +270,7 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
         raise InvalidFrame(
             f"loop does not start at the base projector: ||V_0 V_0^H - P0||_F = "
             f"{offset:.3e} exceeds {CLOSURE_TOL:.1e}")
-    interior = loop.frames[1:-1]
-    return _chain_holonomy([(interior, _adjoint(interior))], v0)
+    return _chain_holonomy([(loop.frames[1:-1], loop._checked_adjoint[1:-1])], v0)
 
 
 def _chunk_frames(n: int, k: int) -> int:
@@ -262,14 +280,44 @@ def _chunk_frames(n: int, k: int) -> int:
 
 def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
     """(times, frames, adjoint) of the grid points lo, ..., hi-1 of
-    `_grid_times`, sampled and Gram-checked one chunk at a time; `adjoint`
-    is the check's `linalg._adjoint` of the frames. Each frame equals its
-    `sample_loop` counterpart."""
+    `_grid_times`, one chunk at a time, Gram-checked in order on the
+    caller's thread while a helper thread samples the next chunk; an
+    exception of the helper is raised here, at its chunk. Each frame equals
+    its `sample_loop` counterpart. `frames` is a fresh array per chunk;
+    `adjoint`, the check's `linalg._adjoint`, is valid only until the next.
+    The helper is joined when the stream ends, raises or is closed, so a
+    reader that may stop early closes it (`contextlib.closing`)."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
-    for start in range(lo, hi, chunk):
-        times = _grid_times(steps, start, min(start + chunk, hi))
-        frames = curve_samples(ctrl, times)
-        yield times, frames, _check_frames(frames, tol)
+    starts = range(lo, hi, chunk)
+    wanted, ready = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def sample():
+        # the caller asks for each chunk in turn (True) or stops the stream (False)
+        try:
+            for start in starts:
+                times = _grid_times(steps, start, min(start + chunk, hi))
+                frames = curve_samples(ctrl, times)
+                if not wanted.get():
+                    return
+                ready.put((times, frames))
+        except BaseException as exc:  # raised again on the caller's thread
+            if wanted.get():
+                ready.put(exc)
+
+    adjoint = np.empty((min(chunk, hi - lo), 2 * ctrl.k, ctrl.n))
+    helper = threading.Thread(target=sample, name="holosynth-sampler", daemon=True)
+    helper.start()
+    try:
+        for _ in starts:
+            wanted.put(True)
+            item = ready.get()
+            if isinstance(item, BaseException):
+                raise item
+            times, frames = item
+            yield times, frames, _check_frames(frames, tol, adjoint[:len(frames)])
+    finally:
+        wanted.put(False)
+        helper.join()
 
 
 def _closed_loop(ctrl: Controller, *steps: int) -> np.ndarray:
@@ -319,8 +367,8 @@ def cross_validate(
     v0 = ctrl.base_frame()
     deviations = []
     for steps in schedule:
-        interior = _grid_chunks(ctrl, steps, 1, steps, tol)
-        gamma_numeric = _chain_holonomy(((f, a) for _, f, a in interior), v0)
+        with closing(_grid_chunks(ctrl, steps, 1, steps, tol)) as interior:
+            gamma_numeric = _chain_holonomy(((f, a) for _, f, a in interior), v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     usable = [
         (np.log(s), np.log(d))

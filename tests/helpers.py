@@ -5,9 +5,13 @@ import tracemalloc
 
 import numpy as np
 
-from holosynth.errors import ConvergenceFailure
-from holosynth.extremal import _unit_phases
-from holosynth.linalg import PHASE_SNAP, TWO_PI, VALIDATION_TOL, check_unitary
+from holosynth.errors import ConvergenceFailure, InvalidFrame
+from holosynth.extremal import _unit_phases, curve_samples, holonomy_analytic
+from holosynth.linalg import (
+    PHASE_SNAP, TWO_PI, VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect,
+    check_unitary, polar_unitary,
+)
+from holosynth.verify import _chunk_frames, _grid_times
 
 
 def expm_taylor_squaring(a, t=1.0, taylor_terms=18, squarings=12):
@@ -104,3 +108,69 @@ def curve_samples_reference(ctrl, times):
     rotated = scaled.reshape(k, n * m).T @ q_o.conj().T
     frames = q_x @ rotated.reshape(n, m * k)
     return np.ascontiguousarray(np.swapaxes(frames.reshape(n, m, k), 0, 1))
+
+
+def _check_frames_serial(frames, tol):
+    """`verify._check_frames` as it was written before the helper thread:
+    a fresh `_adjoint` per chunk."""
+    adjoint = _adjoint(frames)
+    worst = _gram_defect(adjoint, frames)
+    if not worst <= tol:
+        raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
+    return adjoint
+
+
+def _ordered_chain_serial(factors):
+    """`verify._ordered_chain` as it was written before the reused work
+    arrays: a fresh array per pass."""
+    chain = factors
+    while chain.shape[0] > 1:
+        m = chain.shape[0]
+        half = (m // 2) * 2
+        paired = np.matmul(chain[0:half:2], chain[1:half:2])
+        if m % 2:
+            chain = np.concatenate([paired, chain[-1:]], axis=0)
+        else:
+            chain = paired
+    return chain[0]
+
+
+def _chain_holonomy_serial(chunks, v0):
+    """`verify._chain_holonomy` as it was written before the reused work
+    arrays."""
+    k = v0.shape[1]
+    chain, prev = np.eye(2 * k), v0
+    for frames, adjoint in chunks:
+        embedded = np.empty((len(frames), k, 2, k), dtype=complex)
+        overlaps = embedded[:, :, 0, :]
+        _adjoint_product(adjoint[:1], prev[None], overlaps[:1])
+        _adjoint_product(adjoint[1:], frames[:-1], overlaps[1:])
+        np.multiply(overlaps, 1j, out=embedded[:, :, 1, :])
+        factors = embedded.view(float).reshape(len(frames), 2 * k, 2 * k)
+        chain = _ordered_chain_serial(factors[::-1]) @ chain
+        prev = frames[-1]
+    return polar_unitary(v0.conj().T @ prev @ chain.view(complex)[0::2])
+
+
+def _grid_chunks_serial(ctrl, steps, lo, hi, tol):
+    """`verify._grid_chunks` as it was written before the helper thread:
+    each chunk sampled and then checked on the caller's thread."""
+    chunk = _chunk_frames(ctrl.n, ctrl.k)
+    for start in range(lo, hi, chunk):
+        times = _grid_times(steps, start, min(start + chunk, hi))
+        frames = curve_samples(ctrl, times)
+        yield times, frames, _check_frames_serial(frames, tol)
+
+
+def cross_validate_serial(ctrl, schedule, tol=VALIDATION_TOL):
+    """(deviations, gamma_numeric) of `verify.cross_validate` on one thread,
+    with the fold as it was written before the pipeline; the library's
+    version must return them bit for bit."""
+    analytic = holonomy_analytic(ctrl)
+    v0 = ctrl.base_frame()
+    deviations = []
+    for steps in schedule:
+        interior = _grid_chunks_serial(ctrl, steps, 1, steps, tol)
+        gamma_numeric = _chain_holonomy_serial(((f, a) for _, f, a in interior), v0)
+        deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
+    return tuple(deviations), gamma_numeric

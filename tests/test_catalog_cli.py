@@ -1,7 +1,10 @@
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -817,6 +820,12 @@ class TestCliWindings:
         assert err == f"error: {named}winding number must be >= 1 and <= 2**53, got {int(huge)}\n"
 
 
+def test_a_channel_count_mismatch_exits_2_naming_both_counts(capsys):
+    code, out, err = run_cli(capsys, "synthesize", "--gate", "cnot", "--phases", "0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: gate has 4 channels but got 2 phases and 4 windings\n"
+
+
 class TestCliConfigLists:
     """A config file gives `phases` and `windings` as JSON lists; a scalar
     there, a string included, is refused naming its key."""
@@ -963,11 +972,11 @@ class TestCliSample:
         calls = []
         check = verify._check_frames
 
-        def failing_second_chunk(frames, tol):
+        def failing_second_chunk(frames, tol, out):
             calls.append(len(frames))
             if len(calls) == 2:
                 raise InvalidFrame("rough frame in the second chunk")
-            check(frames, tol)
+            check(frames, tol, out)
 
         monkeypatch.setattr(verify, "_check_frames", failing_second_chunk)
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)
@@ -1011,6 +1020,83 @@ class TestCliSample:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 10
+
+
+class TestCliOut:
+    """--out replaces a regular file, or creates one, only once the output
+    is complete; a symlink, a device or a FIFO is written through."""
+
+    @staticmethod
+    def _csv(capsys):
+        code, out, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "1500")
+        assert code == 0
+        return out
+
+    def test_a_new_file_gets_the_mode_open_would_give_it(self, capsys, tmp_path):
+        out = tmp_path / "loop.csv"
+        code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "1500",
+                             "--out", str(out))
+        assert code == 0
+        assert out.read_text() == self._csv(capsys)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["loop.csv"]
+
+    def test_a_symlink_survives_and_its_target_gets_the_output(self, capsys, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier run\n")
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "1500",
+                             "--out", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == self._csv(capsys)
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+    def test_a_fifo_is_written_through_to_its_reader(self, capsys, tmp_path):
+        fifo = tmp_path / "loop.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, encoding="utf-8", newline="") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "1500",
+                             "--out", str(fifo))
+        reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        assert received == [self._csv(capsys)]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_the_null_device_stays_a_device(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "100",
+                                 "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_a_missing_directory_exits_2_naming_out(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "loop.csv")
+        code, _, err = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "10",
+                               "--out", out)
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+    def test_a_write_failing_part_way_exits_2_and_joins_the_sampler(self, monkeypatch):
+        class FullDisk(io.StringIO):
+            def writelines(self, parts):
+                for i, part in enumerate(parts):
+                    if i == 2:
+                        raise OSError(28, "No space left on device")
+                    self.write(part)
+
+        threads = threading.active_count()
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        assert main(["sample", "--gate", "dft2", "--steps", "5000"]) == 2
+        assert threading.active_count() == threads
 
 
 class TestCliCatalog:

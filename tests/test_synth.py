@@ -316,6 +316,12 @@ class TestSynthesizeErrors:
         with pytest.raises(ParamShapeMismatch):
             synthesize(HADAMARD, SynthesisParams(phases=(0.0,), windings=(1,)))
 
+    def test_a_channel_count_mismatch_names_the_gate_and_both_counts(self):
+        # phases and windings of different lengths are checked against the gate
+        with pytest.raises(ParamShapeMismatch,
+                           match=r"^gate has 2 channels but got 1 phases and 2 windings$"):
+            synthesize(HADAMARD, SynthesisParams(phases=(0.0,), windings=(1, 1)))
+
     def test_rejects_bad_windings(self):
         with pytest.raises(ParamShapeMismatch):
             SynthesisParams(phases=(0.0,), windings=(0,))

@@ -1,3 +1,7 @@
+import sys
+import threading
+from contextlib import closing
+
 import numpy as np
 import pytest
 
@@ -26,7 +30,7 @@ from holosynth import (
     standard_base_frame,
     synthesize,
 )
-from helpers import curve_samples_reference, random_haar, traced_peak
+from helpers import cross_validate_serial, curve_samples_reference, random_haar, traced_peak
 
 HADAMARD = catalog_get("hadamard").matrix
 HALF_TURN = np.array([[np.exp(1j * np.pi)]], dtype=complex)
@@ -366,10 +370,12 @@ class TestStreamedOracle:
 
         monkeypatch.setattr(verify, "curve_samples", rough)
         ctrl = self._controller(4)
+        threads = threading.active_count()
         with pytest.raises(InvalidFrame):
             sample_loop(ctrl, 2000)
         with pytest.raises(InvalidFrame):
             cross_validate(ctrl, np.eye(4), (2000,))
+        assert threading.active_count() == threads
 
     def test_one_step_is_too_few(self):
         with pytest.raises(TooFewSamples):
@@ -484,6 +490,107 @@ class TestOneClosureBound:
 MULTI_CHANNEL_GATES = [
     name for name in catalog_names() if "<" not in name and catalog_get(name).dim >= 2
 ] + ["random-4"]
+
+
+# every catalog gate, the templates at one size each, and Haar gates of growing rank
+PIPELINE_GATES = [
+    (name, catalog_get(name).matrix)
+    for name in (n.replace("<k>", "3").replace("<gamma>", "0.7") for n in catalog_names())
+] + [(f"haar-{k}", random_haar(np.random.default_rng(40 + k), k)) for k in (1, 2, 3, 4, 8, 16)]
+
+
+class TestPipelinedOracle:
+    """The helper thread that samples the next chunk and the reused fold
+    arrays change no bit of the oracle, and every stream joins its helper
+    however it ends."""
+
+    @pytest.mark.parametrize("gate", [g for _, g in PIPELINE_GATES],
+                             ids=[name for name, _ in PIPELINE_GATES])
+    def test_equals_the_serial_reference_across_chunk_edges(self, gate):
+        ctrl = synthesize(gate).controller
+        chunk = verify._chunk_frames(ctrl.n, ctrl.k)
+        schedule = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
+        report = cross_validate(ctrl, gate, schedule)
+        deviations, gamma_numeric = cross_validate_serial(ctrl, schedule)
+        assert report.deviations == deviations
+        assert report.gamma_numeric.tobytes() == gamma_numeric.tobytes()
+
+    @staticmethod
+    def _controller():
+        return synthesize(random_haar(np.random.default_rng(34), 4)).controller
+
+    def test_a_run_leaves_no_thread_behind(self):
+        threads = threading.active_count()
+        cross_validate(self._controller(), np.eye(4), (1000, 3000))
+        assert threading.active_count() == threads
+
+    def test_a_reader_that_stops_after_the_first_chunk_joins_the_helper(self):
+        ctrl, threads = self._controller(), threading.active_count()
+        try:
+            with closing(verify._grid_chunks(ctrl, 5000, 0, 5001, verify.VALIDATION_TOL)) as chunks:
+                next(chunks)
+                raise RuntimeError("the reader stops")
+        except RuntimeError as exc:
+            held = exc  # its traceback holds the frame that holds the stream
+        assert held.__traceback__ is not None
+        assert threading.active_count() == threads
+
+    def test_a_sampler_error_in_a_later_chunk_reaches_the_caller_with_its_type(self, monkeypatch):
+        # 2000 steps put t = 0.5 in the second chunk of interior frames
+        class SamplerFault(Exception):
+            pass
+
+        sample = verify.curve_samples
+
+        def failing(ctrl, times):
+            if 0.5 in times:
+                raise SamplerFault("t = 0.5")
+            return sample(ctrl, times)
+
+        monkeypatch.setattr(verify, "curve_samples", failing)
+        threads = threading.active_count()
+        with pytest.raises(SamplerFault, match="t = 0.5"):
+            cross_validate(self._controller(), np.eye(4), (2000,))
+        assert threading.active_count() == threads
+
+    def test_a_rough_chunk_is_rejected_before_the_next_chunk_fails_to_sample(self, monkeypatch):
+        # t = 0.5 lies in the second chunk of 2000 steps, t = 0.75 in the third,
+        # which the helper samples while the caller checks the second
+        sample = verify.curve_samples
+
+        def rough_then_failing(ctrl, times):
+            if 0.75 in times:
+                raise MemoryError("third chunk")
+            frames = sample(ctrl, times)
+            frames[times == 0.5] *= 2.0
+            return frames
+
+        monkeypatch.setattr(verify, "curve_samples", rough_then_failing)
+        with pytest.raises(InvalidFrame):
+            cross_validate(self._controller(), np.eye(4), (2000,))
+
+    def test_concurrent_streams_keep_their_bits(self):
+        # more callers than cores, each with its own helper and work arrays
+        ctrl, schedule = self._controller(), (1000, 3000)
+        deviations, gamma_numeric = cross_validate_serial(ctrl, schedule)
+        results = []
+
+        def run():
+            report = cross_validate(ctrl, np.eye(4), schedule)
+            results.append((report.deviations, report.gamma_numeric.tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run) for _ in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [(deviations, gamma_numeric.tobytes())] * 3
 
 
 class TestOracleBitIdentity:
