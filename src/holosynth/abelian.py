@@ -11,8 +11,8 @@ starting at the north pole and swept at angular rate 2*||w||. The loop
 closes after time 1 exactly when ||w|| = n*pi for a positive integer n
 (the winding number), and then the acquired phase is exp(-i*(w3 - n*pi)).
 
-This module serves both as the pedagogical picture and as an independent
-cross-check of the general synthesis at k = 1.
+This module is the pedagogical picture; its closed forms `bloch_curve` and
+`berry_holonomy` cross-check the general synthesis at k = 1.
 
 Sign conventions: the general construction attaches exp(+i*phi) to the
 channel coupling amplitude, and the controller assembled here matches it;
@@ -26,12 +26,14 @@ multi-channel constructions routinely contain such channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OpenLoop, ParamShapeMismatch
 from .extremal import Controller
+from .synth import _param, _real, small_circle_params
 
 _E3 = np.array([0.0, 0.0, 1.0])
 _WINDING_TOL = 1e-8
@@ -44,9 +46,10 @@ class BerryController:
     w: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "w", tuple(float(x) for x in self.w))
-        if len(self.w) != 3:
-            raise ParamShapeMismatch("control vector must have 3 components")
+        w = tuple(_param(_real, x, "control vector component") for x in self.w)
+        if len(w) != 3 or not all(map(math.isfinite, w)):
+            raise ParamShapeMismatch(f"control vector must be 3 finite numbers, got {w}")
+        object.__setattr__(self, "w", w)
 
     @property
     def rho(self) -> float:
@@ -64,10 +67,7 @@ class BerryController:
     @property
     def matrix(self) -> np.ndarray:
         """The 2 x 2 generator i*(w3*I + w . sigma)."""
-        w1, w2, w3 = self.w
-        return 1j * np.array(
-            [[2.0 * w3, w1 - 1j * w2], [w1 + 1j * w2, 0.0]], dtype=complex
-        )
+        return self.to_controller().matrix
 
     def to_controller(self) -> Controller:
         """The same generator as a general controller (k = 1, n = 2)."""
@@ -79,17 +79,11 @@ class BerryController:
 
 
 def berry_controller(gamma: float, phi: float = 0.0, n: int = 1) -> BerryController:
-    """Control vector for the phase gate exp(i*gamma) with winding n.
-
-    Sets w3 = n*pi - gamma and w1 + i*w2 = exp(-i*phi) * sqrt((n*pi)^2 - w3^2),
-    which pins ||w|| = n*pi so the loop closes after unit time.
-    """
-    if n < 1:
-        raise ParamShapeMismatch(f"winding number must be >= 1, got {n}")
-    w3 = n * np.pi - gamma
-    radicand = max((n * np.pi) ** 2 - w3**2, 0.0)
-    transverse = np.exp(-1j * phi) * np.sqrt(radicand)
-    return BerryController(w=(float(transverse.real), float(transverse.imag), float(w3)))
+    """Control vector for the phase gate exp(i*gamma) with winding n: the
+    channel (omega, tau) of `small_circle_params` as w = (Re tau, -Im tau,
+    omega/2), so ||w|| = n*pi. It raises what `small_circle_params` raises."""
+    omega, tau = small_circle_params(gamma, phi, n)
+    return BerryController(w=(tau.real, -tau.imag, omega / 2))
 
 
 def bloch_curve(ctrl: BerryController, t: float) -> np.ndarray:

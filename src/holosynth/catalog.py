@@ -26,18 +26,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownGate
+from .extremal import _frozen
 from .linalg import haar_unitary
 
 
 @dataclass(frozen=True)
 class GateCatalogEntry:
-    """A named unitary plus optional tabulated channel-ordering data."""
+    """A named unitary plus optional tabulated channel-ordering data. The
+    matrix is a read-only copy, so no caller can alter a catalog entry."""
 
     name: str
     dim: int
     matrix: np.ndarray
     paper_order: tuple[int, ...] | None = None
     paper_signs: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
 
 
 def _dft2() -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import stat
 import sys
 import tempfile
@@ -253,22 +254,23 @@ def _emit(text, out: str | None) -> None:
         sys.stdout.writelines(parts)
         return
     try:
-        replace = stat.S_ISREG(os.lstat(out).st_mode)
+        mode = os.lstat(out).st_mode
     except FileNotFoundError:
-        replace = True
-    if not replace:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)  # the mode open() gives a new file, not 0o600
+    if not stat.S_ISREG(mode):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(parts)
         return
     try:
-        fd, partial = tempfile.mkstemp(suffix=".partial", dir=os.path.dirname(out) or ".")
+        fd, partial = tempfile.mkstemp(prefix=os.path.basename(out) + ".", suffix=".partial",
+                                       dir=os.path.dirname(out) or ".")
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, out) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(partial, 0o666 & ~umask)  # the mode open() gives a new file, not 0o600
+            os.chmod(partial, stat.S_IMODE(mode))
             fh.writelines(parts)
         os.replace(partial, out)
     finally:
@@ -415,6 +417,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The console command: `main`, with SIGTERM raised as SystemExit(143)
+    so that a stopped run still removes its temporary output file."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
 
 

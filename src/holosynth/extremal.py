@@ -208,7 +208,7 @@ def check_target(ctrl: Controller, target, tol: float = VALIDATION_TOL) -> np.nd
 
 
 def transform_controller(ctrl: Controller, h1, h2, tol: float = VALIDATION_TOL) -> Controller:
-    """Conjugate a controller by block unitaries (h1, h2).
+    """Conjugate a controller by block unitaries (h1, h2); `tol` governs every check.
 
     Returns the controller with omega' = h1 omega h1^H and
     coupling' = h1 W h2^H. When h1 additionally commutes with the target
@@ -226,7 +226,7 @@ def transform_controller(ctrl: Controller, h1, h2, tol: float = VALIDATION_TOL) 
         )
     return Controller(
         omega=h1 @ ctrl.omega @ h1.conj().T,
-        coupling=h1 @ ctrl.coupling @ h2.conj().T,
+        coupling=h1 @ ctrl.coupling @ h2.conj().T, tol=tol,
     )
 
 

@@ -118,7 +118,10 @@ class SynthesisResult:
 
 def _channel(gamma: float, phi: float, n: int) -> tuple[float, complex, float]:
     """(omega, tau, length) of one circle channel, n checked: the one rule of
-    `synthesize` and both functions below; roundoff to -1e-14 gives tau 0."""
+    `synthesize`, both functions below and `berry_controller`; a non-finite
+    gamma or phi raises, and roundoff to -1e-14 gives tau 0."""
+    if not (math.isfinite(gamma) and math.isfinite(phi)):
+        raise ParamShapeMismatch(f"non-finite circle channel: gamma={gamma}, phi={phi}")
     half = n * np.pi - gamma
     length = (n * np.pi) ** 2 - half**2
     if length < -_NEG_CLAMP:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 
+from holosynth.abelian import BerryController
 from holosynth.errors import ConvergenceFailure, InvalidFrame
 from holosynth.extremal import _unit_phases, curve_samples, holonomy_analytic
 from holosynth.linalg import (
@@ -90,6 +91,16 @@ def eig_unitary_reference(u, tol=VALIDATION_TOL):
             f"eigendecomposition reconstruction defect {recon:.3e} exceeds {tol:.1e}"
         )
     return r, gammas
+
+
+def berry_controller_reference(gamma, phi=0.0, n=1):
+    """`abelian.berry_controller` as it was written with its own copy of the
+    circle channel, for valid (gamma, phi, n); the library's version, which
+    reads `synth.small_circle_params`, must return an equal `w`."""
+    w3 = n * np.pi - gamma
+    radicand = max((n * np.pi) ** 2 - w3**2, 0.0)
+    transverse = np.exp(-1j * phi) * np.sqrt(radicand)
+    return BerryController(w=(float(transverse.real), float(transverse.imag), float(w3)))
 
 
 def curve_samples_reference(ctrl, times):

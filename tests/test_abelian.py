@@ -1,16 +1,23 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosynth import (
     OpenLoop,
+    ParamShapeMismatch,
     berry_controller,
     berry_holonomy,
     bloch_curve,
     curve_samples,
     holonomy_analytic,
+    small_circle_params,
     synthesize,
 )
 from holosynth.abelian import BerryController
+from helpers import berry_controller_reference
 
 SIGMA = np.array(
     [
@@ -55,6 +62,48 @@ class TestBerryController:
         )
         np.testing.assert_allclose(c.matrix, expected, atol=1e-14)
         assert np.linalg.norm(c.matrix + c.matrix.conj().T) < 1e-14
+
+
+class TestOneChannelRule:
+    """`berry_controller` is the channel of `small_circle_params`: equal to
+    the formula it kept before, and refusing what that function refuses."""
+
+    @staticmethod
+    def assert_matches_reference(gamma, phi, n):
+        got, want = berry_controller(gamma, phi, n), berry_controller_reference(gamma, phi, n)
+        assert np.array_equal(got.w, want.w)
+        assert np.array(berry_holonomy(got)).tobytes() == np.array(berry_holonomy(want)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("phi", [0.0, 0.3, np.pi, -np.pi, 2 * np.pi])
+    def test_matches_the_reference_on_a_grid(self, phi, n):
+        for gamma in np.linspace(0.0, 2 * np.pi, 33):
+            self.assert_matches_reference(gamma, phi, n)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(1, 99), fraction=st.floats(0.0, 1.0), phi=st.floats(-20.0, 20.0))
+    def test_matches_the_reference_on_a_sample(self, n, fraction, phi):
+        self.assert_matches_reference(fraction * 2 * n * np.pi, phi, n)
+
+    @pytest.mark.parametrize("args", [
+        (0.5, 0.0, 0), (0.5, 0.0, 1.5), (0.5, 0.0, True), (0.5, 0.0, 2**53 + 1),
+        (0.5, 0.0, 2**60), (7.0, 0.0, 1), (-0.5, 0.0, 1),
+        (np.nan, 0.0, 1), (np.inf, 0.0, 1), (-np.inf, 0.0, 1),
+        (0.5, np.nan, 1), (0.5, np.inf, 1), (0.5, -np.inf, 1),
+    ], ids=str)
+    def test_refuses_what_small_circle_params_refuses(self, args):
+        with pytest.raises(ParamShapeMismatch) as refused:
+            small_circle_params(*args)
+        with pytest.raises(ParamShapeMismatch, match=f"^{re.escape(str(refused.value))}$"):
+            berry_controller(*args)
+
+    @pytest.mark.parametrize("w", [
+        (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf), ("1", 0.0, 0.0),
+        (True, 0.0, 0.0),
+    ], ids=str)
+    def test_control_vector_refuses_a_non_finite_or_non_number(self, w):
+        with pytest.raises(ParamShapeMismatch, match="control vector"):
+            BerryController(w=w)
 
 
 class TestBlochCurve:

@@ -1,10 +1,12 @@
 import io
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,13 @@ class TestCatalog:
     def test_names_listing(self):
         names = catalog_names()
         assert "hadamard" in names and "dft2" in names
+
+    @pytest.mark.parametrize("name", ["cnot", "identity-2", "phase-0.7", "random-3"])
+    def test_an_entry_matrix_is_read_only(self, name):
+        entry = catalog_get(name)
+        with pytest.raises(ValueError, match="read-only"):
+            entry.matrix[0, 0] = 7
+        assert catalog_get(name).matrix[0, 0] != 7
 
 
 class TestDocument:
@@ -378,14 +387,17 @@ class TestCliVerify:
         assert "holonomy error" not in err
 
 
+def _python_env():
+    """The environment of a fresh interpreter that imports the package under test."""
+    src = str(Path(holosynth.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_python(*args):
     """Run a fresh interpreter that imports the package under test."""
-    src = str(Path(holosynth.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_python_env())
 
 
 def test_cli_never_imports_scipy(tmp_path):
@@ -1042,6 +1054,39 @@ class TestCliOut:
         os.umask(umask)
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
         assert os.listdir(tmp_path) == ["loop.csv"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    def test_a_replaced_file_keeps_its_mode(self, capsys, tmp_path, mode):
+        out = tmp_path / "doc.json"
+        out.write_text("earlier run\n")
+        out.chmod(mode)
+        code, _, _ = run_cli(capsys, "synthesize", "--gate", "cnot", "--out", str(out))
+        assert code == 0
+        assert out.read_text().startswith("{")
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_sigterm_exits_143_and_leaves_no_partial_file(self, tmp_path):
+        # the console command, stopped while it streams a long CSV to --out
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "holosynth.cli", "sample", "--gate", "cnot",
+             "--steps", "3000000", "--out", "c.csv"],
+            cwd=tmp_path, env=_python_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (partial := list(tmp_path.glob("*.partial"))):
+                assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            assert partial[0].name.startswith("c.csv.")  # names what it was for
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 143, err
+        assert os.listdir(tmp_path) == []
 
     def test_a_symlink_survives_and_its_target_gets_the_output(self, capsys, tmp_path):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"

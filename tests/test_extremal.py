@@ -246,6 +246,14 @@ class TestTransformController:
         with pytest.raises(NonUnitaryInput):
             transform_controller(ctrl, 1.1 * np.eye(2), np.eye(2))
 
+    def test_tolerance_reaches_the_result(self):
+        # omega's Hermitian part has norm 1.4e-9: within 1e-8, beyond the default 1e-10
+        omega = np.array([[1j, 0.5e-9], [0.5e-9, 2j]])
+        ctrl = Controller(omega=omega, coupling=np.eye(2), tol=1e-8)
+        moved = transform_controller(ctrl, np.eye(2), np.eye(2), tol=1e-8)
+        assert moved.tol == 1e-8
+        assert np.array_equal(moved.matrix, ctrl.matrix)
+
 
 class TestGateCommutes:
     def test_identity_commutes(self):

@@ -95,6 +95,17 @@ class TestChannelLength:
         with pytest.raises(ParamShapeMismatch, match="negative circle radicand -5.0"):
             call()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("call", [
+        lambda x: small_circle_params(x, 0.0, 1),
+        lambda x: small_circle_params(0.5, x, 1),
+        lambda x: channel_length(x, 1),
+    ], ids=["small_circle_params gamma", "small_circle_params phi", "channel_length"])
+    def test_a_non_finite_angle_raises(self, call, value):
+        # NaN passes the radicand comparison, so the channel checks finiteness first
+        with pytest.raises(ParamShapeMismatch, match="non-finite circle channel"):
+            call(value)
+
 
 class TestWindingBound:
     """A winding is a whole number 1 <= n <= 2**53: above it the float64
