@@ -373,7 +373,7 @@ def cmd_sample(args) -> int:
             rows = np.concatenate(columns, axis=1).tolist()
             yield "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
-    with closing(_grid_chunks(ctrl, steps, 0, steps + 1, args.tolerance)) as chunks:
+    with closing(_grid_chunks(ctrl, steps, args.tolerance)) as chunks:
         _emit(blocks(chunks), args.out)
     return 0
 

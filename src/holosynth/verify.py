@@ -5,24 +5,28 @@ sampled loop of orthonormal k-frames V_i = V(t_i) on the fixed grid
 t_i = i/M, i = 0 ... M, and the base frame V0.
 The discrete transporter is the ordered overlap (Wilson-loop) chain
 
-    K = V0^H V_{M-1} . V_{M-1}^H V_{M-2} ... V_2^H V_1 . V_1^H V0
+    K = V0^H V_M . V_M^H V_{M-1} ... V_1^H V_0 . V_0^H V0
 
-of k x k matrices, followed by polar unitarization, which extracts the
-closest unitary and discards the contraction the finite product
-accumulates. Each factor V_i V_i^H is the sample's projector, so K equals
-the projector chain V0^H P(t_{M-1}) ... P(t_1) V0 term for term, and any
-frame choice at the interior samples gives the same answer up to
-roundoff, which `gauge_invariance_check` verifies literally. No n x n
-matrix is formed per sample.
+of k x k matrices over the whole loop, followed by polar unitarization,
+which extracts the closest unitary and discards the contraction the
+finite product accumulates. Each factor V_i V_i^H is the sample's
+projector, so K equals the projector chain V0^H P_M P_{M-1} ... P_1 P_0 V0
+term for term, and any frame choice at the samples gives the same answer
+up to roundoff, which `gauge_invariance_check` verifies literally. The
+loop starts and closes at the base projector, P_0 = P_M = P0, and
+P0 V0 = V0, so the two end factors drop out: K is the interior chain
+V0^H P_{M-1} ... P_1 V0 up to roundoff. No n x n matrix is formed per
+sample.
 
-`cross_validate`, the CLI's `sample` and `sample_loop` read a loop through
-one grid sampler, in chunks sized to a fixed byte budget (512 frames at
-n = 8, k = 4), each Gram-checked, once `_closed_loop` has checked the step
-count and let `holonomy_analytic` decide closure. The oracle folds a
-chunk's overlaps into a running product and carries its last frame into
-the next, and `sample` writes a chunk's CSV rows, so memory does not grow
-with the step count; `sample_loop` joins the chunks into one frame stack,
-which `SampledLoop` checks and `numeric_holonomy` folds in the same chunks.
+`cross_validate`, the CLI's `sample` and `sample_loop` read the whole loop
+V_0 ... V_M through one grid sampler, in chunks sized to a fixed byte
+budget (512 frames at n = 8, k = 4), each Gram-checked, once `_closed_loop`
+has checked the step count and let `holonomy_analytic` decide closure. The
+oracle folds a chunk's overlaps into a running product and carries its
+last frame into the next, and `sample` writes a chunk's CSV rows, so memory
+does not grow with the step count; `sample_loop` joins the chunks into one
+frame stack, which `SampledLoop` checks and `numeric_holonomy` folds in the
+same chunks, so the two oracle routes give the same bits.
 
 The two halves of a chunk's work overlap: one helper thread per stream
 samples the next chunk (`curve_samples`, whose numpy calls release the
@@ -77,6 +81,7 @@ from .linalg import (
     _MAX_WHOLE, VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect, _haar_stack,
     polar_unitary,
 )
+from .synth import _whole
 
 _SLOPE_WINDOW = (-2.5, -1.5)
 _ROUNDOFF_FLOOR = 1e-12
@@ -105,12 +110,12 @@ class SampledLoop:
             raise DimensionError(f"frames must have shape (M+1, n, k), got ndim={frames.ndim}")
         if len(frames) < 3:
             raise TooFewSamples(f"need at least 3 samples, got {len(frames)}")
-        closure = _span_distance(frames[-1], frames[0])
-        if not closure <= CLOSURE_TOL:
-            raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
         chunk = _chunk_frames(*frames.shape[1:])
         for start in range(0, len(frames), chunk):
             _check_frames(frames[start:start + chunk], self.tol)
+        closure = _span_distance(frames[-1], frames[0])
+        if not closure <= CLOSURE_TOL:
+            raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -168,10 +173,10 @@ def _span_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T))
 
 
-def _grid_times(steps: int, lo: int, hi: int) -> np.ndarray:
-    """Times t_i = i * (1 / steps) of the grid points lo, ..., hi-1, with
-    t_steps exactly 1.0: the one definition of the uniform grid."""
-    index = np.arange(lo, hi)
+def _grid_times(steps: int, start: int, stop: int) -> np.ndarray:
+    """Times t_i = i * (1 / steps) of the grid points start, ..., stop-1,
+    with t_steps exactly 1.0: the one definition of the uniform grid."""
+    index = np.arange(start, stop)
     return np.where(index == steps, 1.0, index * (1.0 / steps))
 
 
@@ -186,15 +191,18 @@ def _check_frames(frames: np.ndarray, tol: float, out: np.ndarray | None = None)
 
 
 def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
-    """Sample the controller's projected loop at t_i = i / steps, i = 0 ... steps.
+    """Sample the controller's projected loop at t_i = i / steps, i = 0 ... steps,
+    in the chunks of `_grid_chunks`, so the frames are the oracle's and the
+    `sample` CSV's bit for bit.
 
     Raises:
         OpenLoop: the controller does not close its loop at t = 1.
         TooFewSamples: steps < 2.
-        DimensionError: steps > 2**53.
+        DimensionError: steps is not a whole number (`synth._whole`) or
+            exceeds 2**53.
     """
-    _closed_loop(ctrl, steps)
-    with closing(_grid_chunks(ctrl, steps, 0, steps + 1, tol)) as stream:
+    _, (steps,) = _closed_loop(ctrl, steps)
+    with closing(_grid_chunks(ctrl, steps, tol)) as stream:
         return SampledLoop(np.concatenate([frames for _, frames, _ in stream]), tol)
 
 
@@ -218,13 +226,13 @@ def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 def _chain_holonomy(chunks, v0: np.ndarray) -> np.ndarray:
-    """Polar factor of V0^H V_{M-1} . V_{M-1}^H V_{M-2} ... V_1^H V0.
+    """Polar factor of V0^H V_M . V_M^H V_{M-1} ... V_1^H V_0 . V_0^H V0.
 
-    `chunks` yields the interior frames V_1, ..., V_{M-1} as (frames,
-    adjoint) pairs in ascending time order: a contiguous (c, n, k) stack
-    and its `linalg._adjoint`. Each chunk's overlaps come from one batched
-    matmul and are written straight into their real embeddings (see the
-    module docstring), which are reduced pairwise and left-multiplied
+    `chunks` yields the frames V_0, ..., V_M as (frames, adjoint) pairs in
+    ascending time order: a contiguous (c, n, k) stack and its
+    `linalg._adjoint`. Each chunk's overlaps come from one batched matmul
+    and are written straight into their real embeddings (see the module
+    docstring), which are reduced pairwise and left-multiplied
     into a running 2k x 2k product; the chunk's last frame is carried into
     the next, so one chunk is held at a time. The chunk-sized work arrays
     are allocated at the first chunk, which no later chunk outgrows, and
@@ -251,10 +259,12 @@ def _chain_holonomy(chunks, v0: np.ndarray) -> np.ndarray:
 def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
     """Discrete parallel-transport holonomy of a sampled frame loop.
 
-    Multiplies the k x k overlaps of the base frame and the interior frames
-    in descending time order and unitarizes the product by polar
-    decomposition. Converges to the holonomy of the canonical connection
-    as the grid refines; the polar step guarantees a unitary result at any
+    Multiplies the k x k overlaps of the base frame and the frames
+    V_0 ... V_M in descending time order, in the chunks that `SampledLoop`
+    checks and `_grid_chunks` streams, and unitarizes the product by polar
+    decomposition; on `sample_loop`'s frames it gives `cross_validate`'s
+    bits. Converges to the holonomy of the canonical connection as the
+    grid refines; the polar step guarantees a unitary result at any
     resolution. The chain starts from the standard base frame V0, so the
     loop's first frame must span the same subspace: ||V_0 V_0^H - P0||_F
     within `extremal.CLOSURE_TOL`, with P0 = V0 V0^H.
@@ -264,15 +274,15 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
         SingularInput: the chain is numerically singular, which signals the
             loop was sampled too coarsely for transport.
     """
-    frames, chunk = loop.frames[:-1], _chunk_frames(*loop.frames.shape[1:])
+    frames, chunk = loop.frames, _chunk_frames(*loop.frames.shape[1:])
     v0 = standard_base_frame(*frames.shape[1:])
     offset = _span_distance(frames[0], v0)
     if not offset <= CLOSURE_TOL:
         raise InvalidFrame(
             f"loop does not start at the base projector: ||V_0 V_0^H - P0||_F = "
             f"{offset:.3e} exceeds {CLOSURE_TOL:.1e}")
-    interior = (frames[start:start + chunk] for start in range(1, len(frames), chunk))
-    return _chain_holonomy(((f, _adjoint(f)) for f in interior), v0)
+    slices = (frames[start:start + chunk] for start in range(0, len(frames), chunk))
+    return _chain_holonomy(((f, _adjoint(f)) for f in slices), v0)
 
 
 def _chunk_frames(n: int, k: int) -> int:
@@ -280,24 +290,23 @@ def _chunk_frames(n: int, k: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * n * k))
 
 
-def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
-    """(times, frames, adjoint) of the grid points lo, ..., hi-1 of
-    `_grid_times`, one chunk at a time, Gram-checked in order on the
-    caller's thread while a helper thread samples the next chunk; an
-    exception of the helper is raised here, at its chunk. From lo = 0 the
-    frames are `sample_loop`'s; other batches may round a last bit apart
-    (`curve_samples`). `frames` is fresh per chunk; `adjoint`, the check's
+def _grid_chunks(ctrl: Controller, steps: int, tol: float):
+    """(times, frames, adjoint) of the grid points 0, ..., steps of
+    `_grid_times`, in `_chunk_frames` batches, one chunk at a time,
+    Gram-checked in order on the caller's thread while a helper thread
+    samples the next chunk; an exception of the helper is raised here, at
+    its chunk. `frames` is fresh per chunk; `adjoint`, the check's
     `linalg._adjoint`, is valid until the next. The helper is joined when
     the stream ends, raises or is closed; a reader that stops early closes it."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
-    starts = range(lo, hi, chunk)
+    starts = range(0, steps + 1, chunk)
     wanted, ready = queue.SimpleQueue(), queue.SimpleQueue()
 
     def sample():
         # the caller asks for each chunk in turn (True) or stops the stream (False)
         try:
             for start in starts:
-                times = _grid_times(steps, start, min(start + chunk, hi))
+                times = _grid_times(steps, start, min(start + chunk, steps + 1))
                 frames = curve_samples(ctrl, times)
                 if not wanted.get():
                     return
@@ -306,7 +315,7 @@ def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
             if wanted.get():
                 ready.put(exc)
 
-    adjoint = np.empty((min(chunk, hi - lo), 2 * ctrl.k, ctrl.n))
+    adjoint = np.empty((min(chunk, steps + 1), 2 * ctrl.k, ctrl.n))
     helper = threading.Thread(target=sample, name="holosynth-sampler", daemon=True)
     helper.start()
     try:
@@ -322,14 +331,19 @@ def _grid_chunks(ctrl: Controller, steps: int, lo: int, hi: int, tol: float):
         helper.join()
 
 
-def _closed_loop(ctrl: Controller, *steps: int) -> np.ndarray:
-    """Gamma, once every step count passes and `holonomy_analytic` decides
-    the loop is closed; the one preamble of every grid reader."""
+def _closed_loop(ctrl: Controller, *steps) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(Gamma, the step counts), once every count reads as an integer by
+    `synth._whole` and passes, and `holonomy_analytic` decides the loop is
+    closed; the one preamble of every grid reader."""
+    try:
+        steps = tuple(map(_whole, steps))
+    except ValueError as exc:
+        raise DimensionError(f"step count: {exc}") from None
     if min(steps) < 2:
         raise TooFewSamples(f"steps must be >= 2, got {min(steps)}")
     if max(steps) > _MAX_WHOLE:
         raise DimensionError(f"steps must be <= 2**53, got {max(steps)}")
-    return holonomy_analytic(ctrl)
+    return holonomy_analytic(ctrl), steps
 
 
 def cross_validate(
@@ -342,10 +356,11 @@ def cross_validate(
 
     Each schedule point is sampled and transported in fixed-size chunks
     (see the module docstring), so memory does not grow with the steps;
-    it gives `numeric_holonomy(sample_loop(ctrl, steps, tol))` to roundoff.
+    it gives `numeric_holonomy(sample_loop(ctrl, steps, tol))` bit for bit.
     The step-count, closure and target-gate checks are decided once per
-    call, before the interior frames are sampled and Gram-checked. The
-    schedule must increase strictly: its last point is the finest grid.
+    call, before any frame is sampled and Gram-checked; a step count reads
+    as `synth._whole` reads it. The schedule must increase strictly: its
+    last point is the finest grid.
 
     The slope fit only uses schedule points whose deviation exceeds the
     roundoff floor; when fewer than two such points remain the estimate is
@@ -359,18 +374,18 @@ def cross_validate(
     [-2.5, -1.5] (near -1, say, when the polar step is lost) sets
     `anomalous`.
     """
-    schedule = tuple(int(s) for s in steps_schedule)
+    schedule = tuple(steps_schedule)
     if not schedule:
         raise DimensionError("steps_schedule must not be empty")
-    analytic = _closed_loop(ctrl, *schedule)
+    analytic, schedule = _closed_loop(ctrl, *schedule)
     if any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise DimensionError(f"steps_schedule must be strictly increasing, got {schedule}")
     gate = check_target(ctrl, gate, tol)
     v0 = ctrl.base_frame()
     deviations = []
     for steps in schedule:
-        with closing(_grid_chunks(ctrl, steps, 1, steps, tol)) as interior:
-            gamma_numeric = _chain_holonomy(((f, a) for _, f, a in interior), v0)
+        with closing(_grid_chunks(ctrl, steps, tol)) as stream:
+            gamma_numeric = _chain_holonomy(((f, a) for _, f, a in stream), v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     usable = [
         (np.log(s), np.log(d))

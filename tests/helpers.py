@@ -163,12 +163,13 @@ def _chain_holonomy_serial(chunks, v0):
     return polar_unitary(v0.conj().T @ prev @ chain.view(complex)[0::2])
 
 
-def _grid_chunks_serial(ctrl, steps, lo, hi, tol):
+def _grid_chunks_serial(ctrl, steps, tol):
     """`verify._grid_chunks` as it was written before the helper thread:
-    each chunk sampled and then checked on the caller's thread."""
+    each chunk of the grid points 0, ..., steps sampled and then checked on
+    the caller's thread."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
-    for start in range(lo, hi, chunk):
-        times = _grid_times(steps, start, min(start + chunk, hi))
+    for start in range(0, steps + 1, chunk):
+        times = _grid_times(steps, start, min(start + chunk, steps + 1))
         frames = curve_samples(ctrl, times)
         yield times, frames, _check_frames_serial(frames, tol)
 
@@ -181,7 +182,7 @@ def cross_validate_serial(ctrl, schedule, tol=VALIDATION_TOL):
     v0 = ctrl.base_frame()
     deviations = []
     for steps in schedule:
-        interior = _grid_chunks_serial(ctrl, steps, 1, steps, tol)
-        gamma_numeric = _chain_holonomy_serial(((f, a) for _, f, a in interior), v0)
+        stream = _grid_chunks_serial(ctrl, steps, tol)
+        gamma_numeric = _chain_holonomy_serial(((f, a) for _, f, a in stream), v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     return tuple(deviations), gamma_numeric

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,21 @@ class TestCliVerify:
         report = json.loads(out)
         assert report["deviation"] < 2e-3
 
+    @pytest.mark.parametrize("gate", ["cnot", "dft2", "random-3", "random-5"])
+    def test_reproduces_the_oracle_block_of_its_document(self, gate, capsys, tmp_path):
+        # verify reads the stored controller and gate back exactly, so its
+        # oracle gives the bits `synthesize --oracle` wrote
+        target, steps = tmp_path / "doc.json", ("--steps", "1000,10000")
+        code, _, _ = run_cli(
+            capsys, "synthesize", "--gate", gate, "--oracle", *steps, "--out", str(target)
+        )
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify", "--doc", str(target), *steps)
+        assert code == 0
+        stored, report = json.loads(target.read_text())["verification"]["oracle"], json.loads(out)
+        assert set(stored) >= {"deviations", "slope", "anomalous", "schedule"}
+        assert {key: report[key] for key in stored} == stored
+
     def test_identity_document_verifies_exactly(self, capsys, tmp_path):
         target = tmp_path / "id.json"
         run_cli(capsys, "synthesize", "--gate", "identity-2", "--out", str(target))
@@ -447,6 +463,15 @@ def test_public_surface_resolves():
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{len(holosynth.__all__)}\n"
+
+
+def test_the_readme_library_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(code, "README.md", "exec"), {})
 
 
 def test_tolerance_below_roundoff_keeps_a_closed_loop_passing(capsys):

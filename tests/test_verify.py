@@ -341,14 +341,16 @@ class TestStreamedOracle:
     def _controller(k):
         return synthesize(random_haar(np.random.default_rng(30 + k), k)).controller
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_matches_the_whole_loop_oracle_across_chunk_edges(self, k):
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_cross_validate_is_the_whole_loop_oracle_bit_for_bit(self, k):
+        # both routes fold the frames V_0 ... V_M of one grid stream in the
+        # same chunks, also where a chunk holds a lone frame (steps = chunk)
         ctrl = self._controller(k)
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
-        for steps in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for steps in (2, 3, 100, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             whole = numeric_holonomy(sample_loop(ctrl, steps))
             streamed = cross_validate(ctrl, np.eye(k), (steps,)).gamma_numeric
-            assert np.linalg.norm(streamed - whole) <= 1e-13, steps
+            np.testing.assert_array_equal(streamed, whole, err_msg=str(steps))
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_sample_loop_frames_are_the_grid_chunks_frames(self, k):
@@ -359,23 +361,11 @@ class TestStreamedOracle:
         ctrl = self._controller(k)
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
         for steps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 100):
-            chunks = list(verify._grid_chunks(ctrl, steps, 0, steps + 1, verify.VALIDATION_TOL))
+            chunks = list(verify._grid_chunks(ctrl, steps, verify.VALIDATION_TOL))
             streamed = np.concatenate([frames for _, frames, _ in chunks])
             times = np.concatenate([t for t, _, _ in chunks])
             assert times[-1] == 1.0 and len(times) == steps + 1
             np.testing.assert_array_equal(sample_loop(ctrl, steps).frames, streamed)
-
-    @pytest.mark.parametrize("k", range(1, 17))
-    def test_numeric_holonomy_folds_as_the_stream_does(self, k):
-        # on the stream's interior frames the whole-loop oracle is cross_validate, bit for bit
-        ctrl = self._controller(k)
-        chunk = verify._chunk_frames(ctrl.n, ctrl.k)
-        ends = curve_samples(ctrl, [0.0, 1.0])
-        for steps in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            stream = verify._grid_chunks(ctrl, steps, 1, steps, verify.VALIDATION_TOL)
-            loop = SampledLoop(np.concatenate([ends[:1], *(f for _, f, _ in stream), ends[1:]]))
-            streamed = cross_validate(ctrl, np.eye(k), (steps,)).gamma_numeric
-            np.testing.assert_array_equal(numeric_holonomy(loop), streamed, err_msg=str(steps))
 
     def test_frame_tolerance_reaches_both_paths(self):
         ctrl = self._controller(4)
@@ -392,7 +382,7 @@ class TestStreamedOracle:
         self._reject_a_later_frame(monkeypatch, np.nan)
 
     def _reject_a_later_frame(self, monkeypatch, factor):
-        # 2000 steps put t = 0.5 in the second chunk of interior frames
+        # 2000 steps put t = 0.5 in the second chunk of the grid
         sample = verify.curve_samples
 
         def rough(ctrl, times):
@@ -413,6 +403,26 @@ class TestStreamedOracle:
         with pytest.raises(TooFewSamples):
             cross_validate(self._controller(2), np.eye(2), (1,))
 
+    @pytest.mark.parametrize("count", [100.0, 100.7, True, "100"])
+    @pytest.mark.parametrize("reader", ["sample_loop", "cross_validate"])
+    def test_every_reader_reads_a_step_count_as_a_config_does(self, reader, count, monkeypatch):
+        # synth._whole's rule: 100.0 reads as 100; 100.7, true and "100" are
+        # refused, naming the value, before anything is sampled
+        ctrl = self._controller(2)
+        read = {
+            "sample_loop": lambda: len(sample_loop(ctrl, count).frames) - 1,
+            "cross_validate": lambda: cross_validate(ctrl, np.eye(2), (count, 1000)).schedule[0],
+        }[reader]
+        if count == 100.0:
+            steps = read()
+            assert type(steps) is int and steps == 100
+            return
+        sampled = []
+        monkeypatch.setattr(verify, "curve_samples", lambda ctrl, times: sampled.append(times))
+        with pytest.raises(DimensionError, match=f"got {count!r}$"):
+            read()
+        assert sampled == []
+
     def test_each_check_is_decided_once_per_call(self, monkeypatch):
         calls = {"holonomy_analytic": 0, "loop_closure_defect": 0}
         for name in calls:
@@ -431,10 +441,11 @@ class TestStreamedOracle:
         monkeypatch.setattr(verify, "curve_samples", recording)
         cross_validate(self._controller(2), np.eye(2), (10, 20, 40))
         assert calls == {"holonomy_analytic": 1, "loop_closure_defect": 0}
-        # the oracle reads only the interior of each grid: no probe of V(0), V(1)
+        # the oracle reads each grid point t_i = i * (1 / M), i = 0 ... M, with
+        # t_M = 1.0, once, and nothing else
         times = [t for chunk in sampled for t in chunk]
-        assert len(times) == 9 + 19 + 39
-        assert all(0.0 < t < 1.0 for t in times)
+        assert len(times) == 11 + 21 + 41
+        assert times == [t for m in (10, 20, 40) for t in [i * (1 / m) for i in range(m)] + [1.0]]
 
     def test_a_short_schedule_entry_is_rejected_before_sampling(self, monkeypatch):
         sampled = []
@@ -474,7 +485,9 @@ class TestStreamedOracle:
             sample_loop(ctrl, 2**53 + 1)
         assert sampled == []
         # 2**53 itself passes the preamble; nothing is sampled at that size
-        np.testing.assert_array_equal(verify._closed_loop(ctrl, 2**53), holonomy_analytic(ctrl))
+        gamma, steps = verify._closed_loop(ctrl, 2**53)
+        np.testing.assert_array_equal(gamma, holonomy_analytic(ctrl))
+        assert steps == (2**53,)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_rejects_a_target_of_the_wrong_shape(self, dim):
@@ -559,7 +572,7 @@ class TestPipelinedOracle:
     def test_a_reader_that_stops_after_the_first_chunk_joins_the_helper(self):
         ctrl, threads = self._controller(), threading.active_count()
         try:
-            with closing(verify._grid_chunks(ctrl, 5000, 0, 5001, verify.VALIDATION_TOL)) as chunks:
+            with closing(verify._grid_chunks(ctrl, 5000, verify.VALIDATION_TOL)) as chunks:
                 next(chunks)
                 raise RuntimeError("the reader stops")
         except RuntimeError as exc:
@@ -568,7 +581,7 @@ class TestPipelinedOracle:
         assert threading.active_count() == threads
 
     def test_a_sampler_error_in_a_later_chunk_reaches_the_caller_with_its_type(self, monkeypatch):
-        # 2000 steps put t = 0.5 in the second chunk of interior frames
+        # 2000 steps put t = 0.5 in the second chunk of the grid
         class SamplerFault(Exception):
             pass
 
@@ -759,6 +772,16 @@ class TestLoopLengthNumeric:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             SampledLoop(_base_frames(3, 1, 2))
+
+    @pytest.mark.parametrize("position", [1, 2], ids=["interior", "last"])
+    @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+    def test_a_non_finite_or_overflowing_frame_is_invalid(self, entry, position):
+        # the Gram check runs before the endpoint check, so the last frame
+        # fails as an interior one does, without a numpy warning
+        frames = _base_frames(2, 1, 3)
+        frames[position, 0, 0] = entry
+        with pytest.raises(InvalidFrame):
+            SampledLoop(frames)
 
     def test_a_single_frame_is_rejected(self):
         with pytest.raises(DimensionError):
