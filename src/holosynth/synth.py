@@ -56,12 +56,13 @@ def _real(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
-def _param(convert, value, what: str):
-    """`convert(value)`; its ValueError becomes a ParamShapeMismatch naming `what`."""
+def _param(convert, value, what: str, error: type[Exception] = ParamShapeMismatch):
+    """`convert(value)`; its ValueError becomes an `error`, by default a
+    ParamShapeMismatch, naming `what`."""
     try:
         return convert(value)
     except ValueError as exc:
-        raise ParamShapeMismatch(f"{what}: {exc}") from exc
+        raise error(f"{what}: {exc}") from exc
 
 
 def _winding(n) -> int:

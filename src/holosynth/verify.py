@@ -24,9 +24,10 @@ budget (512 frames at n = 8, k = 4), each Gram-checked, once `_closed_loop`
 has checked the step count and let `holonomy_analytic` decide closure. The
 oracle folds a chunk's overlaps into a running product and carries its
 last frame into the next, and `sample` writes a chunk's CSV rows, so memory
-does not grow with the step count; `sample_loop` joins the chunks into one
-frame stack, which `SampledLoop` checks and `numeric_holonomy` folds in the
-same chunks, so the two oracle routes give the same bits.
+does not grow with the step count; `sample_loop` writes the chunks into one
+frame stack, which `SampledLoop` checks, and `numeric_holonomy` and
+`loop_length_numeric` read, as views in the same chunks, so the two oracle
+routes give the same bits.
 
 The two halves of a chunk's work overlap: one helper thread per stream
 samples the next chunk (`curve_samples`, whose numpy calls release the
@@ -50,11 +51,11 @@ for products, E(Y Z) = E(Y) E(Z), its complex view holds Z in the even
 rows and iZ in the odd ones, so each overlap is written straight into it,
 and K is read back from the even rows before the polar step.
 
-`loop_length_numeric` is the length oracle: the periodic trapezoid rule
-on central differences that wrap around the closed loop, V_{-1} = V_{M-1},
-of the chordal distance ||P_b - P_a||_F^2 = 2 ||V_b - V_a V_a^H V_b||_F^2:
+`loop_length_numeric` is the length oracle: the chord rule over the
+consecutive frames (V_i, V_{i+1}) of the loop, no wrap-around, no copy of
+the loop, from the chordal distance ||P_{i+1} - P_i||_F^2 = 2 ||R_i||_F^2:
 
-    E = sum_{i=0}^{M-1} ||R_i||_F^2 * M / 4,  R_i = V_{i+1} - V_{i-1} (V_{i-1}^H V_{i+1}).
+    E = M sum_{i=0}^{M-1} ||R_i||_F^2,  R_i = V_{i+1} - V_i (V_i^H V_{i+1}).
 
 Convention note: the holonomy compared against is Gamma = V(0)^H V(T) of
 the horizontal lift (the composition matching a unitary gate acting on
@@ -81,7 +82,7 @@ from .linalg import (
     _MAX_WHOLE, VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect, _haar_stack,
     polar_unitary,
 )
-from .synth import _whole
+from .synth import _param, _whole
 
 _SLOPE_WINDOW = (-2.5, -1.5)
 _ROUNDOFF_FLOOR = 1e-12
@@ -95,7 +96,8 @@ DEFAULT_SCHEDULE = (10**3, 10**4, 10**5)
 class SampledLoop:
     """A closed curve of orthonormal k-frames V_i = V(i/M), i = 0 ... M.
 
-    `frames` has shape (M+1, n, k). Validation confirms the first and last
+    `frames` has shape (M+1, n, k) with 0 < k < n, the rule of
+    `extremal.standard_base_frame`. Validation confirms the first and last
     frames span the same subspace (their projectors agree within
     `extremal.CLOSURE_TOL`) and every frame is orthonormal,
     ||V^H V - I||_F within `tol`.
@@ -108,11 +110,11 @@ class SampledLoop:
         frames = np.ascontiguousarray(self.frames, dtype=complex)
         if frames.ndim != 3:
             raise DimensionError(f"frames must have shape (M+1, n, k), got ndim={frames.ndim}")
+        standard_base_frame(*frames.shape[1:])
         if len(frames) < 3:
             raise TooFewSamples(f"need at least 3 samples, got {len(frames)}")
-        chunk = _chunk_frames(*frames.shape[1:])
-        for start in range(0, len(frames), chunk):
-            _check_frames(frames[start:start + chunk], self.tol)
+        for chunk in _slices(frames):
+            _check_frames(chunk, self.tol)
         closure = _span_distance(frames[-1], frames[0])
         if not closure <= CLOSURE_TOL:
             raise OpenLoop(f"endpoint projectors differ by {closure:.3e}")
@@ -126,16 +128,18 @@ class SampledLoop:
 def loop_length_numeric(loop: SampledLoop) -> float:
     """Curve energy integral(0.5 * tr(Pdot^2)) dt over [0, 1] of a sampled loop.
 
-    Summed from the loop's frames by the periodic rule of the module
-    docstring, which holds no n x n matrix. Its O(dt^2) error is the
-    stencil's alone, so Richardson extrapolation of two grids cancels it.
+    Summed by the chord rule of the module docstring over the consecutive
+    frames (V_i, V_{i+1}), read as views of the loop in `_slices` batches:
+    no copy of the loop and no n x n matrix, so memory does not grow with
+    M. The rule is the midpoint rule of a chord symmetric about its
+    midpoint, so its error is even in dt, c dt^2 + O(dt^4), and Richardson
+    extrapolation of two grids cancels the leading term.
     """
-    frames = loop.frames
-    m = len(frames) - 1
-    before, after = np.roll(frames[:-1], 1, axis=0), frames[1:]
-    residual = before @ (np.swapaxes(before, 1, 2).conj() @ after)
-    np.subtract(after, residual, out=residual)
-    return float(np.vdot(residual, residual).real) * m / 4.0
+    frames, energy = loop.frames, 0.0
+    for before, after in zip(_slices(frames[:-1]), _slices(frames[1:])):
+        residual = after - before @ (np.swapaxes(before, 1, 2).conj() @ after)
+        energy += float(np.vdot(residual, residual).real)
+    return energy * (len(frames) - 1)
 
 
 @dataclass(frozen=True)
@@ -192,8 +196,8 @@ def _check_frames(frames: np.ndarray, tol: float, out: np.ndarray | None = None)
 
 def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
     """Sample the controller's projected loop at t_i = i / steps, i = 0 ... steps,
-    in the chunks of `_grid_chunks`, so the frames are the oracle's and the
-    `sample` CSV's bit for bit.
+    in the chunks of `_grid_chunks`, written into one frame stack, so the
+    frames are the oracle's and the `sample` CSV's bit for bit.
 
     Raises:
         OpenLoop: the controller does not close its loop at t = 1.
@@ -202,8 +206,11 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
             exceeds 2**53.
     """
     _, (steps,) = _closed_loop(ctrl, steps)
+    frames = np.empty((steps + 1, ctrl.n, ctrl.k), dtype=complex)
     with closing(_grid_chunks(ctrl, steps, tol)) as stream:
-        return SampledLoop(np.concatenate([frames for _, frames, _ in stream]), tol)
+        for out, (_, chunk, _) in zip(_slices(frames), stream):
+            out[...] = chunk
+    return SampledLoop(frames, tol)
 
 
 def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -274,20 +281,25 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
         SingularInput: the chain is numerically singular, which signals the
             loop was sampled too coarsely for transport.
     """
-    frames, chunk = loop.frames, _chunk_frames(*loop.frames.shape[1:])
-    v0 = standard_base_frame(*frames.shape[1:])
-    offset = _span_distance(frames[0], v0)
+    v0 = standard_base_frame(*loop.frames.shape[1:])
+    offset = _span_distance(loop.frames[0], v0)
     if not offset <= CLOSURE_TOL:
         raise InvalidFrame(
             f"loop does not start at the base projector: ||V_0 V_0^H - P0||_F = "
             f"{offset:.3e} exceeds {CLOSURE_TOL:.1e}")
-    slices = (frames[start:start + chunk] for start in range(0, len(frames), chunk))
-    return _chain_holonomy(((f, _adjoint(f)) for f in slices), v0)
+    return _chain_holonomy(((f, _adjoint(f)) for f in _slices(loop.frames)), v0)
 
 
 def _chunk_frames(n: int, k: int) -> int:
     """Frames per streamed chunk: a fixed budget of frame-stack bytes."""
     return max(1, _CHUNK_BYTES // (16 * n * k))
+
+
+def _slices(frames: np.ndarray):
+    """Views of a (c, n, k) frame stack in `_chunk_frames` batches, in time
+    order: the one slicing of a whole loop."""
+    chunk = _chunk_frames(*frames.shape[1:])
+    return (frames[start:start + chunk] for start in range(0, len(frames), chunk))
 
 
 def _grid_chunks(ctrl: Controller, steps: int, tol: float):
@@ -335,10 +347,7 @@ def _closed_loop(ctrl: Controller, *steps) -> tuple[np.ndarray, tuple[int, ...]]
     """(Gamma, the step counts), once every count reads as an integer by
     `synth._whole` and passes, and `holonomy_analytic` decides the loop is
     closed; the one preamble of every grid reader."""
-    try:
-        steps = tuple(map(_whole, steps))
-    except ValueError as exc:
-        raise DimensionError(f"step count: {exc}") from None
+    steps = tuple(_param(_whole, s, "step count", DimensionError) for s in steps)
     if min(steps) < 2:
         raise TooFewSamples(f"steps must be >= 2, got {min(steps)}")
     if max(steps) > _MAX_WHOLE:
@@ -359,8 +368,8 @@ def cross_validate(
     it gives `numeric_holonomy(sample_loop(ctrl, steps, tol))` bit for bit.
     The step-count, closure and target-gate checks are decided once per
     call, before any frame is sampled and Gram-checked; a step count reads
-    as `synth._whole` reads it. The schedule must increase strictly: its
-    last point is the finest grid.
+    as `synth._whole` reads it. The schedule is a non-empty sequence of
+    step counts that increases strictly: its last point is the finest grid.
 
     The slope fit only uses schedule points whose deviation exceeds the
     roundoff floor; when fewer than two such points remain the estimate is
@@ -374,9 +383,9 @@ def cross_validate(
     [-2.5, -1.5] (near -1, say, when the polar step is lost) sets
     `anomalous`.
     """
-    schedule = tuple(steps_schedule)
+    schedule = tuple(steps_schedule) if np.iterable(steps_schedule) else None
     if not schedule:
-        raise DimensionError("steps_schedule must not be empty")
+        raise DimensionError(f"expected a schedule of step counts, got {steps_schedule!r}")
     analytic, schedule = _closed_loop(ctrl, *schedule)
     if any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise DimensionError(f"steps_schedule must be strictly increasing, got {schedule}")
@@ -416,8 +425,15 @@ def gauge_invariance_check(loop: SampledLoop, trials: int, seed: int) -> float:
     For each trial, every frame is right-multiplied by a fresh Haar
     unitary, which leaves its projector unchanged, and the oracle is rerun
     on the re-gauged loop. Since the overlap chain telescopes to the
-    projector chain in any gauge, the shift is pure roundoff.
+    projector chain in any gauge, the shift is pure roundoff. `trials`
+    reads as a step count does (`synth._whole`) and must be at least 1.
+
+    Raises:
+        DimensionError: `trials` is not a whole number >= 1.
     """
+    trials = _param(_whole, trials, "trials", DimensionError)
+    if trials < 1:
+        raise DimensionError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     baseline = numeric_holonomy(loop)
     worst = 0.0

@@ -110,6 +110,23 @@ class TestLoopValidationTolerance:
         assert loop.tol is tol
 
 
+class TestOracleCounts:
+    def test_a_bare_step_count_is_not_a_schedule(self):
+        ctrl = synthesize(HADAMARD).controller
+        with pytest.raises(DimensionError, match="expected a schedule of step counts, got 1000$"):
+            cross_validate(ctrl, HADAMARD, 1000)
+
+    @pytest.mark.parametrize("trials", [-1, 0, 1.5, True, "2"])
+    def test_trials_read_as_a_whole_number_of_at_least_one(self, trials):
+        loop = sample_loop(synthesize(HADAMARD).controller, 20)
+        with pytest.raises(DimensionError, match="trials"):
+            gauge_invariance_check(loop, trials, seed=0)
+
+    def test_trials_read_as_a_step_count_does(self):
+        loop = sample_loop(synthesize(HADAMARD).controller, 20)
+        assert gauge_invariance_check(loop, 2.0, seed=0) < 1e-12
+
+
 class TestSpectralReuse:
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
@@ -330,10 +347,13 @@ class TestOracleMemory:
         tracemalloc.start()
         try:
             loop = sample_loop(ctrl, 100_000)
-            resident = tracemalloc.get_traced_memory()[0]
+            resident, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert resident <= 1.1 * loop.frames.nbytes, resident / loop.frames.nbytes
+        # each chunk is written into the one stack as it arrives, so no
+        # second copy of the frames is held on the way either
+        assert peak <= 1.1 * loop.frames.nbytes, peak / loop.frames.nbytes
 
 
 class TestStreamedOracle:
@@ -366,6 +386,17 @@ class TestStreamedOracle:
             times = np.concatenate([t for t, _, _ in chunks])
             assert times[-1] == 1.0 and len(times) == steps + 1
             np.testing.assert_array_equal(sample_loop(ctrl, steps).frames, streamed)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_sample_loop_frames_are_the_grid_chunks_frames_at_a_small_budget(
+        self, k, monkeypatch
+    ):
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**10)  # 2 frames at k = 4
+        ctrl = self._controller(k)
+        chunks = list(verify._grid_chunks(ctrl, 1001, verify.VALIDATION_TOL))
+        assert len(chunks) > 2
+        streamed = np.concatenate([frames for _, frames, _ in chunks])
+        np.testing.assert_array_equal(sample_loop(ctrl, 1001).frames, streamed)
 
     def test_frame_tolerance_reaches_both_paths(self):
         ctrl = self._controller(4)
@@ -692,11 +723,11 @@ def _loop(ctrl, samples):
 
 
 def _projector_stack_length(frames):
-    """The periodic rule summed over a whole projector stack, the form the
-    frame rule replaces: sum ||P_{i+1} - P_{i-1}||_F^2 * M / 8."""
+    """The chord rule summed over a whole projector stack, the form the
+    frame rule replaces: sum ||P_{i+1} - P_i||_F^2 * M / 2."""
     p = _projectors(frames)
-    diffs = p[1:] - np.roll(p[:-1], 1, axis=0)
-    return float(np.vdot(diffs, diffs).real) * (len(p) - 1) / 8.0
+    diffs = p[1:] - p[:-1]
+    return float(np.vdot(diffs, diffs).real) * (len(p) - 1) / 2.0
 
 
 def _base_frames(n, k, samples):
@@ -732,13 +763,21 @@ class TestLoopLengthNumeric:
 
     @pytest.mark.parametrize("gate", ["hadamard", "dft2", "phase-1.5"])
     def test_richardson_extrapolation_cancels_the_stencil_error(self, gate):
-        # the periodic rule's error is c dt^2 + O(dt^4); one-sided endpoint
-        # stencils would leave an O(dt^3) term that this cannot cancel
+        # the chord rule is the midpoint rule of a chord symmetric about its
+        # midpoint, so its error is even in dt, c dt^2 + O(dt^4); a rule with
+        # an O(dt^3) term would leave it after this extrapolation
         ctrl = synthesize(catalog_get(gate).matrix).controller
         coarse = loop_length_numeric(_loop(ctrl, 1001))
         fine = loop_length_numeric(_loop(ctrl, 2001))
         exact = length_analytic(ctrl)
         assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("gate", ["hadamard", "dft2", "phase-1.5"])
+    def test_richardson_extrapolation_of_the_chord_rule_reaches_1e_11(self, gate):
+        ctrl = synthesize(catalog_get(gate).matrix).controller
+        coarse, fine = (loop_length_numeric(sample_loop(ctrl, m)) for m in (1000, 2000))
+        exact = length_analytic(ctrl)
+        assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-11 * exact
 
     @pytest.mark.parametrize("k", [1, 2, 4, 16])
     def test_matches_the_projector_stack_rule(self, k):
@@ -763,6 +802,21 @@ class TestLoopLengthNumeric:
         loop = sample_loop(synthesize(gate).controller, 10**4)
         assert traced_peak(loop_length_numeric, loop) <= 4 * loop.frames.nbytes
 
+    def test_peak_does_not_grow_with_steps(self):
+        # the chord rule reads views of the loop, chunk by chunk
+        ctrl = synthesize(random_haar(np.random.default_rng(5), 4)).controller
+        coarse = traced_peak(loop_length_numeric, sample_loop(ctrl, 1000))
+        fine = traced_peak(loop_length_numeric, sample_loop(ctrl, 10_000))
+        assert fine <= 1.2 * coarse, (fine, coarse)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_slice_edges_mid_loop_change_only_roundoff(self, k, monkeypatch):
+        gate = random_haar(np.random.default_rng(100 + k), k)
+        loop = sample_loop(synthesize(gate).controller, 1000)
+        default = loop_length_numeric(loop)
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**10)  # 2 frames at k = 4
+        assert loop_length_numeric(loop) == pytest.approx(default, rel=1e-14)
+
     def test_open_stack_is_rejected(self):
         good = synthesize(HADAMARD).controller
         bad = Controller(omega=good.omega, coupling=0.9 * good.coupling)
@@ -786,3 +840,12 @@ class TestLoopLengthNumeric:
     def test_a_single_frame_is_rejected(self):
         with pytest.raises(DimensionError):
             SampledLoop(standard_base_frame(3, 1))
+
+    @pytest.mark.parametrize("frames", [
+        np.zeros((3, 2, 0), dtype=complex),
+        np.repeat(np.eye(2, dtype=complex)[None], 3, axis=0),
+    ], ids=["k=0", "k=n"])
+    def test_a_stack_outside_0_lt_k_lt_n_is_rejected(self, frames):
+        # the base frame's rule, before the stack is sliced into chunks
+        with pytest.raises(DimensionError, match=r"need 0 < k < n, got n=2, k="):
+            SampledLoop(frames)
