@@ -20,7 +20,7 @@ import signal
 import stat
 import sys
 import tempfile
-from contextlib import closing, suppress
+from contextlib import suppress
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
 from .extremal import evaluate_controller
 from .linalg import VALIDATION_TOL
 from .synth import SynthesisParams, _real, _whole, _winding, synthesize
-from .verify import DEFAULT_SCHEDULE, _closed_loop, _grid_chunks, cross_validate
+from .verify import DEFAULT_SCHEDULE, _check_frames, _closed_loop, _grid_batches, cross_validate
 
 HOLONOMY_BOUND = 1e-10
 CLOSURE_BOUND = 1e-10
@@ -361,9 +361,10 @@ def cmd_sample(args) -> int:
     if bloch:
         header += ["r1", "r2", "r3"]
 
-    def blocks(chunks):
+    def blocks():
         yield ",".join(header) + "\n"
-        for times, frames, _ in chunks:
+        for times, frames in _grid_batches(ctrl, steps):
+            _check_frames(frames, args.tolerance)
             m, p = len(times), np.einsum("mik,mjk->mij", frames, frames.conj())
             columns = [times[:, None], frames.reshape(m, -1).view(float),
                        p.reshape(m, -1).view(float)]
@@ -373,8 +374,7 @@ def cmd_sample(args) -> int:
             rows = np.concatenate(columns, axis=1).tolist()
             yield "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
 
-    with closing(_grid_chunks(ctrl, steps, args.tolerance)) as chunks:
-        _emit(blocks(chunks), args.out)
+    _emit(blocks(), args.out)
     return 0
 
 

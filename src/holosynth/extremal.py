@@ -46,7 +46,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Controller:
-    """Constant generator of a horizontal extremal curve.
+    """Constant generator of a horizontal extremal curve, with 0 < k < n
+    (the rule of `standard_base_frame`).
 
     Attributes:
         omega: k x k skew-Hermitian block; the constant fiber rotation,
@@ -71,6 +72,7 @@ class Controller:
             )
         if coupling.shape[1] < 1:
             raise DimensionError("coupling block needs at least one column (n > k)")
+        standard_base_frame(omega.shape[0] + coupling.shape[1], omega.shape[0])  # 0 < k
         object.__setattr__(self, "omega", _frozen(omega))
         object.__setattr__(self, "coupling", _frozen(coupling))
 
@@ -135,7 +137,8 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     product differently. A frame's last bit may still depend on its batch:
     OpenBLAS's zgemm rounds the last product's column tail apart when m k is
     not a multiple of 4 (seen at k = 3, 5, 6, 7, 9, ...), so the readers
-    that must agree bit for bit share the batches of `verify._grid_chunks`.
+    that must agree bit for bit (the oracle's stream, `sample_loop` and the
+    `sample` CSV) all sample in the batches of `verify._grid_batches`.
     """
     times = np.asarray(times, dtype=float)
     if len(times) * ctrl.k == 1:

@@ -19,22 +19,26 @@ V0^H P_{M-1} ... P_1 V0 up to roundoff. No n x n matrix is formed per
 sample.
 
 `cross_validate`, the CLI's `sample` and `sample_loop` read the whole loop
-V_0 ... V_M through one grid sampler, in chunks sized to a fixed byte
-budget (512 frames at n = 8, k = 4), each Gram-checked, once `_closed_loop`
-has checked the step count and let `holonomy_analytic` decide closure. The
-oracle folds a chunk's overlaps into a running product and carries its
-last frame into the next, and `sample` writes a chunk's CSV rows, so memory
-does not grow with the step count; `sample_loop` writes the chunks into one
-frame stack, which `SampledLoop` checks, and `numeric_holonomy` and
-`loop_length_numeric` read, as views in the same chunks, so the two oracle
-routes give the same bits.
+V_0 ... V_M in the batches of one grid batcher, `_grid_batches`, sized to
+a fixed byte budget (512 frames at n = 8, k = 4), once `_closed_loop` has
+checked the step count and let `holonomy_analytic` decide closure; every
+frame is Gram-checked once. The oracle folds a chunk's overlaps into a
+running product and carries its last frame into the next, and `sample`
+checks a chunk and writes its CSV rows, so memory does not grow with the
+step count; `sample_loop` writes the chunks into one frame stack, which
+`SampledLoop` checks, and `numeric_holonomy` and `loop_length_numeric`
+read, as views in the same chunks, so the two oracle routes give the same
+bits.
 
-The two halves of a chunk's work overlap: one helper thread per stream
-samples the next chunk (`curve_samples`, whose numpy calls release the
-GIL) while the caller's thread Gram-checks and folds this one, a lookahead
-of one chunk, so one extra chunk is in flight and memory still does not
-grow with the step count. The checks run in chunk order, and the fold's
-chunk-sized work arrays are allocated once per stream and reused.
+Only the oracle's fold runs on two threads, in `_grid_chunks`: a helper
+thread samples the next chunk (`curve_samples`, whose numpy calls release
+the GIL) while the caller's thread Gram-checks and folds this one, a
+lookahead of one chunk, so one extra chunk is in flight and memory still
+does not grow with the step count. The checks run in chunk order, and the
+fold's chunk-sized work arrays are allocated once per stream and reused.
+`sample` and `sample_loop` sample on the caller's thread: the CSV's time
+is float `repr`, and `sample_loop`'s frames are checked once, in
+`SampledLoop`, so a thread would gain them nothing.
 
 The per-sample k x k products run in real arithmetic, which numpy's
 batched matmul does several times faster than complex for small k. A
@@ -196,8 +200,9 @@ def _check_frames(frames: np.ndarray, tol: float, out: np.ndarray | None = None)
 
 def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
     """Sample the controller's projected loop at t_i = i / steps, i = 0 ... steps,
-    in the chunks of `_grid_chunks`, written into one frame stack, so the
-    frames are the oracle's and the `sample` CSV's bit for bit.
+    in the batches of `_grid_batches`, written into one frame stack, which
+    `SampledLoop` Gram-checks, so the frames are the oracle's and the
+    `sample` CSV's bit for bit.
 
     Raises:
         OpenLoop: the controller does not close its loop at t = 1.
@@ -207,9 +212,8 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
     """
     _, (steps,) = _closed_loop(ctrl, steps)
     frames = np.empty((steps + 1, ctrl.n, ctrl.k), dtype=complex)
-    with closing(_grid_chunks(ctrl, steps, tol)) as stream:
-        for out, (_, chunk, _) in zip(_slices(frames), stream):
-            out[...] = chunk
+    for out, (_, batch) in zip(_slices(frames), _grid_batches(ctrl, steps)):
+        out[...] = batch
     return SampledLoop(frames, tol)
 
 
@@ -268,7 +272,7 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
 
     Multiplies the k x k overlaps of the base frame and the frames
     V_0 ... V_M in descending time order, in the chunks that `SampledLoop`
-    checks and `_grid_chunks` streams, and unitarizes the product by polar
+    checks and `_grid_batches` samples, and unitarizes the product by polar
     decomposition; on `sample_loop`'s frames it gives `cross_validate`'s
     bits. Converges to the holonomy of the canonical connection as the
     grid refines; the polar step guarantees a unitary result at any
@@ -302,42 +306,54 @@ def _slices(frames: np.ndarray):
     return (frames[start:start + chunk] for start in range(0, len(frames), chunk))
 
 
-def _grid_chunks(ctrl: Controller, steps: int, tol: float):
-    """(times, frames, adjoint) of the grid points 0, ..., steps of
-    `_grid_times`, in `_chunk_frames` batches, one chunk at a time,
-    Gram-checked in order on the caller's thread while a helper thread
-    samples the next chunk; an exception of the helper is raised here, at
-    its chunk. `frames` is fresh per chunk; `adjoint`, the check's
-    `linalg._adjoint`, is valid until the next. The helper is joined when
-    the stream ends, raises or is closed; a reader that stops early closes it."""
+def _grid_batches(ctrl: Controller, steps: int):
+    """(times, frames) of the grid points 0, ..., steps of `_grid_times`, in
+    `_chunk_frames` batches, sampled on the caller's thread and not checked:
+    the one batching of the grid, so every reader that must agree bit for
+    bit samples in the same batches (see `extremal.curve_samples`)."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
-    starts = range(0, steps + 1, chunk)
+    for start in range(0, steps + 1, chunk):
+        times = _grid_times(steps, start, min(start + chunk, steps + 1))
+        yield times, curve_samples(ctrl, times)
+
+
+def _grid_chunks(ctrl: Controller, steps: int, tol: float):
+    """The (frames, adjoint) pairs of the `_grid_batches` batches that
+    `_chain_holonomy` folds: the oracle's stream, the one grid reader that
+    runs on two threads. A helper thread samples the next batch while the
+    caller's thread Gram-checks this one, in order, and folds it; an
+    exception of the helper is raised here, at its batch. `frames` is fresh
+    per batch; `adjoint`, the check's `linalg._adjoint`, is written into one
+    buffer and valid until the next. The helper is joined when the stream
+    ends, raises or is closed; a reader that stops early closes it."""
     wanted, ready = queue.SimpleQueue(), queue.SimpleQueue()
 
     def sample():
-        # the caller asks for each chunk in turn (True) or stops the stream (False)
+        # the caller asks for each batch in turn (True) or stops the stream
+        # (False); each ask is answered by a batch, an exception or, at the end, None
         try:
-            for start in starts:
-                times = _grid_times(steps, start, min(start + chunk, steps + 1))
-                frames = curve_samples(ctrl, times)
+            for _, frames in _grid_batches(ctrl, steps):
                 if not wanted.get():
                     return
-                ready.put((times, frames))
+                ready.put(frames)
+            last = None
         except BaseException as exc:  # raised again on the caller's thread
-            if wanted.get():
-                ready.put(exc)
+            last = exc
+        if wanted.get():
+            ready.put(last)
 
-    adjoint = np.empty((min(chunk, steps + 1), 2 * ctrl.k, ctrl.n))
+    adjoint = np.empty((min(_chunk_frames(ctrl.n, ctrl.k), steps + 1), 2 * ctrl.k, ctrl.n))
     helper = threading.Thread(target=sample, name="holosynth-sampler", daemon=True)
     helper.start()
     try:
-        for _ in starts:
+        while True:
             wanted.put(True)
-            item = ready.get()
-            if isinstance(item, BaseException):
-                raise item
-            times, frames = item
-            yield times, frames, _check_frames(frames, tol, adjoint[:len(frames)])
+            frames = ready.get()
+            if frames is None:
+                return
+            if isinstance(frames, BaseException):
+                raise frames
+            yield frames, _check_frames(frames, tol, adjoint[:len(frames)])
     finally:
         wanted.put(False)
         helper.join()
@@ -394,7 +410,7 @@ def cross_validate(
     deviations = []
     for steps in schedule:
         with closing(_grid_chunks(ctrl, steps, tol)) as stream:
-            gamma_numeric = _chain_holonomy(((f, a) for _, f, a in stream), v0)
+            gamma_numeric = _chain_holonomy(stream, v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     usable = [
         (np.log(s), np.log(d))

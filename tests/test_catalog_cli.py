@@ -15,8 +15,8 @@ import pytest
 
 import holosynth
 from holosynth import (
-    InvalidFrame, UnknownGate, catalog_get, catalog_names, cli, extremal, synthesize,
-    verify,
+    DimensionError, InvalidFrame, UnknownGate, catalog_get, catalog_names, cli, extremal,
+    synthesize, verify,
 )
 from holosynth.cli import main
 from holosynth.document import (
@@ -123,6 +123,13 @@ class TestDocument:
         result = synthesize(catalog_get("cnot").matrix)
         np.testing.assert_allclose(ctrl.matrix, result.controller.matrix, atol=1e-15)
         np.testing.assert_allclose(gate, catalog_get("cnot").matrix, atol=1e-15)
+
+    def test_a_document_with_no_eigenphases_is_refused(self):
+        doc = self._document()
+        doc["synthesis"]["eigenphases"] = []
+        doc["synthesis"]["controller"] = encode_matrix(np.zeros((2, 2)))
+        with pytest.raises(DimensionError, match=r"^need 0 < k < n, got n=2, k=0$"):
+            document_controller(loads(canonical_dumps(doc)))
 
     def test_schema_fields_present(self):
         doc = self._document()
@@ -1014,6 +1021,14 @@ class TestCliSample:
                 np.testing.assert_array_equal(col[f"v_re_{i}_{j}"], frames[:, i, j].real)
                 np.testing.assert_array_equal(col[f"v_im_{i}_{j}"], frames[:, i, j].imag)
 
+    def test_starts_no_thread(self, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(verify.threading, "Thread", refused)
+        code, out, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "2000")
+        assert code == 0 and len(out.splitlines()) == 2002
+
     def test_samples_the_curve_once(self, capsys, monkeypatch):
         # one pass over the grid in chunks, with no probe of the end frames first
         sampled = []
@@ -1048,13 +1063,13 @@ class TestCliSample:
         calls = []
         check = verify._check_frames
 
-        def failing_second_chunk(frames, tol, out):
+        def failing_second_chunk(frames, tol, out=None):
             calls.append(len(frames))
             if len(calls) == 2:
                 raise InvalidFrame("rough frame in the second chunk")
             check(frames, tol, out)
 
-        monkeypatch.setattr(verify, "_check_frames", failing_second_chunk)
+        monkeypatch.setattr(cli, "_check_frames", failing_second_chunk)
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)
         out = tmp_path / "loop.csv"
         out.write_text("earlier run\n")

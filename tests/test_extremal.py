@@ -270,6 +270,15 @@ class TestRejections:
         with pytest.raises(DimensionError, match=rf"^coupling rows {len(coupling)} != omega dim 2$"):
             Controller(omega=np.diag([1j, 2j]), coupling=coupling)
 
+    def test_controller_refuses_no_channels(self):
+        with pytest.raises(DimensionError, match=r"^need 0 < k < n, got n=3, k=0$"):
+            Controller(omega=np.zeros((0, 0)), coupling=np.zeros((0, 3)))
+
+    def test_controller_refuses_no_coupling_column(self):
+        with pytest.raises(DimensionError,
+                           match=r"^coupling block needs at least one column \(n > k\)$"):
+            Controller(omega=np.diag([1j, 2j]), coupling=np.zeros((2, 0)))
+
 
 class TestGateCommutes:
     def test_identity_commutes(self):

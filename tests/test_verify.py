@@ -382,8 +382,8 @@ class TestStreamedOracle:
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
         for steps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 100):
             chunks = list(verify._grid_chunks(ctrl, steps, verify.VALIDATION_TOL))
-            streamed = np.concatenate([frames for _, frames, _ in chunks])
-            times = np.concatenate([t for t, _, _ in chunks])
+            streamed = np.concatenate([frames for frames, _ in chunks])
+            times = np.concatenate([t for t, _ in verify._grid_batches(ctrl, steps)])
             assert times[-1] == 1.0 and len(times) == steps + 1
             np.testing.assert_array_equal(sample_loop(ctrl, steps).frames, streamed)
 
@@ -395,8 +395,33 @@ class TestStreamedOracle:
         ctrl = self._controller(k)
         chunks = list(verify._grid_chunks(ctrl, 1001, verify.VALIDATION_TOL))
         assert len(chunks) > 2
-        streamed = np.concatenate([frames for _, frames, _ in chunks])
+        streamed = np.concatenate([frames for frames, _ in chunks])
         np.testing.assert_array_equal(sample_loop(ctrl, 1001).frames, streamed)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_sample_loop_checks_each_frame_once(self, k, monkeypatch):
+        ctrl = self._controller(k)
+        steps = 3 * verify._chunk_frames(ctrl.n, ctrl.k) + 5
+        checked = []
+        check = verify._check_frames
+
+        def counting(frames, tol, out=None):
+            checked.append(len(frames))
+            return check(frames, tol, out)
+
+        monkeypatch.setattr(verify, "_check_frames", counting)
+        sample_loop(ctrl, steps)
+        assert len(checked) > 3 and sum(checked) == steps + 1
+
+    def test_sample_loop_starts_no_thread(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        ctrl = self._controller(4)
+        monkeypatch.setattr(verify.threading, "Thread", refused)
+        assert len(sample_loop(ctrl, 2000).frames) == 2001
+        with pytest.raises(AssertionError, match="a thread was started"):
+            cross_validate(ctrl, np.eye(4), (2000,))
 
     def test_frame_tolerance_reaches_both_paths(self):
         ctrl = self._controller(4)
