@@ -151,6 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, flag: str):
+    """The JSON value in the file `path`, given by `flag`; ValueError naming
+    both if it is not UTF-8 JSON or nests deeper than the decoder recurses."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return loads(fh.read())
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{flag} {path}: {exc}") from exc
+
+
 def _json_list(convert, what: str):
     """A config converter for a JSON list of `what`, each read by `convert`."""
     def parse(value) -> tuple:
@@ -176,8 +186,7 @@ def _apply_config(args, **defaults) -> None:
     tolerance. Explicit command-line flags always win."""
     config = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = loads(fh.read())
+        config = _read_json(args.config, "--config")
         if not isinstance(config, dict):
             raise ParamShapeMismatch(
                 f"config file {args.config} must hold a JSON object of flag values")
@@ -203,9 +212,7 @@ def _load_gate(args) -> tuple[np.ndarray, str | None, GateCatalogEntry | None]:
         entry = catalog_get(args.gate, seed=seed)
         return entry.matrix, entry.name, entry
     if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            matrix = decode_matrix(loads(fh.read()))
-        return matrix, None, None
+        return decode_matrix(_read_json(args.matrix, "--matrix")), None, None
     raise UnknownGate("one of --gate or --matrix is required")
 
 
@@ -314,9 +321,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify(args) -> int:
     _apply_config(args, steps=DEFAULT_SCHEDULE, bound=ORACLE_BOUND)
-    with open(args.doc, "r", encoding="utf-8") as fh:
-        doc = loads(fh.read())
-    ctrl, gate = document_controller(doc, args.tolerance)
+    ctrl, gate = document_controller(_read_json(args.doc, "--doc"), args.tolerance)
     oracle = cross_validate(ctrl, gate, steps_schedule=args.steps, tol=args.tolerance)
     report = oracle_document(oracle)
     report.update(
@@ -340,8 +345,7 @@ def cmd_sample(args) -> int:
                 f"{', '.join(given)} cannot be combined with --doc, which fixes the controller")
     _apply_config(args, steps=(100,))
     if args.doc:
-        with open(args.doc, "r", encoding="utf-8") as fh:
-            ctrl, _ = document_controller(loads(fh.read()), args.tolerance)
+        ctrl, _ = document_controller(_read_json(args.doc, "--doc"), args.tolerance)
     else:
         result, _, _ = _run_synthesis(args)
         ctrl = result.controller

@@ -9,7 +9,10 @@ curve V(t) = exp(t X) V0 exp(-t Omega) through the standard base frame V0
 is a horizontal lift whose projected loop, when it closes at t = 1, picks
 up the holonomy
 
-    Gamma = V0^H exp(X) V0 exp(-Omega).
+    Gamma = V0^H exp(X) V0 exp(-Omega) = V0^H V(1).
+
+`curve_samples` is the one evaluator of this closed form: the analytic side
+reads Gamma and the closure defect off its end frame V(1).
 
 The projected curve length is tr(W^H W), independent of Omega. As in the
 paper, every controller traverses its loop in unit time, and the loop counts
@@ -24,9 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, OpenLoop
-from .linalg import VALIDATION_TOL, as_complex_matrix, check_skew, check_unitary, expm_eigen
+from .linalg import VALIDATION_TOL, as_complex_matrix, check_skew, check_unitary
 
-CLOSURE_TOL = 1e-8  # a loop whose closure defect ||g P0 g^H - P0||_F exceeds this is open
+CLOSURE_TOL = 1e-8  # a loop whose closure defect ||V(1) V(1)^H - P0||_F exceeds this is open
 
 
 def standard_base_frame(n: int, k: int) -> np.ndarray:
@@ -163,32 +166,33 @@ def _unit_phases(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closure_defect(g: np.ndarray, v0: np.ndarray) -> float:
-    """||g P0 g^H - P0||_F for g = exp(X) and P0 = V0 V0^H the base projector."""
-    p0 = v0 @ v0.conj().T
-    return float(np.linalg.norm(g @ p0 @ g.conj().T - p0))
+def _end_frame(ctrl: Controller) -> tuple[np.ndarray, float]:
+    """(Gamma, closure defect) off the end frame V(1) = [[Gamma], [B]]:
+    ||V(1) V(1)^H - P0||_F = sqrt(2) ||B||_F exactly for an orthonormal
+    V(1), with no cancellation when the defect is at roundoff."""
+    end = curve_samples(ctrl, (1.0,))[0]
+    b = end[ctrl.k:]
+    return end[:ctrl.k], float(2.0 * np.vdot(b, b).real) ** 0.5
 
 
 def loop_closure_defect(ctrl: Controller) -> float:
-    """||exp(X) P0 exp(-X) - P0||_F with P0 the base projector."""
-    return _closure_defect(expm_eigen(*ctrl._spectrum), ctrl.base_frame())
+    """||V(1) V(1)^H - P0||_F = ||exp(X) P0 exp(-X) - P0||_F, P0 = V0 V0^H."""
+    return _end_frame(ctrl)[1]
 
 
 def _closed_holonomy(ctrl: Controller) -> tuple[np.ndarray, float]:
-    """(Gamma, closure defect), both from one g = exp(X); OpenLoop if open."""
-    g = expm_eigen(*ctrl._spectrum)
-    v0 = ctrl.base_frame()
-    defect = _closure_defect(g, v0)
+    """(Gamma, closure defect), both from one end frame; OpenLoop if open."""
+    gamma, defect = _end_frame(ctrl)
     if not defect <= CLOSURE_TOL:
         raise OpenLoop(f"loop closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
-    unwind = expm_eigen(*ctrl._omega_spectrum, -1.0)
-    return v0.conj().T @ g @ v0 @ unwind, defect
+    return gamma, defect
 
 
 def holonomy_analytic(ctrl: Controller) -> np.ndarray:
-    """Holonomy Gamma = V0^H exp(X) V0 exp(-Omega) of the closed loop.
+    """Holonomy Gamma = V0^H exp(X) V0 exp(-Omega) = V0^H V(1) of the closed loop.
 
-    ||Gamma^H Gamma - I||_F <= closure^2 / 2, so closure bounds unitarity.
+    With V(1) = [[Gamma], [B]] orthonormal, ||Gamma^H Gamma - I||_F =
+    ||B^H B||_F <= ||B||_F^2 = closure^2 / 2, so closure bounds unitarity.
 
     Raises:
         OpenLoop: the projected curve misses its start point at t = 1, in

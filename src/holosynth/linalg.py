@@ -1,7 +1,7 @@
 """Dense complex linear algebra on numpy alone: validated unitary
-eigendecomposition (a Cayley transform handed to the Hermitian `eigh`),
-the one matrix exponential (`expm_eigen`, from Hermitian eigen-data) and
-polar unitarization.
+eigendecomposition (a Cayley transform handed to the Hermitian `eigh`)
+and polar unitarization. The one matrix exponential of the package is the
+extremal curve itself, `extremal.curve_samples`.
 
 Matrices are plain complex numpy arrays. Validation helpers raise typed
 exceptions from :mod:`holosynth.errors`, so callers can rely on inputs
@@ -178,11 +178,6 @@ def eig_unitary(
             f"eigendecomposition reconstruction defect {recon:.3e} exceeds {tol:.1e}"
         )
     return r, gammas
-
-
-def expm_eigen(w, q, t=1.0) -> np.ndarray:
-    """exp(i t H) for Hermitian H = q diag(w) q^H and a scalar time t."""
-    return q @ (np.exp(1j * float(t) * w)[:, None] * q.conj().T)
 
 
 def polar_unitary(m) -> np.ndarray:

@@ -15,6 +15,11 @@ from holosynth.linalg import (
 from holosynth.verify import _chunk_frames, _grid_times
 
 
+def expm_eigen(w, q, t=1.0):
+    """exp(i t H) for Hermitian H = q diag(w) q^H and a scalar time t."""
+    return q @ (np.exp(1j * float(t) * w)[:, None] * q.conj().T)
+
+
 def expm_taylor_squaring(a, t=1.0, taylor_terms=18, squarings=12):
     """Matrix exponential by scaling-and-squaring a truncated Taylor series.
 

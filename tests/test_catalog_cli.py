@@ -629,6 +629,26 @@ class TestCliBadInput:
         code, out, err = run_cli(capsys, "synthesize", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("content, detail", [
+        (b"{'rows': 1}", "Expecting property name enclosed in double quotes"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"[" * 100000, "maximum recursion depth exceeded"),
+    ], ids=["bad_json", "not_utf8", "empty", "too_deep"])
+    @pytest.mark.parametrize("route", ["--config", "--matrix", "verify --doc", "sample --doc"])
+    def test_a_malformed_json_file_exits_2_naming_flag_and_path(self, route, content, detail,
+                                                                capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        command, flag = route.split() if " " in route else ("synthesize", route)
+        argv = [command, flag, str(bad)]
+        if flag == "--config":
+            argv += ["--gate", "hadamard"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} {bad}: {detail}")
+        assert err.count("\n") == 1
+
     def test_an_overflowing_controller_entry_fails_without_a_warning(self, capsys, tmp_path):
         # pytest turns the numpy RuntimeWarning the skew check once printed into an error
         doc = tmp_path / "doc.json"
@@ -1030,7 +1050,8 @@ class TestCliSample:
         assert code == 0 and len(out.splitlines()) == 2002
 
     def test_samples_the_curve_once(self, capsys, monkeypatch):
-        # one pass over the grid in chunks, with no probe of the end frames first
+        # the analytic end frame V(1) once, for the closure check, then one
+        # pass over the grid in chunks, with no probe of the grid's end frames
         sampled = []
 
         def recording(ctrl, times):
@@ -1043,8 +1064,9 @@ class TestCliSample:
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)  # 8 frames at k = 4
         code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "20")
         assert code == 0
-        assert len(sampled) == 3
-        np.testing.assert_array_equal(np.concatenate(sampled), np.linspace(0.0, 1.0, 21))
+        assert len(sampled) == 4
+        np.testing.assert_array_equal(sampled[0], [1.0])
+        np.testing.assert_array_equal(np.concatenate(sampled[1:]), np.linspace(0.0, 1.0, 21))
 
     def test_memory_does_not_grow_with_steps(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**11)  # 16 frames at k = 2

@@ -21,8 +21,8 @@ from holosynth import (
     synthesize,
     transform_controller,
 )
-from holosynth.linalg import expm_eigen, unitarity_defect
-from helpers import curve_samples_reference, random_haar
+from holosynth.linalg import unitarity_defect
+from helpers import curve_samples_reference, expm_eigen, random_haar
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
@@ -175,6 +175,59 @@ class TestHolonomy:
         assert loop_closure_defect(bad) > 0.1
         with pytest.raises(OpenLoop):
             holonomy_analytic(bad)
+
+
+class TestEndFrameAgainstTheExponentials:
+    """Gamma and the closure defect read off V(1) = curve_samples(ctrl, [1.0])
+    against the closed forms built here from exp(X) and exp(-Omega)."""
+
+    def _exponentials(self, ctrl):
+        g = expm_eigen(*np.linalg.eigh(-1j * ctrl.matrix))
+        unwind = expm_eigen(*np.linalg.eigh(-1j * ctrl.omega), -1.0)
+        return g, unwind
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_holonomy_is_v0h_exp_x_v0_exp_minus_omega(self, k):
+        ctrl = _random_controller(np.random.default_rng(90 + k), k)
+        g, unwind = self._exponentials(ctrl)
+        v0 = ctrl.base_frame()
+        want = v0.conj().T @ g @ v0 @ unwind
+        assert np.abs(holonomy_analytic(ctrl) - want).max() <= 1e-13
+
+    def _projector_defect(self, ctrl):
+        g, _ = self._exponentials(ctrl)
+        v0 = ctrl.base_frame()
+        p0 = v0 @ v0.conj().T
+        return float(np.linalg.norm(g @ p0 @ g.conj().T - p0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
+    def test_closure_of_a_closed_loop(self, k):
+        ctrl = _random_controller(np.random.default_rng(110 + k), k)
+        assert abs(loop_closure_defect(ctrl) - self._projector_defect(ctrl)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
+    def test_closure_of_an_open_loop(self, k, eps):
+        base = _random_controller(np.random.default_rng(130 + k), k)
+        ctrl = Controller(omega=base.omega, coupling=base.coupling * (1 + eps))
+        want = self._projector_defect(ctrl)
+        assert abs(loop_closure_defect(ctrl) - want) <= 1e-9 * want
+
+    def test_a_sampler_without_the_fiber_factor_is_caught(self, monkeypatch):
+        # curve_samples with exp(-t Omega) dropped: V(t) = exp(tX) V0 spans
+        # the same subspaces, so the closure and the oracle's projector chain
+        # do not change, but Gamma = V0^H V(1) is off by exp(-Omega)
+        gate = catalog_get("random-4").matrix
+        ctrl = synthesize(gate).controller
+        unit_phases = extremal._unit_phases
+
+        def without_fiber(theta):
+            return np.ones(theta.shape, complex) if len(theta) == ctrl.k else unit_phases(theta)
+
+        monkeypatch.setattr(extremal, "_unit_phases", without_fiber)
+        report = evaluate_controller(ctrl, gate)
+        assert report.loop_defect < 1e-12
+        assert report.holonomy_error > 1e-3
 
 
 class TestClosureDefect:
@@ -394,18 +447,30 @@ class TestEvaluateController:
         assert report.length_analytic == pytest.approx(np.pi**2, abs=1e-12)
         np.testing.assert_allclose(report.target, HADAMARD)
 
-    def test_one_exponential_of_x_and_one_of_omega(self, monkeypatch):
-        ctrl = _random_controller(np.random.default_rng(16), 4)
-        calls = []
-        expm_eigen = extremal.expm_eigen
+    def test_one_end_frame_from_the_cached_spectra(self, monkeypatch):
+        # a fresh controller, so that its eigendecompositions of X and Omega
+        # are made here, once, and read by the one end-frame sample
+        base = _random_controller(np.random.default_rng(16), 4)
+        ctrl = Controller(omega=base.omega, coupling=base.coupling)
+        sampled, eighs = [], []
+        sample, eigh = extremal.curve_samples, np.linalg.eigh
 
-        def counting(w, q, t=1.0):
-            calls.append(q.shape)
-            return expm_eigen(w, q, t)
+        def sampling(c, times):
+            sampled.append(np.asarray(times).tolist())
+            return sample(c, times)
 
-        monkeypatch.setattr(extremal, "expm_eigen", counting)
+        def decomposing(a, *args, **kwargs):
+            eighs.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(extremal, "curve_samples", sampling)
+        monkeypatch.setattr(np.linalg, "eigh", decomposing)
         evaluate_controller(ctrl, np.eye(4))
-        assert calls == [(8, 8), (4, 4)]
+        assert sampled == [[1.0]]
+        assert eighs == [(8, 8), (4, 4)]
+        evaluate_controller(ctrl, np.eye(4))
+        assert sampled == [[1.0], [1.0]]
+        assert eighs == [(8, 8), (4, 4)]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rejects_a_target_of_the_wrong_shape(self, dim):
