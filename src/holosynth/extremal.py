@@ -142,8 +142,18 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     not a multiple of 4 (seen at k = 3, 5, 6, 7, 9, ...), so the readers
     that must agree bit for bit (the oracle's stream, `sample_loop` and the
     `sample` CSV) all sample in the batches of `verify._grid_batches`.
+
+    Raises:
+        DimensionError: `times` is not a 1-D sequence of finite numbers.
     """
-    times = np.asarray(times, dtype=float)
+    try:
+        times = np.asarray(times, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"times must be a 1-D sequence of numbers: {exc}") from exc
+    if times.ndim != 1:
+        raise DimensionError(f"times must be a 1-D sequence, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise DimensionError("times must be finite")
     if len(times) * ctrl.k == 1:
         return curve_samples(ctrl, times.repeat(2))[:1]
     w_x, q_x = ctrl._spectrum

@@ -442,14 +442,19 @@ def gauge_invariance_check(loop: SampledLoop, trials: int, seed: int) -> float:
     unitary, which leaves its projector unchanged, and the oracle is rerun
     on the re-gauged loop. Since the overlap chain telescopes to the
     projector chain in any gauge, the shift is pure roundoff. `trials`
-    reads as a step count does (`synth._whole`) and must be at least 1.
+    reads as a step count does (`synth._whole`) and must be at least 1;
+    `seed` reads as `--seed` does, a whole number >= 0.
 
     Raises:
-        DimensionError: `trials` is not a whole number >= 1.
+        DimensionError: `trials` is not a whole number >= 1, or `seed` not
+            one >= 0.
     """
     trials = _param(_whole, trials, "trials", DimensionError)
     if trials < 1:
         raise DimensionError(f"trials must be >= 1, got {trials}")
+    seed = _param(_whole, seed, "seed", DimensionError)
+    if seed < 0:
+        raise DimensionError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     baseline = numeric_holonomy(loop)
     worst = 0.0

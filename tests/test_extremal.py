@@ -148,6 +148,19 @@ class TestCurvePoint:
             assert frames.flags.c_contiguous
             assert frames.tobytes() == curve_samples_reference(ctrl, times).tobytes(), length
 
+    @pytest.mark.parametrize("times, message", [
+        (0.5, r"^times must be a 1-D sequence, got shape \(\)$"),
+        ([[0.1, 0.2]], r"^times must be a 1-D sequence, got shape \(1, 2\)$"),
+        ([0.0, np.inf], "^times must be finite$"),
+        ([np.nan], "^times must be finite$"),
+        (["t"], "^times must be a 1-D sequence of numbers: "),
+    ], ids=["scalar", "2-D", "infinite", "nan", "text"])
+    def test_malformed_times_are_refused_with_a_typed_error(self, times, message):
+        # warnings are errors here, so a NaN frame's RuntimeWarning fails too
+        ctrl = _random_controller(np.random.default_rng(5), 2)
+        with pytest.raises(DimensionError, match=message):
+            curve_samples(ctrl, times)
+
 
 class TestHolonomy:
     def test_stationary_full_turn_gives_identity(self):

@@ -126,6 +126,18 @@ class TestOracleCounts:
         loop = sample_loop(synthesize(HADAMARD).controller, 20)
         assert gauge_invariance_check(loop, 2.0, seed=0) < 1e-12
 
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, True])
+    def test_a_seed_reads_as_the_seed_flag_does(self, seed):
+        # a whole number >= 0 (synth._whole), where numpy would raise its own
+        # ValueError or TypeError
+        loop = sample_loop(synthesize(HADAMARD).controller, 20)
+        with pytest.raises(DimensionError, match="^seed"):
+            gauge_invariance_check(loop, 1, seed)
+
+    def test_a_whole_float_seed_reads_as_its_integer(self):
+        loop = sample_loop(synthesize(HADAMARD).controller, 20)
+        assert gauge_invariance_check(loop, 2, 3.0) == gauge_invariance_check(loop, 2, 3)
+
 
 class TestSpectralReuse:
     @pytest.fixture
