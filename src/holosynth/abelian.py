@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenLoop, ParamShapeMismatch
+from .errors import DimensionError, OpenLoop, ParamShapeMismatch
 from .extremal import Controller
 from .linalg import _MAX_WHOLE
 from .synth import _param, _real, small_circle_params
@@ -99,7 +99,14 @@ def bloch_curve(ctrl: BerryController, t: float) -> np.ndarray:
 
     r(t) = a (a.e3) + (e3 - a (a.e3)) cos(2 rho t) - (a x e3) sin(2 rho t)
     with a the circle axis; r(0) is the north pole and r(t).a is constant.
+    The time t reads as a number does by `synth._real`.
+
+    Raises:
+        DimensionError: t is not a finite number.
     """
+    t = _param(_real, t, "time", DimensionError)
+    if not math.isfinite(t):
+        raise DimensionError(f"time must be finite, got {t}")
     a = ctrl.axis
     rho = ctrl.rho
     axial = a * float(a @ _E3)

@@ -33,16 +33,20 @@ from .linalg import haar_unitary
 @dataclass(frozen=True)
 class GateCatalogEntry:
     """A named unitary plus optional tabulated channel-ordering data. The
-    matrix is a read-only copy, so no caller can alter a catalog entry."""
+    matrix is a read-only copy, so no caller can alter a catalog entry;
+    `dim` is read off its shape."""
 
     name: str
-    dim: int
     matrix: np.ndarray
     paper_order: tuple[int, ...] | None = None
     paper_signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def _dft2() -> np.ndarray:
@@ -53,24 +57,20 @@ def _dft2() -> np.ndarray:
 _FIXED: dict[str, GateCatalogEntry] = {
     "hadamard": GateCatalogEntry(
         name="hadamard",
-        dim=2,
         matrix=np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
         paper_order=(0, 1),
         paper_signs=(1, 1),
     ),
     "pauli-x": GateCatalogEntry(
         name="pauli-x",
-        dim=2,
         matrix=np.array([[0, 1], [1, 0]], dtype=complex),
     ),
     "pauli-z": GateCatalogEntry(
         name="pauli-z",
-        dim=2,
         matrix=np.array([[1, 0], [0, -1]], dtype=complex),
     ),
     "cnot": GateCatalogEntry(
         name="cnot",
-        dim=4,
         matrix=np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         ),
@@ -79,7 +79,6 @@ _FIXED: dict[str, GateCatalogEntry] = {
     ),
     "dft2": GateCatalogEntry(
         name="dft2",
-        dim=4,
         matrix=_dft2(),
         paper_order=(0, 1, 3, 2),
         paper_signs=(1, 1, -1, -1),
@@ -106,7 +105,7 @@ def catalog_get(name: str, seed: int = 0) -> GateCatalogEntry:
         return _FIXED[name]
     if name.startswith("identity-"):
         k = _parse_int(name, "identity-")
-        return GateCatalogEntry(name=name, dim=k, matrix=np.eye(k, dtype=complex))
+        return GateCatalogEntry(name=name, matrix=np.eye(k, dtype=complex))
     if name.startswith("phase-"):
         raw = name[len("phase-") :]
         try:
@@ -116,11 +115,11 @@ def catalog_get(name: str, seed: int = 0) -> GateCatalogEntry:
         if not np.isfinite(gamma):
             raise UnknownGate(f"phase angle must be finite in gate name {name!r}")
         matrix = np.array([[np.exp(1j * gamma)]], dtype=complex)
-        return GateCatalogEntry(name=name, dim=1, matrix=matrix)
+        return GateCatalogEntry(name=name, matrix=matrix)
     if name.startswith("random-"):
         k = _parse_int(name, "random-")
         rng = np.random.default_rng(seed)
-        return GateCatalogEntry(name=name, dim=k, matrix=haar_unitary(k, rng))
+        return GateCatalogEntry(name=name, matrix=haar_unitary(k, rng))
     raise UnknownGate(
         f"unknown gate {name!r}; known entries: {', '.join(catalog_names())}"
     )

@@ -41,7 +41,12 @@ def standard_base_frame(n: int, k: int) -> np.ndarray:
     return v
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """`a` as a read-only C-ordered complex array of its own: `a` itself if
+    it already is one, owning its data and not writeable, else a copy."""
+    if (isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
+            and a.flags.c_contiguous and a.dtype == complex):
+        return a
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
@@ -263,23 +268,32 @@ def gate_commutes(h1, gate) -> float:
 
 @dataclass(frozen=True)
 class HolonomyReport:
-    """Analytic verification summary for a controller against a target."""
+    """Analytic verification summary for a controller against a target.
+
+    It holds the controller's holonomy `gamma_matrix`, the checked target
+    gate `target` (`evaluate_controller` stores a read-only copy), the
+    closure defect `loop_defect` and the loop length `length_analytic`,
+    and reads `holonomy_error`, ||gamma_matrix - target||_F, off the
+    first two.
+    """
 
     gamma_matrix: np.ndarray
     target: np.ndarray
-    holonomy_error: float
     loop_defect: float
     length_analytic: float
+
+    @property
+    def holonomy_error(self) -> float:
+        return float(np.linalg.norm(self.gamma_matrix - self.target))
 
 
 def evaluate_controller(ctrl: Controller, target, tol: float = VALIDATION_TOL) -> HolonomyReport:
     """Holonomy, closure and length of a controller versus a target gate."""
-    target = check_target(ctrl, target, tol)
+    target = _frozen(check_target(ctrl, target, tol))
     gamma, defect = _closed_holonomy(ctrl)
     return HolonomyReport(
         gamma_matrix=gamma,
         target=target,
-        holonomy_error=float(np.linalg.norm(gamma - target)),
         loop_defect=defect,
         length_analytic=length_analytic(ctrl),
     )

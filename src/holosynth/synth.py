@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamShapeMismatch
-from .extremal import Controller
+from .extremal import Controller, _frozen
 from .linalg import _MAX_WHOLE, VALIDATION_TOL, eig_unitary
 
 _NEG_CLAMP = 1e-14
@@ -103,9 +103,10 @@ class SynthesisParams:
 class SynthesisResult:
     """Everything the construction produced for one gate.
 
-    `omega_diag` and `w_diag` are the diagonal k x k blocks in the gate
-    eigenbasis (entries i*omega_j and i*tau_j); `controller` is the
-    assembled 2k x 2k generator, and `length` the analytic loop length.
+    `gate` is a read-only copy of the gate given; `omega_diag` and `w_diag`
+    are the diagonal k x k blocks in the gate eigenbasis (entries
+    i*omega_j and i*tau_j); `controller` is the assembled 2k x 2k
+    generator, and `length` the analytic loop length.
     """
 
     gate: np.ndarray
@@ -174,7 +175,7 @@ def synthesize(
         ParamShapeMismatch: params or ordering data do not fit k channels.
     """
     r, gammas = eig_unitary(gate, tol, what="target gate")
-    gate = np.asarray(gate, dtype=complex)
+    gate = _frozen(gate)
     k = gate.shape[0]
     if params is None:
         params = SynthesisParams.defaults(k)

@@ -73,13 +73,14 @@ import queue
 import threading
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
 # loop_closure_defect is not called here; perfbench's tracing wraps it by this module's name.
 from .extremal import (
-    CLOSURE_TOL, Controller, check_target, curve_samples, holonomy_analytic,
+    CLOSURE_TOL, Controller, _frozen, check_target, curve_samples, holonomy_analytic,
     loop_closure_defect, standard_base_frame,
 )
 from .linalg import (
@@ -104,14 +105,17 @@ class SampledLoop:
     `extremal.standard_base_frame`. Validation confirms the first and last
     frames span the same subspace (their projectors agree within
     `extremal.CLOSURE_TOL`) and every frame is orthonormal,
-    ||V^H V - I||_F within `tol`.
+    ||V^H V - I||_F within `tol`. The loop holds its frames read-only and
+    as its own: a read-only complex stack that owns its data is kept as
+    it is, any other array is copied (`extremal._frozen`), so no caller
+    can change a frame after the check.
     """
 
     frames: np.ndarray
     tol: float = VALIDATION_TOL
 
     def __post_init__(self):
-        frames = np.ascontiguousarray(self.frames, dtype=complex)
+        frames = _frozen(self.frames)
         if frames.ndim != 3:
             raise DimensionError(f"frames must have shape (M+1, n, k), got ndim={frames.ndim}")
         standard_base_frame(*frames.shape[1:])
@@ -150,22 +154,35 @@ def loop_length_numeric(loop: SampledLoop) -> float:
 class OracleReport:
     """Cross-validation record of numeric versus analytic holonomy.
 
-    `deviation` is the finest-grid Frobenius distance between the two,
-    reached at `steps`. `convergence_order_estimate` is the least-squares
-    slope of log(deviation) against log(steps); it is NaN when the
-    deviations sit at the roundoff floor, where no order can be estimated.
-    The polar-unitarized chain converges at order 2, so a slope outside
-    the second-order window [-2.5, -1.5] sets `anomalous` instead of
-    raising; it is False when the slope is NaN.
+    It holds what the oracle run was given and measured: the finest-grid
+    numeric holonomy `gamma_numeric`, the analytic `gamma_analytic`, the
+    checked target gate `target` (`cross_validate` stores a read-only
+    copy), the step `schedule` and the Frobenius distance between the two
+    holonomies at each of its points, `deviations`. Everything else is
+    read off those fields:
+
+    - `deviation` and `steps`: the finest grid's deviation and step count;
+    - `target_error`: ||gamma_analytic - target||_F;
+    - `convergence_order_estimate`: the least-squares slope of
+      log(deviation) against log(steps) over the points whose deviation
+      exceeds the roundoff floor, NaN when fewer than two do (the oracle
+      already agrees with the analytic answer to roundoff, so no order
+      can be estimated);
+    - `anomalous`: whether the slope leaves the second-order window
+      [-2.5, -1.5]; a NaN slope does not.
+
+    The polar-unitarized chain converges at order 2: each compressed step
+    is I - (dt^2/2) V'^H V' + O(dt^3), the O(dt^2) terms add up to a
+    Hermitian O(1/M) contraction that the polar step removes, and O(1/M^2)
+    remains. A healthy measurable slope therefore lies near -2; without
+    the polar step it lies near -1 and reads `anomalous`.
     """
 
     gamma_numeric: np.ndarray
     gamma_analytic: np.ndarray
-    convergence_order_estimate: float
-    anomalous: bool
+    target: np.ndarray
     schedule: tuple[int, ...]
     deviations: tuple[float, ...]
-    target_error: float
 
     @property
     def deviation(self) -> float:
@@ -174,6 +191,24 @@ class OracleReport:
     @property
     def steps(self) -> int:
         return self.schedule[-1]
+
+    @property
+    def target_error(self) -> float:
+        return float(np.linalg.norm(self.gamma_analytic - self.target))
+
+    @cached_property
+    def convergence_order_estimate(self) -> float:
+        usable = [(np.log(s), np.log(d)) for s, d in zip(self.schedule, self.deviations)
+                  if d > _ROUNDOFF_FLOOR]
+        if len(usable) < 2:
+            return float("nan")
+        xs, ys = zip(*usable)
+        return float(np.polyfit(xs, ys, 1)[0])
+
+    @property
+    def anomalous(self) -> bool:
+        slope = self.convergence_order_estimate
+        return not np.isnan(slope) and not (_SLOPE_WINDOW[0] <= slope <= _SLOPE_WINDOW[1])
 
 
 def _span_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -201,8 +236,8 @@ def _check_frames(frames: np.ndarray, tol: float, out: np.ndarray | None = None)
 def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
     """Sample the controller's projected loop at t_i = i / steps, i = 0 ... steps,
     in the batches of `_grid_batches`, written into one frame stack, which
-    `SampledLoop` Gram-checks, so the frames are the oracle's and the
-    `sample` CSV's bit for bit.
+    `SampledLoop` Gram-checks and, read-only, keeps without a copy, so the
+    frames are the oracle's and the `sample` CSV's bit for bit.
 
     Raises:
         OpenLoop: the controller does not close its loop at t = 1.
@@ -214,6 +249,7 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
     frames = np.empty((steps + 1, ctrl.n, ctrl.k), dtype=complex)
     for out, (_, batch) in zip(_slices(frames), _grid_batches(ctrl, steps)):
         out[...] = batch
+    frames.setflags(write=False)
     return SampledLoop(frames, tol)
 
 
@@ -377,7 +413,7 @@ def cross_validate(
     steps_schedule: tuple[int, ...] = DEFAULT_SCHEDULE,
     tol: float = VALIDATION_TOL,
 ) -> OracleReport:
-    """Run the oracle over a refinement schedule and fit its convergence.
+    """Run the oracle over a refinement schedule and record its transport.
 
     Each schedule point is sampled and transported in fixed-size chunks
     (see the module docstring), so memory does not grow with the steps;
@@ -387,17 +423,10 @@ def cross_validate(
     as `synth._whole` reads it. The schedule is a non-empty sequence of
     step counts that increases strictly: its last point is the finest grid.
 
-    The slope fit only uses schedule points whose deviation exceeds the
-    roundoff floor; when fewer than two such points remain the estimate is
-    NaN (the oracle already agrees with the analytic answer to roundoff
-    everywhere, so no meaningful order exists).
-
-    The polar-unitarized chain converges at order 2: each compressed step
-    is I - (dt^2/2) V'^H V' + O(dt^3), the O(dt^2) terms add up to a
-    Hermitian O(1/M) contraction that the polar step removes, and O(1/M^2)
-    remains. A healthy measurable slope therefore lies near -2; one outside
-    [-2.5, -1.5] (near -1, say, when the polar step is lost) sets
-    `anomalous`.
+    The report holds the finest grid's Gamma, the analytic Gamma, a
+    read-only copy of the checked target and the deviation at each
+    schedule point. Nothing is fitted here: the report reads its slope
+    and verdict off those deviations (see `OracleReport`).
     """
     schedule = tuple(steps_schedule) if np.iterable(steps_schedule) else None
     if not schedule:
@@ -405,33 +434,19 @@ def cross_validate(
     analytic, schedule = _closed_loop(ctrl, *schedule)
     if any(a >= b for a, b in zip(schedule, schedule[1:])):
         raise DimensionError(f"steps_schedule must be strictly increasing, got {schedule}")
-    gate = check_target(ctrl, gate, tol)
+    gate = _frozen(check_target(ctrl, gate, tol))
     v0 = ctrl.base_frame()
     deviations = []
     for steps in schedule:
         with closing(_grid_chunks(ctrl, steps, tol)) as stream:
             gamma_numeric = _chain_holonomy(stream, v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
-    usable = [
-        (np.log(s), np.log(d))
-        for s, d in zip(schedule, deviations)
-        if d > _ROUNDOFF_FLOOR
-    ]
-    if len(usable) >= 2:
-        xs, ys = zip(*usable)
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        anomalous = not (_SLOPE_WINDOW[0] <= slope <= _SLOPE_WINDOW[1])
-    else:
-        slope = float("nan")
-        anomalous = False
     return OracleReport(
         gamma_numeric=gamma_numeric,
         gamma_analytic=analytic,
-        convergence_order_estimate=slope,
-        anomalous=anomalous,
+        target=gate,
         schedule=schedule,
         deviations=tuple(deviations),
-        target_error=float(np.linalg.norm(analytic - gate)),
     )
 
 
@@ -460,6 +475,8 @@ def gauge_invariance_check(loop: SampledLoop, trials: int, seed: int) -> float:
     worst = 0.0
     for _ in range(trials):
         gauges = _haar_stack(loop.rank, rng, loop.frames.shape[:1])
-        gamma = numeric_holonomy(SampledLoop(loop.frames @ gauges, loop.tol))
+        regauged = loop.frames @ gauges
+        regauged.setflags(write=False)
+        gamma = numeric_holonomy(SampledLoop(regauged, loop.tol))
         worst = max(worst, float(np.linalg.norm(gamma - baseline)))
     return worst

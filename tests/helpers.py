@@ -191,3 +191,24 @@ def cross_validate_serial(ctrl, schedule, tol=VALIDATION_TOL):
         gamma_numeric = _chain_holonomy_serial(((f, a) for _, f, a in stream), v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     return tuple(deviations), gamma_numeric
+
+
+def oracle_fit_reference(schedule, deviations):
+    """(slope, anomalous) as `verify.cross_validate` fitted them before the
+    fit moved into `OracleReport`: the least-squares slope of log(deviation)
+    against log(steps) over the points above the 1e-12 roundoff floor, NaN
+    below two such points, and anomalous outside [-2.5, -1.5]; the report's
+    properties must return them bit for bit."""
+    usable = [
+        (np.log(s), np.log(d))
+        for s, d in zip(schedule, deviations)
+        if d > 1e-12
+    ]
+    if len(usable) >= 2:
+        xs, ys = zip(*usable)
+        slope = float(np.polyfit(xs, ys, 1)[0])
+        anomalous = not (-2.5 <= slope <= -1.5)
+    else:
+        slope = float("nan")
+        anomalous = False
+    return slope, anomalous

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holosynth import (
+    DimensionError,
     OpenLoop,
     ParamShapeMismatch,
     berry_controller,
@@ -173,6 +174,28 @@ class TestBlochCurve:
         near = dist < 1e-2
         visits = int(np.sum(near[1:] & ~near[:-1])) + int(near[0])
         assert visits == n + 1
+
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_a_non_finite_time_is_refused(self, t):
+        with pytest.raises(DimensionError, match="time must be finite"):
+            bloch_curve(berry_controller(2.1, 0.7), t)
+
+    @pytest.mark.parametrize("t", ["0.5", None, [0.1, 0.2], True],
+                             ids=["string", "none", "list", "bool"])
+    def test_a_time_that_is_not_a_number_is_refused(self, t):
+        with pytest.raises(DimensionError, match="^time: expected a number"):
+            bloch_curve(berry_controller(2.1, 0.7), t)
+
+    @pytest.mark.parametrize("t", [0.3, np.float64(0.3), 1, np.int64(2), 0.0, -0.25])
+    def test_a_finite_time_keeps_its_bits(self, t):
+        # the formula as it read t before t was checked
+        c = berry_controller(2.1, 0.7, 2)
+        e3 = np.array([0.0, 0.0, 1.0])
+        axial = c.axis * float(c.axis @ e3)
+        angle = 2.0 * c.rho * t
+        want = axial + (e3 - axial) * np.cos(angle) - np.cross(c.axis, e3) * np.sin(angle)
+        np.testing.assert_array_equal(bloch_curve(c, t), want)
 
 
 class TestBerryHolonomy:

@@ -15,8 +15,8 @@ import pytest
 
 import holosynth
 from holosynth import (
-    DimensionError, InvalidFrame, UnknownGate, catalog_get, catalog_names, cli, extremal,
-    synthesize, verify,
+    DimensionError, GateCatalogEntry, InvalidFrame, UnknownGate, catalog_get, catalog_names, cli,
+    extremal, synthesize, verify,
 )
 from holosynth.cli import main
 from holosynth.document import (
@@ -88,6 +88,20 @@ class TestCatalog:
         names = catalog_names()
         assert "hadamard" in names and "dft2" in names
 
+    @pytest.mark.parametrize("name", [
+        *(name for name in catalog_names() if "<" not in name),
+        "identity-1", "identity-3", "phase-0.7", "random-1", "random-5",
+    ])
+    def test_dim_is_read_off_the_matrix(self, name):
+        entry = catalog_get(name)
+        assert entry.dim == entry.matrix.shape[0]
+        assert type(entry.dim) is int
+
+    def test_an_entry_takes_no_dim(self):
+        with pytest.raises(TypeError, match="dim"):
+            GateCatalogEntry(name="x", dim=3, matrix=np.eye(2))
+        assert GateCatalogEntry("x", np.eye(2)).dim == 2
+
     @pytest.mark.parametrize("name", ["cnot", "identity-2", "phase-0.7", "random-3"])
     def test_an_entry_matrix_is_read_only(self, name):
         entry = catalog_get(name)
@@ -130,6 +144,16 @@ class TestDocument:
         doc["synthesis"]["controller"] = encode_matrix(np.zeros((2, 2)))
         with pytest.raises(DimensionError, match=r"^need 0 < k < n, got n=2, k=0$"):
             document_controller(loads(canonical_dumps(doc)))
+
+    def test_a_document_keeps_its_gate_when_the_caller_changes_it(self):
+        gate = np.array(catalog_get("cnot").matrix)
+        params = SynthesisParams.defaults(4)
+        result = synthesize(gate, params)
+        report = evaluate_controller(result.controller, result.gate)
+        before = canonical_dumps(controller_document(result, report, params))
+        gate[:] = np.eye(4)
+        assert canonical_dumps(controller_document(result, report, params)) == before
+        assert not result.gate.flags.writeable
 
     def test_schema_fields_present(self):
         doc = self._document()

@@ -485,6 +485,23 @@ class TestEvaluateController:
         assert sampled == [[1.0], [1.0]]
         assert eighs == [(8, 8), (4, 4)]
 
+    def test_holonomy_error_is_read_off_gamma_and_the_target(self):
+        assert list(extremal.HolonomyReport.__dataclass_fields__) == [
+            "gamma_matrix", "target", "loop_defect", "length_analytic"]
+        report = extremal.HolonomyReport(
+            gamma_matrix=np.eye(2), target=np.diag([1.0, -1.0]), loop_defect=0.0,
+            length_analytic=0.0)
+        assert report.holonomy_error == 2.0
+
+    def test_the_target_is_a_read_only_copy(self):
+        gate = CNOT.copy()
+        report = evaluate_controller(synthesize(CNOT).controller, gate)
+        error = report.holonomy_error
+        gate[:] = np.eye(4)
+        assert not report.target.flags.writeable
+        assert report.holonomy_error == error
+        np.testing.assert_array_equal(report.target, CNOT)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_rejects_a_target_of_the_wrong_shape(self, dim):
         ctrl = synthesize(CNOT).controller

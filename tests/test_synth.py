@@ -245,6 +245,16 @@ class TestSynthesizeExamples:
         )
 
 
+class TestSynthesisResultGate:
+    def test_the_gate_is_a_read_only_copy(self):
+        cnot = catalog_get("cnot").matrix
+        gate = np.array(cnot)
+        result = synthesize(gate)
+        gate[:] = np.eye(4)
+        assert not result.gate.flags.writeable
+        np.testing.assert_array_equal(result.gate, cnot)
+
+
 class TestSynthesizeProperties:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_round_trip_random_gates(self, k):

@@ -13,6 +13,7 @@ from holosynth import (
     InvalidFrame,
     NonUnitaryInput,
     OpenLoop,
+    OracleReport,
     SampledLoop,
     SingularInput,
     TooFewSamples,
@@ -31,7 +32,9 @@ from holosynth import (
     standard_base_frame,
     synthesize,
 )
-from helpers import cross_validate_serial, curve_samples_reference, random_haar, traced_peak
+from helpers import (
+    cross_validate_serial, curve_samples_reference, oracle_fit_reference, random_haar, traced_peak,
+)
 
 HADAMARD = catalog_get("hadamard").matrix
 HALF_TURN = np.array([[np.exp(1j * np.pi)]], dtype=complex)
@@ -249,6 +252,70 @@ class TestCrossValidate:
         assert len(report.deviations) == 3
 
 
+class TestOracleReportReadsItsVerdict:
+    """The report holds Gamma, the target and the deviations; its slope,
+    verdict and target error are read off them."""
+
+    _SCHEDULE = (10**3, 10**4, 10**5)
+
+    def _report(self, deviations, target=np.eye(2)):
+        return OracleReport(gamma_numeric=np.eye(2), gamma_analytic=np.eye(2), target=target,
+                            schedule=self._SCHEDULE, deviations=deviations)
+
+    @pytest.mark.parametrize("deviations, slope, anomalous", [
+        ((6e-3, 6e-4, 6e-5), -1.0, True),
+        ((4e-6, 4e-8, 4e-10), -2.0, False),
+        ((3e-15, 4e-15, 5e-15), None, False),
+        ((1e-3, 1e-13, 1e-14), None, False),
+    ], ids=["first-order", "second-order", "roundoff", "one-above-the-floor"])
+    def test_slope_and_verdict_of_synthetic_deviations(self, deviations, slope, anomalous):
+        report = self._report(deviations)
+        if slope is None:
+            assert np.isnan(report.convergence_order_estimate)
+        else:
+            assert report.convergence_order_estimate == pytest.approx(slope, abs=1e-9)
+        assert report.anomalous is anomalous
+        assert (report.deviation, report.steps) == (deviations[-1], self._SCHEDULE[-1])
+
+    def test_target_error_is_the_distance_to_the_target(self):
+        flip = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert self._report((1e-3, 1e-5, 1e-7), flip).target_error == 2.0
+
+    def test_the_record_holds_only_its_inputs(self):
+        assert list(OracleReport.__dataclass_fields__) == [
+            "gamma_numeric", "gamma_analytic", "target", "schedule", "deviations"]
+        with pytest.raises(TypeError):
+            OracleReport(np.eye(2), np.eye(2), np.eye(2), (10, 20), (1e-3, 1e-4),
+                         convergence_order_estimate=-2.0)
+
+    @pytest.mark.parametrize("gate", [
+        *(name for name in catalog_names() if "<" not in name),
+        "identity-2", "phase-0.7", "random-3",
+        *(f"haar-{k}" for k in range(1, 9)),
+    ])
+    def test_the_fit_of_cross_validate_is_the_old_fit_bit_for_bit(self, gate):
+        if gate.startswith("haar-"):
+            k = int(gate[5:])
+            matrix = random_haar(np.random.default_rng(40 + k), k)
+        else:
+            matrix = catalog_get(gate).matrix
+        ctrl = synthesize(matrix).controller
+        report = cross_validate(ctrl, matrix, (1000, 10000))
+        slope, anomalous = oracle_fit_reference(report.schedule, report.deviations)
+        np.testing.assert_array_equal(report.convergence_order_estimate, slope)
+        assert report.anomalous is anomalous
+        assert report.target_error == float(np.linalg.norm(holonomy_analytic(ctrl) - matrix))
+
+    def test_the_target_is_a_read_only_copy(self):
+        gate = np.array(catalog_get("cnot").matrix)
+        report = cross_validate(synthesize(gate).controller, gate, (100, 1000))
+        error = report.target_error
+        gate[:] = np.eye(4)
+        assert not report.target.flags.writeable
+        assert report.target_error == error
+        np.testing.assert_array_equal(report.target, catalog_get("cnot").matrix)
+
+
 def _plain_chain(frames, v0):
     """Polar factor of V0^H V_{M-1} ... V_1^H V0, multiplied one complex
     overlap at a time in time order, without the library's fold."""
@@ -366,6 +433,35 @@ class TestOracleMemory:
         # each chunk is written into the one stack as it arrives, so no
         # second copy of the frames is held on the way either
         assert peak <= 1.1 * loop.frames.nbytes, peak / loop.frames.nbytes
+
+
+class TestSampledLoopOwnsItsFrames:
+    @staticmethod
+    def _frames():
+        return np.array(sample_loop(synthesize(catalog_get("hadamard").matrix).controller,
+                                    100).frames)
+
+    def test_its_frames_are_read_only(self):
+        ctrl = synthesize(catalog_get("hadamard").matrix).controller
+        for loop in (SampledLoop(self._frames()), sample_loop(ctrl, 10)):
+            with pytest.raises(ValueError, match="read-only"):
+                loop.frames[1] *= 3
+
+    def test_the_callers_array_does_not_reach_its_readers(self):
+        frames = self._frames()
+        loop = SampledLoop(frames)
+        length, gamma = loop_length_numeric(loop), numeric_holonomy(loop)
+        frames[50] *= 3
+        frames[1:] = frames[0]
+        assert loop_length_numeric(loop) == length
+        np.testing.assert_array_equal(numeric_holonomy(loop), gamma)
+
+    def test_a_read_only_stack_of_its_own_is_kept_and_any_other_copied(self):
+        frames = self._frames()
+        frames.setflags(write=False)
+        assert SampledLoop(frames).frames is frames
+        view = frames[:]
+        assert SampledLoop(view).frames is not view
 
 
 class TestStreamedOracle:
