@@ -6,7 +6,8 @@ Exit codes are stable so shell pipelines can gate on them:
     2   argument, file or format errors (including unknown gates), or a
         request too large to fit in memory
     3   a matrix that must be unitary is not
-    4   a verification bound was exceeded, the oracle grid is too
+    4   a verification bound was exceeded, the oracle's convergence
+        order left its second-order window, the oracle grid is too
         coarse to transport (its overlap chain is numerically singular),
         or a unitary eigendecomposition failed its reconstruction check
     5   the loop does not close (open-loop controller document)
@@ -236,14 +237,25 @@ def _run_synthesis(args):
     return result, params, gate_name
 
 
-def _verdict(checks) -> int:
-    """Exit code 4 if any (name, value, bound) check misses its bound,
-    naming every failed check on stderr; 0 otherwise."""
-    failed = [
-        f"{name} {value:.3e} >= bound {bound:.3e}"
-        for name, value, bound in checks
-        if not value < bound
+def _below(name: str, value: float, bound: float) -> tuple[str, bool]:
+    """The check that `value` is below `bound`, as `_verdict` reads it."""
+    return f"{name} {value:.3e} >= bound {bound:.3e}", value < bound
+
+
+def _oracle_checks(oracle, bound: float) -> list[tuple[str, bool]]:
+    """The oracle's finest deviation below `bound`, and a convergence order
+    that its report does not read as `anomalous`."""
+    return [
+        _below("oracle deviation", oracle.deviation, bound),
+        (f"oracle order {oracle.convergence_order_estimate:.3f} is anomalous",
+         not oracle.anomalous),
     ]
+
+
+def _verdict(checks) -> int:
+    """Exit code 4 if any (message, passed) check failed, naming every
+    failed check on stderr; 0 otherwise."""
+    failed = [message for message, passed in checks if not passed]
     if failed:
         print("verification failed: " + "; ".join(failed), file=sys.stderr)
         return 4
@@ -311,11 +323,11 @@ def cmd_synthesize(args) -> int:
     )
     _emit(canonical_dumps(doc), args.out)
     checks = [
-        ("holonomy error", report.holonomy_error, HOLONOMY_BOUND),
-        ("closure defect", report.loop_defect, CLOSURE_BOUND),
+        _below("holonomy error", report.holonomy_error, HOLONOMY_BOUND),
+        _below("closure defect", report.loop_defect, CLOSURE_BOUND),
     ]
     if oracle is not None:
-        checks.append(("oracle deviation", oracle.deviation, ORACLE_BOUND))
+        checks += _oracle_checks(oracle, ORACLE_BOUND)
     return _verdict(checks)
 
 
@@ -331,8 +343,8 @@ def cmd_verify(args) -> int:
     )
     _emit(canonical_dumps(report), args.out)
     return _verdict([
-        ("target error", oracle.target_error, HOLONOMY_BOUND),
-        ("oracle deviation", oracle.deviation, args.bound),
+        _below("target error", oracle.target_error, HOLONOMY_BOUND),
+        *_oracle_checks(oracle, args.bound),
     ])
 
 
@@ -367,7 +379,8 @@ def cmd_sample(args) -> int:
 
     def blocks():
         yield ",".join(header) + "\n"
-        for times, frames in _grid_batches(ctrl, steps):
+        for times, view in _grid_batches(ctrl, steps):
+            frames = np.ascontiguousarray(view)  # the rows' einsum and reshapes need C order
             _check_frames(frames, args.tolerance)
             m, p = len(times), np.einsum("mik,mjk->mij", frames, frames.conj())
             columns = [times[:, None], frames.reshape(m, -1).view(float),

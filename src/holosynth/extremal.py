@@ -136,17 +136,14 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     With X = q_X diag(i w_X) q_X^H and Omega = q_O diag(i w_O) q_O^H this is
     V(t) = q_X (e^{i t w_X} e^{-i t w_O}^T * C) q_O^H for the fixed n x k
     core C = q_X^H V0 q_O: one eigendecomposition of X and one of Omega
-    serve every sample. The two scalings run on a (k, n, len(times)) stack,
-    sample axis innermost; q_O^H and then q_X multiply all samples in one
-    matrix product each, and a last copy puts the sample axis first.
-    The stack is allocated C-ordered: a broadcast product takes its
-    operands' order ("K", here (n, k, m)), and `reshape` would then copy it.
-    A lone sample at k = 1 is taken twice, as BLAS rounds the matrix-vector
-    product differently. A frame's last bit may still depend on its batch:
-    OpenBLAS's zgemm rounds the last product's column tail apart when m k is
-    not a multiple of 4 (seen at k = 3, 5, 6, 7, 9, ...), so the readers
-    that must agree bit for bit (the oracle's stream, `sample_loop` and the
-    `sample` CSV) all sample in the batches of `verify._grid_batches`.
+    serve every sample. The arithmetic is `_frame_sampler`'s, which the
+    grid readers of `verify` read in place; this evaluator adds a last copy
+    that puts the sample axis first and returns a C-ordered stack of its own.
+    A frame's last bit may depend on its batch: OpenBLAS's zgemm rounds the
+    last product's column tail apart when m k is not a multiple of 4 (seen
+    at k = 3, 5, 6, 7, 9, ...), so the readers that must agree bit for bit
+    (the oracle's stream, `sample_loop` and the `sample` CSV) all sample in
+    the batches of `verify._grid_batches`.
 
     Raises:
         DimensionError: `times` is not a 1-D sequence of finite numbers.
@@ -159,23 +156,51 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
         raise DimensionError(f"times must be a 1-D sequence, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise DimensionError("times must be finite")
-    if len(times) * ctrl.k == 1:
-        return curve_samples(ctrl, times.repeat(2))[:1]
+    return np.ascontiguousarray(_frame_sampler(ctrl, len(times))(times))
+
+
+def _frame_sampler(ctrl: Controller, capacity: int):
+    """`sample(times)` for up to `capacity` times per call, writing into
+    buffers allocated here, once: the frames V(t) of `curve_samples`, as
+    the strided (len(times), n, k) view of the q_X product, valid until the
+    next call.
+
+    The two scalings run on a C-ordered (k, n, m) stack, sample axis
+    innermost (a broadcast product would take its operands' (n, k, m) order,
+    and `reshape` would then copy it); q_O^H and then q_X multiply all
+    samples in one matrix product each, and the second product is written
+    over the stack. A lone sample at k = 1 is taken twice, as BLAS rounds
+    the matrix-vector product differently.
+    """
     w_x, q_x = ctrl._spectrum
     w_o, q_o = ctrl._omega_spectrum
-    n, k, m = ctrl.n, ctrl.k, len(times)
-    core = q_x.conj().T @ ctrl.base_frame() @ q_o
-    scaled = np.empty((k, n, m), dtype=complex)
-    np.multiply(_unit_phases(np.multiply.outer(w_x, times)), core.T[:, :, None], out=scaled)
-    scaled *= _unit_phases(-np.multiply.outer(w_o, times))[:, None, :]
-    rotated = scaled.reshape(k, n * m).T @ q_o.conj().T
-    frames = q_x @ rotated.reshape(n, m * k)
-    return np.ascontiguousarray(np.swapaxes(frames.reshape(n, m, k), 0, 1))
+    n, k = ctrl.n, ctrl.k
+    core, q_oh = (q_x.conj().T @ ctrl.base_frame() @ q_o).T[:, :, None], q_o.conj().T
+    size = max(capacity, 2) * n
+    theta, phases = np.empty(size), np.empty(size, dtype=complex)
+    stack, rotated = np.empty(size * k, dtype=complex), np.empty(size * k, dtype=complex)
+
+    def sample(times: np.ndarray) -> np.ndarray:
+        count = len(times)
+        if count * k == 1:
+            times = times.repeat(2)
+        m = len(times)
+        scaled, product = stack[:k * n * m].reshape(k, n, m), rotated[:n * m * k]
+        angles = np.multiply.outer(w_x, times, out=theta[:n * m].reshape(n, m))
+        np.multiply(_unit_phases(angles, phases[:n * m].reshape(n, m)), core, out=scaled)
+        angles = np.multiply.outer(w_o, times, out=theta[:k * m].reshape(k, m))
+        np.negative(angles, out=angles)
+        scaled *= _unit_phases(angles, phases[:k * m].reshape(k, m))[:, None, :]
+        np.matmul(scaled.reshape(k, n * m).T, q_oh, out=product.reshape(n * m, k))
+        frames = np.matmul(q_x, product.reshape(n, m * k), out=scaled.reshape(n, m * k))
+        return np.swapaxes(frames.reshape(n, m, k), 0, 1)[:count]
+
+    return sample
 
 
-def _unit_phases(theta: np.ndarray) -> np.ndarray:
-    """e^{i theta}, its cosine and sine written into one complex buffer."""
-    out = np.empty(theta.shape, dtype=complex)
+def _unit_phases(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{i theta}, its cosine and sine written into `out`, a complex
+    buffer of theta's shape."""
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
@@ -282,7 +307,7 @@ class HolonomyReport:
     loop_defect: float
     length_analytic: float
 
-    @property
+    @cached_property
     def holonomy_error(self) -> float:
         return float(np.linalg.norm(self.gamma_matrix - self.target))
 

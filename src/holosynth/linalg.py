@@ -50,11 +50,12 @@ def unitarity_defect(u) -> float:
 
 
 def _adjoint(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The real transposed copy of a contiguous complex (..., n, k) stack A
-    that `_adjoint_product` takes in place of A^H, shape (..., 2k, n): rows
-    0..k-1 hold Re of A's columns and rows k..2k-1 their Im. One copy
-    serves every product A^H B with the same A. It is written into `out`,
-    a contiguous float array of that shape, when one is given."""
+    """The real transposed copy of a complex (..., n, k) stack A, whose last
+    axis is contiguous, that `_adjoint_product` takes in place of A^H,
+    shape (..., 2k, n): rows 0..k-1 hold Re of A's columns and rows
+    k..2k-1 their Im. One copy serves every product A^H B with the same A.
+    It is written into `out`, a contiguous float array of that shape, when
+    one is given."""
     n, k = u.shape[-2:]
     out = np.empty(u.shape[:-2] + (2 * k, n)) if out is None else out
     parts = u.view(float).reshape(u.shape[:-1] + (k, 2))
@@ -62,27 +63,30 @@ def _adjoint(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _adjoint_product(adjoint: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-                     work: np.ndarray | None = None) -> np.ndarray:
+def _adjoint_product(adjoint: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A^H B for complex stacks, given `adjoint = _adjoint(A)`, in real
     arithmetic, which numpy's batched matmul forms several times faster
-    than the complex product for small matrices. One real matmul gives
-    [[Re(A)^T B], [Im(A)^T B]] in complex view, and
-    A^H B = Re(A)^T B - i Im(A)^T B. The real product is written into
-    `work`, a contiguous float (..., 2k, 2k) array, when one is given."""
-    m = np.matmul(adjoint, b.view(float), out=work).view(complex)
+    than the complex product for small matrices: one real matmul gives the
+    product that `_recombined` turns into A^H B."""
+    return _recombined(np.matmul(adjoint, b.view(float)).view(complex))
+
+
+def _recombined(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A^H B from the real product m = `_adjoint(A)` @ B.view(float) in
+    complex view, [[Re(A)^T B], [Im(A)^T B]] of shape (..., 2k, k):
+    A^H B = Re(A)^T B - i Im(A)^T B, written into `out` if given."""
     k = m.shape[-1]
     out = np.multiply(m[..., k:, :], -1j, out=out)
     out += m[..., :k, :]
     return out
 
 
-def _gram_defect(adjoint: np.ndarray, u: np.ndarray) -> float:
-    """`unitarity_defect(u)` of a contiguous complex stack, given its
-    `_adjoint`; like it, inf or NaN without a warning on overflowing or
-    NaN entries."""
+def _gram_defect(gram: np.ndarray) -> float:
+    """The largest ||G - I||_F over a stack of Gram matrices G = U^H U,
+    which it overwrites: `unitarity_defect(U)` given
+    `_adjoint_product(_adjoint(U), U)`; like it, inf or NaN without a
+    warning on overflowing or NaN entries."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = _adjoint_product(adjoint, u)
         gram -= np.eye(gram.shape[-1])
         parts = gram.view(float)
         worst = np.einsum("...ij,...ij->...", parts, parts).max()

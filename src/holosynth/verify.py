@@ -20,40 +20,35 @@ sample.
 
 `cross_validate`, the CLI's `sample` and `sample_loop` read the whole loop
 V_0 ... V_M in the batches of one grid batcher, `_grid_batches`, sized to
-a fixed byte budget (512 frames at n = 8, k = 4), once `_closed_loop` has
-checked the step count and let `holonomy_analytic` decide closure; every
-frame is Gram-checked once. The oracle folds a chunk's overlaps into a
-running product and carries its last frame into the next, and `sample`
-checks a chunk and writes its CSV rows, so memory does not grow with the
-step count; `sample_loop` writes the chunks into one frame stack, which
-`SampledLoop` checks, and `numeric_holonomy` and `loop_length_numeric`
-read, as views in the same chunks, so the two oracle routes give the same
-bits.
-
-Only the oracle's fold runs on two threads, in `_grid_chunks`: a helper
-thread samples the next chunk (`curve_samples`, whose numpy calls release
-the GIL) while the caller's thread Gram-checks and folds this one, a
-lookahead of one chunk, so one extra chunk is in flight and memory still
-does not grow with the step count. The checks run in chunk order, and the
-fold's chunk-sized work arrays are allocated once per stream and reused.
-`sample` and `sample_loop` sample on the caller's thread: the CSV's time
-is float `repr`, and `sample_loop`'s frames are checked once, in
-`SampledLoop`, so a thread would gain them nothing.
+a fixed byte budget (512 frames at n = 8, k = 4), on the caller's thread,
+once `_closed_loop` has checked the step count and let `holonomy_analytic`
+decide closure; every frame is Gram-checked once. The oracle folds a
+chunk's overlaps into a running product and carries its last frame into
+the next, and `sample` checks a chunk and writes its CSV rows, so memory
+does not grow with the step count; `sample_loop` writes the chunks into
+one frame stack, which `SampledLoop` checks, and `numeric_holonomy` and
+`loop_length_numeric` read, as views in the same chunks, so the two oracle
+routes give the same bits. Every grid reader reads each chunk in place, as
+the strided view of `extremal._frame_sampler`'s buffers, and the fold's
+chunk-sized work arrays, like those buffers, are allocated once per stream.
 
 The per-sample k x k products run in real arithmetic, which numpy's
-batched matmul does several times faster than complex for small k. A
-chunk's frames are copied once into their real transposed form
-(`linalg._adjoint`); one real batched matmul then gives the Gram matrices
-V^H V for the check and one more the overlaps, each recombined as
-V_i^H B = Re(V_i)^T B - i Im(V_i)^T B. The chain multiplies the real
-2k x 2k embeddings
+batched matmul does several times faster than complex for small k. The
+fold writes each frame's real transposed form (`linalg._adjoint`) into a
+buffer of c + 1 slots, whose slot 0 holds the previous chunk's last frame,
+so the window [adj(V_{i-1}); adj(V_i)] of two slots is one 4k x n view.
+One real batched matmul of the windows with the frames V_i gives, in each
+half, V^H V_i = Re(V)^T V_i - i Im(V)^T V_i for V = V_{i-1} and V = V_i:
+the Gram matrix V_i^H V_i for the check and the adjoint V_{i-1}^H V_i of
+the overlap. The chain multiplies the real 2k x 2k embeddings
 
     E(Z) = Re Z (x) I_2 + Im Z (x) [[0, 1], [-1, 0]],
 
 each entry x + iy of Z becoming the block [[x, y], [-y, x]]. E is exact
-for products, E(Y Z) = E(Y) E(Z), its complex view holds Z in the even
-rows and iZ in the odd ones, so each overlap is written straight into it,
-and K is read back from the even rows before the polar step.
+for products, E(Y Z) = E(Y) E(Z), and E(Z^H) = E(Z)^T, so the overlap's
+embedding is the transposed view of its adjoint's. E(Z)'s complex view
+holds Z in the even rows and iZ in the odd ones, and K is read back from
+the even rows before the polar step.
 
 `loop_length_numeric` is the length oracle: the chord rule over the
 consecutive frames (V_i, V_{i+1}) of the loop, no wrap-around, no copy of
@@ -69,23 +64,22 @@ inverse exist in the literature and are not reconciled here.
 
 from __future__ import annotations
 
-import queue
-import threading
-from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
-# loop_closure_defect is not called here; perfbench's tracing wraps it by this module's name.
+# curve_samples and loop_closure_defect are not called here; perfbench's tracing wraps
+# them by this module's name.
 from .extremal import (
-    CLOSURE_TOL, Controller, _frozen, check_target, curve_samples, holonomy_analytic,
-    loop_closure_defect, standard_base_frame,
+    CLOSURE_TOL, Controller, _frame_sampler, _frozen, check_target, curve_samples,
+    holonomy_analytic, loop_closure_defect, standard_base_frame,
 )
 from .linalg import (
     _MAX_WHOLE, VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect, _haar_stack,
-    polar_unitary,
+    _recombined, polar_unitary,
 )
 from .synth import _param, _whole
 
@@ -176,6 +170,10 @@ class OracleReport:
     Hermitian O(1/M) contraction that the polar step removes, and O(1/M^2)
     remains. A healthy measurable slope therefore lies near -2; without
     the polar step it lies near -1 and reads `anomalous`.
+
+    Raises:
+        DimensionError: the schedule is empty, or its length differs from
+            the deviations'.
     """
 
     gamma_numeric: np.ndarray
@@ -183,6 +181,11 @@ class OracleReport:
     target: np.ndarray
     schedule: tuple[int, ...]
     deviations: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.schedule or len(self.schedule) != len(self.deviations):
+            raise DimensionError(f"need one deviation per schedule point, got schedule "
+                                 f"{self.schedule} and deviations {self.deviations}")
 
     @property
     def deviation(self) -> float:
@@ -223,14 +226,13 @@ def _grid_times(steps: int, start: int, stop: int) -> np.ndarray:
     return np.where(index == steps, 1.0, index * (1.0 / steps))
 
 
-def _check_frames(frames: np.ndarray, tol: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Gram-check a contiguous (c, n, k) frame stack and return its
-    `linalg._adjoint`, written into `out` if given, for the overlap fold."""
-    adjoint = _adjoint(frames, out)
-    worst = _gram_defect(adjoint, frames)
+def _check_frames(frames: np.ndarray, tol: float) -> None:
+    """Gram-check a (c, n, k) frame stack: InvalidFrame unless every
+    ||V^H V - I||_F is within `tol`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = _gram_defect(_adjoint_product(_adjoint(frames), frames))
     if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
-    return adjoint
 
 
 def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
@@ -272,34 +274,40 @@ def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
     return chain[0]
 
 
-def _chain_holonomy(chunks, v0: np.ndarray) -> np.ndarray:
+def _chain_holonomy(chunks, v0: np.ndarray, tol: float) -> np.ndarray:
     """Polar factor of V0^H V_M . V_M^H V_{M-1} ... V_1^H V_0 . V_0^H V0.
 
-    `chunks` yields the frames V_0, ..., V_M as (frames, adjoint) pairs in
-    ascending time order: a contiguous (c, n, k) stack and its
-    `linalg._adjoint`. Each chunk's overlaps come from one batched matmul
-    and are written straight into their real embeddings (see the module
-    docstring), which are reduced pairwise and left-multiplied
-    into a running 2k x 2k product; the chunk's last frame is carried into
-    the next, so one chunk is held at a time. The chunk-sized work arrays
-    are allocated at the first chunk, which no later chunk outgrows, and
-    reused for every chunk.
+    `chunks` yields the frames V_0, ..., V_M as (c, n, k) stacks in
+    ascending time order, each with a contiguous last axis and read before
+    the next is asked for. Each chunk's Gram matrices and overlaps come from
+    one batched matmul (see the module docstring); every frame is checked
+    against `tol` (InvalidFrame), and the overlaps' embeddings are reduced
+    pairwise and left-multiplied into a running 2k x 2k product. The work
+    arrays are allocated at the first chunk, which no later chunk outgrows,
+    and reused for every chunk.
     """
-    k = v0.shape[1]
-    chain, prev, work = np.eye(2 * k), v0, None
-    for frames, adjoint in chunks:
+    n, k = v0.shape
+    chain, prev, slots = np.eye(2 * k), v0, None
+    for frames in chunks:
         c = len(frames)
-        if work is None:
-            work = np.empty((2 * (c + (c + 1) // 2), 2 * k, 2 * k))
-            embedded = work[:c].view(complex).reshape(c, k, 2, k)
-            product, halves = work[c:2 * c], work[2 * c:]
-        overlaps = embedded[:c, :, 0, :]
-        _adjoint_product(adjoint[:1], prev[None], overlaps[:1])
-        _adjoint_product(adjoint[1:], frames[:-1], overlaps[1:], product[:c - 1])
-        np.multiply(overlaps, 1j, out=embedded[:c, :, 1, :])
+        if slots is None:
+            slots, squares = np.empty((c + 1, 2 * k, n)), np.empty((c, k, k), complex)
+            windows = as_strided(slots, (c, 4 * k, n), slots.strides, writeable=False)
+            products, embedded = np.empty((c, 4 * k, 2 * k)), np.empty((c, k, 2, k), complex)
+            halves = np.empty((2 * ((c + 1) // 2), 2 * k, 2 * k))
+            _adjoint(v0, slots[0])
+        _adjoint(frames, slots[1:c + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            fused = np.matmul(windows[:c], frames.view(float), out=products[:c]).view(complex)
+            worst = _gram_defect(_recombined(fused[:, 2 * k:], squares[:c]))
+        if not worst <= tol:
+            raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
+        overlap = _recombined(fused[:, :2 * k], squares[:c])  # the adjoints V_{i-1}^H V_i
+        embedded[:c, :, 0, :] = overlap
+        np.multiply(overlap, 1j, out=embedded[:c, :, 1, :])
         factors = embedded[:c].view(float).reshape(c, 2 * k, 2 * k)
-        chain = _ordered_chain(factors[::-1], halves) @ chain
-        prev = frames[-1]
+        chain = _ordered_chain(np.swapaxes(factors, 1, 2)[::-1], halves) @ chain
+        slots[0], prev = slots[c], frames[-1]
     return polar_unitary(v0.conj().T @ prev @ chain.view(complex)[0::2])
 
 
@@ -327,7 +335,7 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
         raise InvalidFrame(
             f"loop does not start at the base projector: ||V_0 V_0^H - P0||_F = "
             f"{offset:.3e} exceeds {CLOSURE_TOL:.1e}")
-    return _chain_holonomy(((f, _adjoint(f)) for f in _slices(loop.frames)), v0)
+    return _chain_holonomy(_slices(loop.frames), v0, loop.tol)
 
 
 def _chunk_frames(n: int, k: int) -> int:
@@ -346,53 +354,14 @@ def _grid_batches(ctrl: Controller, steps: int):
     """(times, frames) of the grid points 0, ..., steps of `_grid_times`, in
     `_chunk_frames` batches, sampled on the caller's thread and not checked:
     the one batching of the grid, so every reader that must agree bit for
-    bit samples in the same batches (see `extremal.curve_samples`)."""
+    bit samples in the same batches (see `extremal.curve_samples`). The
+    frames are the view of `extremal._frame_sampler`'s buffers, allocated
+    once per stream, and are valid until the next batch is asked for."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
+    sample = _frame_sampler(ctrl, min(chunk, steps + 1))
     for start in range(0, steps + 1, chunk):
         times = _grid_times(steps, start, min(start + chunk, steps + 1))
-        yield times, curve_samples(ctrl, times)
-
-
-def _grid_chunks(ctrl: Controller, steps: int, tol: float):
-    """The (frames, adjoint) pairs of the `_grid_batches` batches that
-    `_chain_holonomy` folds: the oracle's stream, the one grid reader that
-    runs on two threads. A helper thread samples the next batch while the
-    caller's thread Gram-checks this one, in order, and folds it; an
-    exception of the helper is raised here, at its batch. `frames` is fresh
-    per batch; `adjoint`, the check's `linalg._adjoint`, is written into one
-    buffer and valid until the next. The helper is joined when the stream
-    ends, raises or is closed; a reader that stops early closes it."""
-    wanted, ready = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def sample():
-        # the caller asks for each batch in turn (True) or stops the stream
-        # (False); each ask is answered by a batch, an exception or, at the end, None
-        try:
-            for _, frames in _grid_batches(ctrl, steps):
-                if not wanted.get():
-                    return
-                ready.put(frames)
-            last = None
-        except BaseException as exc:  # raised again on the caller's thread
-            last = exc
-        if wanted.get():
-            ready.put(last)
-
-    adjoint = np.empty((min(_chunk_frames(ctrl.n, ctrl.k), steps + 1), 2 * ctrl.k, ctrl.n))
-    helper = threading.Thread(target=sample, name="holosynth-sampler", daemon=True)
-    helper.start()
-    try:
-        while True:
-            wanted.put(True)
-            frames = ready.get()
-            if frames is None:
-                return
-            if isinstance(frames, BaseException):
-                raise frames
-            yield frames, _check_frames(frames, tol, adjoint[:len(frames)])
-    finally:
-        wanted.put(False)
-        helper.join()
+        yield times, sample(times)
 
 
 def _closed_loop(ctrl: Controller, *steps) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -438,8 +407,8 @@ def cross_validate(
     v0 = ctrl.base_frame()
     deviations = []
     for steps in schedule:
-        with closing(_grid_chunks(ctrl, steps, tol)) as stream:
-            gamma_numeric = _chain_holonomy(stream, v0)
+        stream = (frames for _, frames in _grid_batches(ctrl, steps))
+        gamma_numeric = _chain_holonomy(stream, v0, tol)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     return OracleReport(
         gamma_numeric=gamma_numeric,

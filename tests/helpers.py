@@ -119,18 +119,20 @@ def curve_samples_reference(ctrl, times):
     w_o, q_o = ctrl._omega_spectrum
     n, k, m = ctrl.n, ctrl.k, len(times)
     core = q_x.conj().T @ ctrl.base_frame() @ q_o
-    scaled = _unit_phases(np.multiply.outer(w_x, times))[None, :, :] * core.T[:, :, None]
-    scaled *= _unit_phases(-np.multiply.outer(w_o, times))[:, None, :]
+    scaled = _unit_phases(np.multiply.outer(w_x, times), np.empty((n, m), complex))[None, :, :]
+    scaled = scaled * core.T[:, :, None]
+    scaled *= _unit_phases(-np.multiply.outer(w_o, times), np.empty((k, m), complex))[:, None, :]
     rotated = scaled.reshape(k, n * m).T @ q_o.conj().T
     frames = q_x @ rotated.reshape(n, m * k)
     return np.ascontiguousarray(np.swapaxes(frames.reshape(n, m, k), 0, 1))
 
 
 def _check_frames_serial(frames, tol):
-    """`verify._check_frames` as it was written before the helper thread:
-    a fresh `_adjoint` per chunk."""
+    """The Gram check as it was written before the fold fused it with the
+    overlaps: a fresh `_adjoint` per chunk, whose own product with the
+    chunk gives the Gram matrices."""
     adjoint = _adjoint(frames)
-    worst = _gram_defect(adjoint, frames)
+    worst = _gram_defect(_adjoint_product(adjoint, frames))
     if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
     return adjoint
@@ -153,14 +155,15 @@ def _ordered_chain_serial(factors):
 
 def _chain_holonomy_serial(chunks, v0):
     """`verify._chain_holonomy` as it was written before the reused work
-    arrays."""
+    arrays and the fused product: the overlaps V_i^H V_{i-1} from each
+    chunk's `_adjoint`, in a product of their own."""
     k = v0.shape[1]
     chain, prev = np.eye(2 * k), v0
     for frames, adjoint in chunks:
         embedded = np.empty((len(frames), k, 2, k), dtype=complex)
         overlaps = embedded[:, :, 0, :]
-        _adjoint_product(adjoint[:1], prev[None], overlaps[:1])
-        _adjoint_product(adjoint[1:], frames[:-1], overlaps[1:])
+        overlaps[:1] = _adjoint_product(adjoint[:1], prev[None])
+        overlaps[1:] = _adjoint_product(adjoint[1:], frames[:-1])
         np.multiply(overlaps, 1j, out=embedded[:, :, 1, :])
         factors = embedded.view(float).reshape(len(frames), 2 * k, 2 * k)
         chain = _ordered_chain_serial(factors[::-1]) @ chain
@@ -169,9 +172,9 @@ def _chain_holonomy_serial(chunks, v0):
 
 
 def _grid_chunks_serial(ctrl, steps, tol):
-    """`verify._grid_chunks` as it was written before the helper thread:
-    each chunk of the grid points 0, ..., steps sampled and then checked on
-    the caller's thread."""
+    """The oracle's stream as it was written before the helper thread and
+    the in-place frames: each chunk of the grid points 0, ..., steps
+    sampled by `curve_samples` and then checked."""
     chunk = _chunk_frames(ctrl.n, ctrl.k)
     for start in range(0, steps + 1, chunk):
         times = _grid_times(steps, start, min(start + chunk, steps + 1))
@@ -180,9 +183,10 @@ def _grid_chunks_serial(ctrl, steps, tol):
 
 
 def cross_validate_serial(ctrl, schedule, tol=VALIDATION_TOL):
-    """(deviations, gamma_numeric) of `verify.cross_validate` on one thread,
-    with the fold as it was written before the pipeline; the library's
-    version must return them bit for bit."""
+    """(deviations, gamma_numeric) of `verify.cross_validate` with the fold
+    as it was written before the fused product: the Gram check and the
+    overlaps in two products per chunk. The library's fold sums the same
+    products in another order, so it returns them to roundoff."""
     analytic = holonomy_analytic(ctrl)
     v0 = ctrl.base_frame()
     deviations = []

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -319,6 +320,46 @@ class TestCliVerify:
         stored, report = json.loads(target.read_text())["verification"]["oracle"], json.loads(out)
         assert set(stored) >= {"deviations", "slope", "anomalous", "schedule"}
         assert {key: report[key] for key in stored} == stored
+
+    @staticmethod
+    def _oracle_run(capsys, tmp_path, command, source):
+        """`synthesize --oracle` on the source flags, or `verify` of the
+        document that `synthesize` writes for them, on the default schedule."""
+        if command == "synthesize":
+            return run_cli(capsys, "synthesize", *source, "--oracle")
+        doc = tmp_path / "doc.json"
+        assert run_cli(capsys, "synthesize", *source, "--out", str(doc))[0] == 0
+        return run_cli(capsys, "verify", "--doc", str(doc))
+
+    @pytest.mark.parametrize("command", ["synthesize", "verify"])
+    def test_an_anomalous_oracle_order_fails_by_name(self, command, capsys, tmp_path,
+                                                      monkeypatch):
+        # without the polar step the chain converges at order 1, while its
+        # finest deviation still passes the deviation bound
+        monkeypatch.setattr(verify, "polar_unitary", lambda m, tol=None: m)
+        code, out, err = self._oracle_run(capsys, tmp_path, command, ("--gate", "dft2"))
+        assert code == 4
+        assert re.fullmatch(r"verification failed: oracle order -1\.\d{3} is anomalous\n",
+                            err), err
+        oracle = json.loads(out)
+        oracle = oracle["verification"]["oracle"] if command == "synthesize" else oracle
+        assert oracle["anomalous"] is True and oracle["deviation"] < 2e-3
+
+    ORDER_SOURCES = [("--gate", name.replace("<k>", "3").replace("<gamma>", "0.7"))
+                     for name in catalog_names()]
+    ORDER_SOURCES += [("--gate", "random-4"), ("--gate", "hadamard", "--windings", "2,1")]
+
+    @pytest.mark.parametrize("source", ORDER_SOURCES, ids=" ".join)
+    @pytest.mark.parametrize("command", ["synthesize", "verify"])
+    def test_a_second_order_or_roundoff_oracle_passes(self, command, source, capsys,
+                                                      tmp_path):
+        code, out, err = self._oracle_run(capsys, tmp_path, command, source)
+        assert (code, err) == (0, "")
+        oracle = json.loads(out)
+        oracle = oracle["verification"]["oracle"] if command == "synthesize" else oracle
+        assert oracle["anomalous"] is False
+        if source[1] == "identity-3":  # at the roundoff floor: no slope, no verdict
+            assert oracle["slope"] is None
 
     def test_identity_document_verifies_exactly(self, capsys, tmp_path):
         target = tmp_path / "id.json"
@@ -1069,22 +1110,32 @@ class TestCliSample:
         def refused(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(verify.threading, "Thread", refused)
+        monkeypatch.setattr(threading, "Thread", refused)
         code, out, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "2000")
         assert code == 0 and len(out.splitlines()) == 2002
 
     def test_samples_the_curve_once(self, capsys, monkeypatch):
         # the analytic end frame V(1) once, for the closure check, then one
         # pass over the grid in chunks, with no probe of the grid's end frames
-        sampled = []
+        sampled, sampler = [], verify._frame_sampler
 
         def recording(ctrl, times):
             sampled.append(np.asarray(times))
             return curve_samples(ctrl, times)
 
+        def streaming(ctrl, capacity):
+            sample = sampler(ctrl, capacity)
+
+            def streamed(times):
+                sampled.append(np.array(times))
+                return sample(times)
+
+            return streamed
+
         for module in (extremal, verify, cli):
             if getattr(module, "curve_samples", None) is curve_samples:
                 monkeypatch.setattr(module, "curve_samples", recording)
+        monkeypatch.setattr(verify, "_frame_sampler", streaming)
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)  # 8 frames at k = 4
         code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "20")
         assert code == 0
@@ -1109,11 +1160,11 @@ class TestCliSample:
         calls = []
         check = verify._check_frames
 
-        def failing_second_chunk(frames, tol, out=None):
+        def failing_second_chunk(frames, tol):
             calls.append(len(frames))
             if len(calls) == 2:
                 raise InvalidFrame("rough frame in the second chunk")
-            check(frames, tol, out)
+            check(frames, tol)
 
         monkeypatch.setattr(cli, "_check_frames", failing_second_chunk)
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)

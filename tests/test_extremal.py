@@ -234,8 +234,11 @@ class TestEndFrameAgainstTheExponentials:
         ctrl = synthesize(gate).controller
         unit_phases = extremal._unit_phases
 
-        def without_fiber(theta):
-            return np.ones(theta.shape, complex) if len(theta) == ctrl.k else unit_phases(theta)
+        def without_fiber(theta, out):
+            if len(theta) != ctrl.k:
+                return unit_phases(theta, out)
+            out[...] = 1.0
+            return out
 
         monkeypatch.setattr(extremal, "_unit_phases", without_fiber)
         report = evaluate_controller(ctrl, gate)
@@ -492,6 +495,21 @@ class TestEvaluateController:
             gamma_matrix=np.eye(2), target=np.diag([1.0, -1.0]), loop_defect=0.0,
             length_analytic=0.0)
         assert report.holonomy_error == 2.0
+
+    def test_holonomy_error_is_computed_once_per_report(self, monkeypatch):
+        report = evaluate_controller(synthesize(CNOT).controller, CNOT)
+        norms = []
+        norm = np.linalg.norm
+
+        def counting(*args, **kwargs):
+            norms.append(args[0].shape)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        first, second = report.holonomy_error, report.holonomy_error
+        assert norms == [(4, 4)]
+        assert first is second
+        assert first == float(norm(report.gamma_matrix - report.target))
 
     def test_the_target_is_a_read_only_copy(self):
         gate = CNOT.copy()

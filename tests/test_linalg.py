@@ -400,7 +400,7 @@ class TestAdjointProduct:
         frames[4] *= 1.0 + 1e-6
         grams = np.swapaxes(frames, -2, -1).conj() @ frames
         reference = np.linalg.norm(grams - np.eye(k), axis=(-2, -1)).max()
-        defect = linalg._gram_defect(linalg._adjoint(frames), frames)
+        defect = linalg._gram_defect(linalg._adjoint_product(linalg._adjoint(frames), frames))
         assert defect == pytest.approx(reference, rel=1e-6)
         assert linalg.unitarity_defect(frames) == pytest.approx(reference, rel=1e-6)
 
@@ -409,4 +409,6 @@ class TestAdjointProduct:
         big = np.diag([1.0, 1e200]).astype(complex)
         assert not linalg.unitarity_defect(big) <= 1.0
         stack = np.ascontiguousarray(np.stack([np.eye(2, dtype=complex), big]))
-        assert not linalg._gram_defect(linalg._adjoint(stack), stack) <= 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # the Gram product's own overflow
+            gram = linalg._adjoint_product(linalg._adjoint(stack), stack)
+        assert not linalg._gram_defect(gram) <= 1.0

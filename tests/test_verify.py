@@ -1,7 +1,6 @@
 import sys
 import threading
 import tracemalloc
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -45,6 +44,26 @@ def _warped_loop(ctrl, steps, strength=0.15):
     times = np.linspace(0.0, 1.0, steps + 1)
     warped = times - strength * np.sin(2 * np.pi * times) / (2 * np.pi)
     return SampledLoop(curve_samples(ctrl, warped))
+
+
+def _route_samples(monkeypatch, each):
+    """Pass every grid batch through each(times, frames), which may record,
+    alter or raise, on the grid's sampler, `_frame_sampler`, which the
+    oracle's stream and `sample_loop` read. The reader gets the frames as
+    `each` leaves them."""
+    sampler = verify._frame_sampler
+
+    def streaming(ctrl, capacity):
+        sample = sampler(ctrl, capacity)
+
+        def streamed(times):
+            frames = sample(times)
+            each(times, frames)
+            return frames
+
+        return streamed
+
+    monkeypatch.setattr(verify, "_frame_sampler", streaming)
 
 
 def _projectors(frames):
@@ -281,6 +300,13 @@ class TestOracleReportReadsItsVerdict:
         flip = np.array([[0, 1], [1, 0]], dtype=complex)
         assert self._report((1e-3, 1e-5, 1e-7), flip).target_error == 2.0
 
+    @pytest.mark.parametrize("schedule, deviations", [
+        ((10, 20, 40), (1e-3,)), ((10,), (1e-3, 1e-4)), ((), ()),
+    ], ids=["fewer-deviations", "more-deviations", "empty"])
+    def test_a_schedule_without_one_deviation_per_point_is_refused(self, schedule, deviations):
+        with pytest.raises(DimensionError, match="one deviation per schedule point"):
+            OracleReport(np.eye(2), np.eye(2), np.eye(2), schedule, deviations)
+
     def test_the_record_holds_only_its_inputs(self):
         assert list(OracleReport.__dataclass_fields__) == [
             "gamma_numeric", "gamma_analytic", "target", "schedule", "deviations"]
@@ -408,11 +434,13 @@ class TestOracleMemory:
         assert peak <= 4 * frame_stack, peak / frame_stack
 
     def test_peak_does_not_grow_with_steps(self):
+        # from a grid of two chunks to one of 196, the stream's buffers and the
+        # fold's work arrays are the same: allocated once per stream
         gate = random_haar(np.random.default_rng(5), 4)
         ctrl = synthesize(gate).controller
-        coarse = traced_peak(cross_validate, ctrl, gate, (10_000,))
+        coarse = traced_peak(cross_validate, ctrl, gate, (1_000,))
         fine = traced_peak(cross_validate, ctrl, gate, (100_000,))
-        assert fine <= 1.2 * coarse, (fine, coarse)
+        assert fine <= 1.05 * coarse, (fine, coarse)
 
     def test_numeric_holonomy_peak_does_not_grow_with_steps(self):
         ctrl = synthesize(random_haar(np.random.default_rng(5), 4)).controller
@@ -469,42 +497,50 @@ class TestStreamedOracle:
     def _controller(k):
         return synthesize(random_haar(np.random.default_rng(30 + k), k)).controller
 
+    @pytest.mark.parametrize("budget", [verify._CHUNK_BYTES, 2**13], ids=["default", "8KiB"])
     @pytest.mark.parametrize("k", range(1, 17))
-    def test_cross_validate_is_the_whole_loop_oracle_bit_for_bit(self, k):
+    def test_cross_validate_is_the_whole_loop_oracle_bit_for_bit(self, k, budget, monkeypatch):
         # both routes fold the frames V_0 ... V_M of one grid stream in the
-        # same chunks, also where a chunk holds a lone frame (steps = chunk)
+        # same chunks, also where a chunk holds a lone frame (steps = chunk):
+        # the stream's strided frames and the loop's contiguous slices give
+        # the fused product the same bits
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", budget)
         ctrl = self._controller(k)
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
-        for steps in (2, 3, 100, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for steps in sorted({2, 3, 100, chunk - 1, chunk, chunk + 1, 2 * chunk + 1} - {0, 1}):
             whole = numeric_holonomy(sample_loop(ctrl, steps))
             streamed = cross_validate(ctrl, np.eye(k), (steps,)).gamma_numeric
             np.testing.assert_array_equal(streamed, whole, err_msg=str(steps))
 
+    @staticmethod
+    def _streamed(ctrl, steps):
+        """`curve_samples`' frames of the stream's batches, one fresh stack
+        per batch."""
+        return np.concatenate([
+            curve_samples(ctrl, times) for times, _ in verify._grid_batches(ctrl, steps)])
+
     @pytest.mark.parametrize("k", range(1, 17))
-    def test_sample_loop_frames_are_the_grid_chunks_frames(self, k):
-        # one grid definition: the whole loop and the streamed chunks agree bit
-        # for bit, also where a chunk holds a lone frame (steps = chunk); at
-        # k = 3, 5, 6, ... a frame's last bit depends on its batch, so this
-        # holds only because the whole loop is sampled in the stream's batches
+    def test_sample_loop_frames_are_the_streams_frames(self, k):
+        # one grid definition: the whole loop, read in place from the stream's
+        # buffers, and curve_samples of the stream's batches agree bit for bit,
+        # also where a chunk holds a lone frame (steps = chunk); at k = 3, 5,
+        # 6, ... a frame's last bit depends on its batch, so this holds only
+        # because both sample in the same batches
         ctrl = self._controller(k)
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
         for steps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 100):
-            chunks = list(verify._grid_chunks(ctrl, steps, verify.VALIDATION_TOL))
-            streamed = np.concatenate([frames for frames, _ in chunks])
             times = np.concatenate([t for t, _ in verify._grid_batches(ctrl, steps)])
             assert times[-1] == 1.0 and len(times) == steps + 1
-            np.testing.assert_array_equal(sample_loop(ctrl, steps).frames, streamed)
+            np.testing.assert_array_equal(sample_loop(ctrl, steps).frames,
+                                          self._streamed(ctrl, steps))
 
     @pytest.mark.parametrize("k", [1, 3, 4])
-    def test_sample_loop_frames_are_the_grid_chunks_frames_at_a_small_budget(
-        self, k, monkeypatch
-    ):
+    def test_sample_loop_frames_are_the_streams_frames_at_a_small_budget(self, k, monkeypatch):
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**10)  # 2 frames at k = 4
         ctrl = self._controller(k)
-        chunks = list(verify._grid_chunks(ctrl, 1001, verify.VALIDATION_TOL))
-        assert len(chunks) > 2
-        streamed = np.concatenate([frames for frames, _ in chunks])
-        np.testing.assert_array_equal(sample_loop(ctrl, 1001).frames, streamed)
+        assert len(list(verify._grid_batches(ctrl, 1001))) > 2
+        np.testing.assert_array_equal(sample_loop(ctrl, 1001).frames,
+                                      self._streamed(ctrl, 1001))
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_sample_loop_checks_each_frame_once(self, k, monkeypatch):
@@ -513,23 +549,23 @@ class TestStreamedOracle:
         checked = []
         check = verify._check_frames
 
-        def counting(frames, tol, out=None):
+        def counting(frames, tol):
             checked.append(len(frames))
-            return check(frames, tol, out)
+            return check(frames, tol)
 
         monkeypatch.setattr(verify, "_check_frames", counting)
         sample_loop(ctrl, steps)
         assert len(checked) > 3 and sum(checked) == steps + 1
 
-    def test_sample_loop_starts_no_thread(self, monkeypatch):
+    def test_no_grid_reader_starts_a_thread(self, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("a thread was started")
 
         ctrl = self._controller(4)
-        monkeypatch.setattr(verify.threading, "Thread", refused)
+        monkeypatch.setattr(threading, "Thread", refused)
         assert len(sample_loop(ctrl, 2000).frames) == 2001
-        with pytest.raises(AssertionError, match="a thread was started"):
-            cross_validate(ctrl, np.eye(4), (2000,))
+        assert cross_validate(ctrl, np.eye(4), (2000,)).steps == 2000
+        assert not {"threading", "queue"} & set(vars(verify))
 
     def test_frame_tolerance_reaches_both_paths(self):
         ctrl = self._controller(4)
@@ -547,14 +583,10 @@ class TestStreamedOracle:
 
     def _reject_a_later_frame(self, monkeypatch, factor):
         # 2000 steps put t = 0.5 in the second chunk of the grid
-        sample = verify.curve_samples
+        def rough(times, frames):
+            frames[times == 0.5] *= factor
 
-        def rough(ctrl, times):
-            frames = sample(ctrl, times)
-            frames[np.asarray(times) == 0.5] *= factor
-            return frames
-
-        monkeypatch.setattr(verify, "curve_samples", rough)
+        _route_samples(monkeypatch, rough)
         ctrl = self._controller(4)
         threads = threading.active_count()
         with pytest.raises(InvalidFrame):
@@ -562,6 +594,29 @@ class TestStreamedOracle:
         with pytest.raises(InvalidFrame):
             cross_validate(ctrl, np.eye(4), (2000,))
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, np.nan], ids=["rough", "nan"])
+    @pytest.mark.parametrize("index", [0, 512, 2000],
+                             ids=["t=0", "a-later-chunks-first-frame", "the-last-frame"])
+    def test_the_fused_check_rejects_a_bad_frame(self, index, factor, monkeypatch):
+        # at k = 4 a chunk holds 512 frames: 2000 steps make four chunks, and
+        # frame 512 opens the second, whose window reaches back into the first
+        ctrl = self._controller(4)
+        assert verify._chunk_frames(ctrl.n, ctrl.k) == 512
+        at = verify._grid_times(2000, index, index + 1)[0]
+
+        def bad(times, frames):
+            frames[times == at] *= factor
+
+        _route_samples(monkeypatch, bad)
+        with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
+            cross_validate(ctrl, np.eye(4), (2000,))
+        # the whole-loop route folds its slices through the same check
+        frames = np.array(curve_samples(ctrl, verify._grid_times(2000, 0, 2001)))
+        frames[index] *= factor
+        with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
+            verify._chain_holonomy(verify._slices(frames), ctrl.base_frame(),
+                                   verify.VALIDATION_TOL)
 
     def test_one_step_is_too_few(self):
         with pytest.raises(TooFewSamples):
@@ -582,7 +637,7 @@ class TestStreamedOracle:
             assert type(steps) is int and steps == 100
             return
         sampled = []
-        monkeypatch.setattr(verify, "curve_samples", lambda ctrl, times: sampled.append(times))
+        _route_samples(monkeypatch, lambda times, frames: sampled.append(times))
         with pytest.raises(DimensionError, match=f"got {count!r}$"):
             read()
         assert sampled == []
@@ -596,13 +651,7 @@ class TestStreamedOracle:
 
             monkeypatch.setattr(verify, name, counting)
         sampled = []
-        sample = verify.curve_samples
-
-        def recording(ctrl, times):
-            sampled.append(np.asarray(times).tolist())
-            return sample(ctrl, times)
-
-        monkeypatch.setattr(verify, "curve_samples", recording)
+        _route_samples(monkeypatch, lambda times, frames: sampled.append(times.tolist()))
         cross_validate(self._controller(2), np.eye(2), (10, 20, 40))
         assert calls == {"holonomy_analytic": 1, "loop_closure_defect": 0}
         # the oracle reads each grid point t_i = i * (1 / M), i = 0 ... M, with
@@ -613,9 +662,7 @@ class TestStreamedOracle:
 
     def test_a_short_schedule_entry_is_rejected_before_sampling(self, monkeypatch):
         sampled = []
-        monkeypatch.setattr(
-            verify, "curve_samples", lambda ctrl, times: sampled.append(times)
-        )
+        _route_samples(monkeypatch, lambda times, frames: sampled.append(times))
         with pytest.raises(TooFewSamples):
             cross_validate(self._controller(2), np.eye(2), (1000, 1))
         assert sampled == []
@@ -625,13 +672,7 @@ class TestStreamedOracle:
         self, schedule, monkeypatch
     ):
         sampled = []
-        sample = verify.curve_samples
-
-        def recording(ctrl, times):
-            sampled.append(np.asarray(times).tolist())
-            return sample(ctrl, times)
-
-        monkeypatch.setattr(verify, "curve_samples", recording)
+        _route_samples(monkeypatch, lambda times, frames: sampled.append(times))
         with pytest.raises(DimensionError, match="strictly increasing"):
             cross_validate(self._controller(2), np.eye(2), schedule)
         assert sampled == []
@@ -639,9 +680,7 @@ class TestStreamedOracle:
     def test_a_count_above_2_pow_53_is_rejected_before_sampling(self, monkeypatch):
         # the float64 grid t_i = i / steps has coinciding times there
         sampled = []
-        monkeypatch.setattr(
-            verify, "curve_samples", lambda ctrl, times: sampled.append(times)
-        )
+        _route_samples(monkeypatch, lambda times, frames: sampled.append(times))
         ctrl = self._controller(2)
         with pytest.raises(DimensionError, match=rf"got {2**53 + 1}$"):
             cross_validate(ctrl, np.eye(2), (1000, 2**53 + 1))
@@ -701,28 +740,28 @@ MULTI_CHANNEL_GATES = [
 ] + ["random-4"]
 
 
-# every catalog gate, the templates at one size each, and Haar gates of growing rank
-PIPELINE_GATES = [
+# every catalog gate, the templates at one size each, and Haar gates of every rank to 16
+STREAM_GATES = [
     (name, catalog_get(name).matrix)
     for name in (n.replace("<k>", "3").replace("<gamma>", "0.7") for n in catalog_names())
-] + [(f"haar-{k}", random_haar(np.random.default_rng(40 + k), k)) for k in (1, 2, 3, 4, 8, 16)]
+] + [(f"haar-{k}", random_haar(np.random.default_rng(40 + k), k)) for k in range(1, 17)]
 
 
-class TestPipelinedOracle:
-    """The helper thread that samples the next chunk and the reused fold
-    arrays change no bit of the oracle, and every stream joins its helper
-    however it ends."""
+class TestInPlaceStream:
+    """The stream's frames, read in place from buffers reused from chunk
+    to chunk, and the fused Gram and overlap product change the oracle only
+    at roundoff, on the caller's thread, and each stream owns its buffers."""
 
-    @pytest.mark.parametrize("gate", [g for _, g in PIPELINE_GATES],
-                             ids=[name for name, _ in PIPELINE_GATES])
-    def test_equals_the_serial_reference_across_chunk_edges(self, gate):
+    @pytest.mark.parametrize("gate", [g for _, g in STREAM_GATES],
+                             ids=[name for name, _ in STREAM_GATES])
+    def test_is_the_two_product_fold_to_roundoff_across_chunk_edges(self, gate):
         ctrl = synthesize(gate).controller
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
         schedule = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
         report = cross_validate(ctrl, gate, schedule)
         deviations, gamma_numeric = cross_validate_serial(ctrl, schedule)
-        assert report.deviations == deviations
-        assert report.gamma_numeric.tobytes() == gamma_numeric.tobytes()
+        assert np.abs(np.subtract(report.deviations, deviations)).max() <= 1e-14
+        assert np.abs(report.gamma_numeric - gamma_numeric).max() <= 1e-14
 
     @staticmethod
     def _controller():
@@ -733,55 +772,36 @@ class TestPipelinedOracle:
         cross_validate(self._controller(), np.eye(4), (1000, 3000))
         assert threading.active_count() == threads
 
-    def test_a_reader_that_stops_after_the_first_chunk_joins_the_helper(self):
-        ctrl, threads = self._controller(), threading.active_count()
-        try:
-            with closing(verify._grid_chunks(ctrl, 5000, verify.VALIDATION_TOL)) as chunks:
-                next(chunks)
-                raise RuntimeError("the reader stops")
-        except RuntimeError as exc:
-            held = exc  # its traceback holds the frame that holds the stream
-        assert held.__traceback__ is not None
-        assert threading.active_count() == threads
-
     def test_a_sampler_error_in_a_later_chunk_reaches_the_caller_with_its_type(self, monkeypatch):
         # 2000 steps put t = 0.5 in the second chunk of the grid
         class SamplerFault(Exception):
             pass
 
-        sample = verify.curve_samples
-
-        def failing(ctrl, times):
+        def failing(times, frames):
             if 0.5 in times:
                 raise SamplerFault("t = 0.5")
-            return sample(ctrl, times)
 
-        monkeypatch.setattr(verify, "curve_samples", failing)
+        _route_samples(monkeypatch, failing)
         threads = threading.active_count()
         with pytest.raises(SamplerFault, match="t = 0.5"):
             cross_validate(self._controller(), np.eye(4), (2000,))
         assert threading.active_count() == threads
 
     def test_a_rough_chunk_is_rejected_before_the_next_chunk_fails_to_sample(self, monkeypatch):
-        # t = 0.5 lies in the second chunk of 2000 steps, t = 0.75 in the third,
-        # which the helper samples while the caller checks the second
-        sample = verify.curve_samples
-
-        def rough_then_failing(ctrl, times):
+        # t = 0.5 lies in the second chunk of 2000 steps, t = 0.75 in the third
+        def rough_then_failing(times, frames):
             if 0.75 in times:
                 raise MemoryError("third chunk")
-            frames = sample(ctrl, times)
             frames[times == 0.5] *= 2.0
-            return frames
 
-        monkeypatch.setattr(verify, "curve_samples", rough_then_failing)
+        _route_samples(monkeypatch, rough_then_failing)
         with pytest.raises(InvalidFrame):
             cross_validate(self._controller(), np.eye(4), (2000,))
 
     def test_concurrent_streams_keep_their_bits(self):
-        # more callers than cores, each with its own helper and work arrays
+        # more callers than cores, each stream with its own buffers and work arrays
         ctrl, schedule = self._controller(), (1000, 3000)
-        deviations, gamma_numeric = cross_validate_serial(ctrl, schedule)
+        report = cross_validate(ctrl, np.eye(4), schedule)
         results = []
 
         def run():
@@ -799,16 +819,18 @@ class TestPipelinedOracle:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
-        assert results == [(deviations, gamma_numeric.tobytes())] * 3
+        assert results == [(report.deviations, report.gamma_numeric.tobytes())] * 3
 
 
 class TestOracleBitIdentity:
     @pytest.mark.parametrize("name", MULTI_CHANNEL_GATES)
     def test_cross_validate_equals_the_broadcast_product_reference(self, name, monkeypatch):
+        # the stream's in-place frames against a fresh reference stack per chunk
         gate = catalog_get(name).matrix
         ctrl = synthesize(gate).controller
         report = cross_validate(ctrl, gate, (1000, 10000))
-        monkeypatch.setattr(verify, "curve_samples", curve_samples_reference)
+        monkeypatch.setattr(verify, "_frame_sampler", lambda ctrl, capacity: (
+            lambda times: curve_samples_reference(ctrl, times)))
         reference = cross_validate(ctrl, gate, (1000, 10000))
         assert report.deviations == reference.deviations
         assert report.gamma_numeric.tobytes() == reference.gamma_numeric.tobytes()
