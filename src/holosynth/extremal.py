@@ -136,14 +136,10 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     With X = q_X diag(i w_X) q_X^H and Omega = q_O diag(i w_O) q_O^H this is
     V(t) = q_X (e^{i t w_X} e^{-i t w_O}^T * C) q_O^H for the fixed n x k
     core C = q_X^H V0 q_O: one eigendecomposition of X and one of Omega
-    serve every sample. The arithmetic is `_frame_sampler`'s, which the
-    grid readers of `verify` read in place; this evaluator adds a last copy
-    that puts the sample axis first and returns a C-ordered stack of its own.
-    A frame's last bit may depend on its batch: OpenBLAS's zgemm rounds the
-    last product's column tail apart when m k is not a multiple of 4 (seen
-    at k = 3, 5, 6, 7, 9, ...), so the readers that must agree bit for bit
-    (the oracle's stream, `sample_loop` and the `sample` CSV) all sample in
-    the batches of `verify._grid_batches`.
+    serve every sample. It is `_frame_sampler` with the times as its
+    offsets, called at t0 = 0, where neither factor is scaled; this
+    evaluator adds a last copy that puts the sample axis first and returns
+    a C-ordered stack of its own.
 
     Raises:
         DimensionError: `times` is not a 1-D sequence of finite numbers.
@@ -156,44 +152,52 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
         raise DimensionError(f"times must be a 1-D sequence, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise DimensionError("times must be finite")
-    return np.ascontiguousarray(_frame_sampler(ctrl, len(times))(times))
+    return np.ascontiguousarray(_frame_sampler(ctrl, times)(0.0))
 
 
-def _frame_sampler(ctrl: Controller, capacity: int):
-    """`sample(times)` for up to `capacity` times per call, writing into
-    buffers allocated here, once: the frames V(t) of `curve_samples`, as
-    the strided (len(times), n, k) view of the q_X product, valid until the
-    next call.
+def _frame_sampler(ctrl: Controller, offsets: np.ndarray):
+    """`sample(t0)`: the frames V(t0 + s_j) of `curve_samples` at the
+    offsets s_j, as the strided (len(offsets), n, k) view of a buffer
+    allocated here, once, and valid until the next call.
 
-    The two scalings run on a C-ordered (k, n, m) stack, sample axis
-    innermost (a broadcast product would take its operands' (n, k, m) order,
-    and `reshape` would then copy it); q_O^H and then q_X multiply all
-    samples in one matrix product each, and the second product is written
-    over the stack. A lone sample at k = 1 is taken twice, as BLAS rounds
-    the matrix-vector product differently.
+    The curve is a one-parameter group orbit, V(t0 + s) = e^{t0 X} V(s)
+    e^{-t0 Omega}, so with T_j = e^{i s_j w_X} * C * e^{-i s_j w_O}^T
+
+        V(t0 + s_j) = (q_X e^{i t0 w_X}) T_j (e^{-i t0 w_O} q_O^H).
+
+    The table of the T_j is built here, once, as a C-ordered (k, n, m)
+    stack, sample axis innermost (a broadcast product would take its
+    operands' (n, k, m) order, and `reshape` would then copy it). A call
+    scales only the n x n factor q_X and the k x k factor q_O^H by n + k
+    phases, neither at t0 = 0, and runs two matrix products over all
+    samples. A lone offset at k = 1 is taken twice, as BLAS rounds the
+    matrix-vector product differently.
     """
     w_x, q_x = ctrl._spectrum
     w_o, q_o = ctrl._omega_spectrum
-    n, k = ctrl.n, ctrl.k
+    n, k, count = ctrl.n, ctrl.k, len(offsets)
+    if count * k == 1:
+        offsets = np.repeat(offsets, 2)
+    m = len(offsets)
     core, q_oh = (q_x.conj().T @ ctrl.base_frame() @ q_o).T[:, :, None], q_o.conj().T
-    size = max(capacity, 2) * n
-    theta, phases = np.empty(size), np.empty(size, dtype=complex)
-    stack, rotated = np.empty(size * k, dtype=complex), np.empty(size * k, dtype=complex)
 
-    def sample(times: np.ndarray) -> np.ndarray:
-        count = len(times)
-        if count * k == 1:
-            times = times.repeat(2)
-        m = len(times)
-        scaled, product = stack[:k * n * m].reshape(k, n, m), rotated[:n * m * k]
-        angles = np.multiply.outer(w_x, times, out=theta[:n * m].reshape(n, m))
-        np.multiply(_unit_phases(angles, phases[:n * m].reshape(n, m)), core, out=scaled)
-        angles = np.multiply.outer(w_o, times, out=theta[:k * m].reshape(k, m))
-        np.negative(angles, out=angles)
-        scaled *= _unit_phases(angles, phases[:k * m].reshape(k, m))[:, None, :]
-        np.matmul(scaled.reshape(k, n * m).T, q_oh, out=product.reshape(n * m, k))
-        frames = np.matmul(q_x, product.reshape(n, m * k), out=scaled.reshape(n, m * k))
-        return np.swapaxes(frames.reshape(n, m, k), 0, 1)[:count]
+    def phases(theta):
+        return _unit_phases(theta, np.empty(theta.shape, dtype=complex))
+
+    table = np.multiply(phases(np.multiply.outer(w_x, offsets)), core)
+    table *= phases(-np.multiply.outer(w_o, offsets))[:, None, :]
+    table = table.reshape(k, n * m).T
+    product, frames = np.empty((n * m, k), dtype=complex), np.empty((n, m * k), dtype=complex)
+    view = np.swapaxes(frames.reshape(n, m, k), 0, 1)[:count]
+
+    def sample(t0: float) -> np.ndarray:
+        left, right = q_x, q_oh
+        if t0:
+            left = q_x * phases(w_x * t0)
+            right = phases(-(w_o * t0))[:, None] * q_oh
+        np.matmul(table, right, out=product)
+        np.matmul(left, product.reshape(n, m * k), out=frames)
+        return view
 
     return sample
 

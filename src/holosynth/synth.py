@@ -189,10 +189,10 @@ def synthesize(
         r = r[:, order]
         gammas = gammas[list(order)]
     if channel_signs is not None:
-        signs = np.asarray(channel_signs, dtype=float)
-        if signs.shape != (k,) or not np.all(np.abs(signs) == 1.0):
+        signs = tuple(_param(_whole, s, "channel_signs entry") for s in channel_signs)
+        if len(signs) != k or not all(abs(s) == 1 for s in signs):
             raise ParamShapeMismatch("channel_signs must be k entries of +-1")
-        r = r * signs[None, :]
+        r = r * np.array(signs, dtype=float)[None, :]
 
     omegas, taus, lengths = zip(*map(_channel, gammas, params.phases, params.windings))
     omega_diag = np.diag(1j * np.array(omegas))

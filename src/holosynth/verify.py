@@ -28,9 +28,16 @@ the next, and `sample` checks a chunk and writes its CSV rows, so memory
 does not grow with the step count; `sample_loop` writes the chunks into
 one frame stack, which `SampledLoop` checks, and `numeric_holonomy` and
 `loop_length_numeric` read, as views in the same chunks, so the two oracle
-routes give the same bits. Every grid reader reads each chunk in place, as
-the strided view of `extremal._frame_sampler`'s buffers, and the fold's
-chunk-sized work arrays, like those buffers, are allocated once per stream.
+routes give the same bits. The controller is constant, so its curve obeys
+the group law V(t0 + s) = e^{t0 X} V(s) e^{-t0 Omega}: each stream builds
+one table of the curve's core at the offsets s_j = j / M of one chunk
+(`extremal._frame_sampler`), and samples every chunk as that table shifted
+to the chunk's first grid point, with n + k phases and two matrix products
+per chunk. A grid frame is thus `curve_samples`' frame at its time to
+roundoff, not bit for bit; the grid readers agree bit for bit because they
+read one stream. Every grid reader reads each chunk in place, as the
+strided view of the sampler's buffer, and the fold's chunk-sized work
+arrays, like the table and that buffer, are allocated once per stream.
 
 The per-sample k x k products run in real arithmetic, which numpy's
 batched matmul does several times faster than complex for small k. The
@@ -353,15 +360,17 @@ def _slices(frames: np.ndarray):
 def _grid_batches(ctrl: Controller, steps: int):
     """(times, frames) of the grid points 0, ..., steps of `_grid_times`, in
     `_chunk_frames` batches, sampled on the caller's thread and not checked:
-    the one batching of the grid, so every reader that must agree bit for
-    bit samples in the same batches (see `extremal.curve_samples`). The
-    frames are the view of `extremal._frame_sampler`'s buffers, allocated
+    the one sampling of the grid, so every reader that must agree bit for
+    bit reads the same frames. One `extremal._frame_sampler` per stream
+    holds the table of the offsets s_j = j * (1 / steps) of one batch, and
+    each batch is that table shifted to t0 = start * (1 / steps), its first
+    grid point; the frames are the view of the sampler's buffer, allocated
     once per stream, and are valid until the next batch is asked for."""
-    chunk = _chunk_frames(ctrl.n, ctrl.k)
-    sample = _frame_sampler(ctrl, min(chunk, steps + 1))
+    chunk, dt = _chunk_frames(ctrl.n, ctrl.k), 1.0 / steps
+    sample = _frame_sampler(ctrl, np.arange(min(chunk, steps + 1)) * dt)
     for start in range(0, steps + 1, chunk):
         times = _grid_times(steps, start, min(start + chunk, steps + 1))
-        yield times, sample(times)
+        yield times, sample(start * dt)[:len(times)]
 
 
 def _closed_loop(ctrl: Controller, *steps) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -127,6 +127,41 @@ def curve_samples_reference(ctrl, times):
     return np.ascontiguousarray(np.swapaxes(frames.reshape(n, m, k), 0, 1))
 
 
+def frame_sampler_reference(ctrl, offsets, left_time=None, right_time=None):
+    """`extremal._frame_sampler` written from its specification with fresh
+    arrays: the table T_j = e^{i s_j w_X} * C * e^{-i s_j w_O}^T of
+    `curve_samples_reference`'s broadcast product at the offsets s_j, and
+    per call `sample(t0)` the factors q_X e^{i t0 w_X} and e^{-i t0 w_O}
+    q_O^H scaled by broadcasting, neither at t0 = 0; the library's sampler
+    must give bit-identical frames. `left_time(t0)` and `right_time(t0)`,
+    by default t0, are the times the two factors are scaled to, so that a
+    test can build a faulty sampler."""
+    offsets = np.asarray(offsets, dtype=float)
+    count = len(offsets)
+    if count * ctrl.k == 1:
+        offsets = offsets.repeat(2)
+    w_x, q_x = ctrl._spectrum
+    w_o, q_o = ctrl._omega_spectrum
+    n, k, m = ctrl.n, ctrl.k, len(offsets)
+    core = q_x.conj().T @ ctrl.base_frame() @ q_o
+    table = _unit_phases(np.multiply.outer(w_x, offsets), np.empty((n, m), complex))[None, :, :]
+    table = table * core.T[:, :, None]
+    table *= _unit_phases(-np.multiply.outer(w_o, offsets), np.empty((k, m), complex))[:, None, :]
+    table = table.reshape(k, n * m).T
+
+    def sample(t0):
+        a = t0 if left_time is None else left_time(t0)
+        b = t0 if right_time is None else right_time(t0)
+        left = q_x * _unit_phases(w_x * a, np.empty(n, complex)) if a else q_x
+        right = q_o.conj().T
+        if b:
+            right = _unit_phases(-(w_o * b), np.empty(k, complex))[:, None] * right
+        frames = left @ (table @ right).reshape(n, m * k)
+        return np.swapaxes(frames.reshape(n, m, k), 0, 1)[:count]
+
+    return sample
+
+
 def _check_frames_serial(frames, tol):
     """The Gram check as it was written before the fold fused it with the
     overlaps: a fresh `_adjoint` per chunk, whose own product with the

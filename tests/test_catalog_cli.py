@@ -1077,7 +1077,10 @@ class TestCliSample:
         col = dict(zip(header.split(","), values.T))
         ctrl = synthesize(catalog_get(gate).matrix).controller
         times = np.linspace(0.0, 1.0, steps + 1)
-        frames = curve_samples(ctrl, times)
+        # the grid's frames, shifted from one table per stream, are the closed
+        # form's to roundoff and the CSV's bit for bit
+        frames = verify.sample_loop(ctrl, steps).frames
+        assert np.abs(frames - curve_samples(ctrl, times)).max() <= 2e-15
         p = np.einsum("mik,mjk->mij", frames, frames.conj())
         np.testing.assert_array_equal(col["t"], times)
         for i in range(ctrl.n):
@@ -1116,19 +1119,21 @@ class TestCliSample:
 
     def test_samples_the_curve_once(self, capsys, monkeypatch):
         # the analytic end frame V(1) once, for the closure check, then one
-        # pass over the grid in chunks, with no probe of the grid's end frames
-        sampled, sampler = [], verify._frame_sampler
+        # table for the grid, shifted once per chunk to the chunk's first
+        # grid point, with no probe of the grid's end frames
+        sampled, tables, shifts, sampler = [], [], [], verify._frame_sampler
 
         def recording(ctrl, times):
             sampled.append(np.asarray(times))
             return curve_samples(ctrl, times)
 
-        def streaming(ctrl, capacity):
-            sample = sampler(ctrl, capacity)
+        def streaming(ctrl, offsets):
+            tables.append(np.array(offsets))
+            sample = sampler(ctrl, offsets)
 
-            def streamed(times):
-                sampled.append(np.array(times))
-                return sample(times)
+            def streamed(t0):
+                shifts.append(t0)
+                return sample(t0)
 
             return streamed
 
@@ -1139,9 +1144,13 @@ class TestCliSample:
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**12)  # 8 frames at k = 4
         code, _, _ = run_cli(capsys, "sample", "--gate", "dft2", "--steps", "20")
         assert code == 0
-        assert len(sampled) == 4
+        assert len(sampled) == 1
         np.testing.assert_array_equal(sampled[0], [1.0])
-        np.testing.assert_array_equal(np.concatenate(sampled[1:]), np.linspace(0.0, 1.0, 21))
+        assert len(tables) == 1
+        np.testing.assert_array_equal(tables[0], np.arange(8) * (1 / 20))
+        assert shifts == [0.0, 8 * (1 / 20), 16 * (1 / 20)]
+        covered = np.concatenate([t0 + tables[0] for t0 in shifts])[:21]
+        np.testing.assert_allclose(covered, np.linspace(0.0, 1.0, 21), rtol=0, atol=1e-15)
 
     def test_memory_does_not_grow_with_steps(self, monkeypatch, tmp_path):
         monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**11)  # 16 frames at k = 2

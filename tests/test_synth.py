@@ -405,6 +405,25 @@ class TestParamValues:
         got = synthesize(HADAMARD, channel_order=(np.int64(1), 0.0))
         assert np.array_equal(got.controller.matrix, want.controller.matrix)
 
+    @pytest.mark.parametrize("signs, shown", [
+        (("1", "1", "1", "-1"), "'1'"),
+        ((True, True, True, -1), "True"),
+        ((1, 1, 1, -0.5), "-0.5"),
+    ])
+    def test_channel_signs_reject_a_value_they_would_reinterpret(self, signs, shown):
+        # read as channel_order reads its entries: a string or a bool is not a sign
+        with pytest.raises(ParamShapeMismatch,
+                           match=re.escape(f"channel_signs entry: expected an integer, got {shown}")):
+            synthesize(CNOT, channel_signs=signs)
+
+    def test_channel_signs_take_numpy_integers_and_integral_floats(self):
+        want = synthesize(CNOT, channel_signs=(1, 1, 1, -1))
+        for signs in ((1.0, 1.0, 1.0, -1.0), (np.int64(1), 1, 1.0, np.int32(-1))):
+            got = synthesize(CNOT, channel_signs=signs)
+            assert got.controller.matrix.tobytes() == want.controller.matrix.tobytes()
+        with pytest.raises(ParamShapeMismatch, match="k entries of"):
+            synthesize(CNOT, channel_signs=(1, 1, 1, 2))
+
     @pytest.mark.parametrize("call", [
         lambda: small_circle_params(0.3, 0.0, 1.5),
         lambda: channel_length(0.3, 1.5),

@@ -15,6 +15,7 @@ from holosynth import (
     OracleReport,
     SampledLoop,
     SingularInput,
+    SynthesisParams,
     TooFewSamples,
     catalog_get,
     catalog_names,
@@ -32,7 +33,7 @@ from holosynth import (
     synthesize,
 )
 from helpers import (
-    cross_validate_serial, curve_samples_reference, oracle_fit_reference, random_haar, traced_peak,
+    cross_validate_serial, frame_sampler_reference, oracle_fit_reference, random_haar, traced_peak,
 )
 
 HADAMARD = catalog_get("hadamard").matrix
@@ -48,22 +49,17 @@ def _warped_loop(ctrl, steps, strength=0.15):
 
 def _route_samples(monkeypatch, each):
     """Pass every grid batch through each(times, frames), which may record,
-    alter or raise, on the grid's sampler, `_frame_sampler`, which the
+    alter or raise, on the grid's batcher, `_grid_batches`, which the
     oracle's stream and `sample_loop` read. The reader gets the frames as
     `each` leaves them."""
-    sampler = verify._frame_sampler
+    batches = verify._grid_batches
 
-    def streaming(ctrl, capacity):
-        sample = sampler(ctrl, capacity)
-
-        def streamed(times):
-            frames = sample(times)
+    def streaming(ctrl, steps):
+        for times, frames in batches(ctrl, steps):
             each(times, frames)
-            return frames
+            yield times, frames
 
-        return streamed
-
-    monkeypatch.setattr(verify, "_frame_sampler", streaming)
+    monkeypatch.setattr(verify, "_grid_batches", streaming)
 
 
 def _projectors(frames):
@@ -513,26 +509,25 @@ class TestStreamedOracle:
             np.testing.assert_array_equal(streamed, whole, err_msg=str(steps))
 
     @staticmethod
-    def _streamed(ctrl, steps):
-        """`curve_samples`' frames of the stream's batches, one fresh stack
-        per batch."""
-        return np.concatenate([
-            curve_samples(ctrl, times) for times, _ in verify._grid_batches(ctrl, steps)])
+    def _referenced(ctrl, steps, monkeypatch):
+        """The grid's frames with `_frame_sampler` replaced by the shifted-table
+        reference of `helpers`, which samples into fresh arrays."""
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "_frame_sampler", frame_sampler_reference)
+            return np.concatenate([frames for _, frames in verify._grid_batches(ctrl, steps)])
 
     @pytest.mark.parametrize("k", range(1, 17))
-    def test_sample_loop_frames_are_the_streams_frames(self, k):
+    def test_sample_loop_frames_are_the_streams_frames(self, k, monkeypatch):
         # one grid definition: the whole loop, read in place from the stream's
-        # buffers, and curve_samples of the stream's batches agree bit for bit,
-        # also where a chunk holds a lone frame (steps = chunk); at k = 3, 5,
-        # 6, ... a frame's last bit depends on its batch, so this holds only
-        # because both sample in the same batches
+        # buffers, and the shifted-table reference of the same stream agree bit
+        # for bit, also where a chunk holds a lone frame (steps = chunk)
         ctrl = self._controller(k)
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
         for steps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 100):
             times = np.concatenate([t for t, _ in verify._grid_batches(ctrl, steps)])
             assert times[-1] == 1.0 and len(times) == steps + 1
             np.testing.assert_array_equal(sample_loop(ctrl, steps).frames,
-                                          self._streamed(ctrl, steps))
+                                          self._referenced(ctrl, steps, monkeypatch))
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_sample_loop_frames_are_the_streams_frames_at_a_small_budget(self, k, monkeypatch):
@@ -540,7 +535,7 @@ class TestStreamedOracle:
         ctrl = self._controller(k)
         assert len(list(verify._grid_batches(ctrl, 1001))) > 2
         np.testing.assert_array_equal(sample_loop(ctrl, 1001).frames,
-                                      self._streamed(ctrl, 1001))
+                                      self._referenced(ctrl, 1001, monkeypatch))
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_sample_loop_checks_each_frame_once(self, k, monkeypatch):
@@ -825,15 +820,72 @@ class TestInPlaceStream:
 class TestOracleBitIdentity:
     @pytest.mark.parametrize("name", MULTI_CHANNEL_GATES)
     def test_cross_validate_equals_the_broadcast_product_reference(self, name, monkeypatch):
-        # the stream's in-place frames against a fresh reference stack per chunk
+        # the stream's in-place frames against fresh reference arrays per chunk
         gate = catalog_get(name).matrix
         ctrl = synthesize(gate).controller
         report = cross_validate(ctrl, gate, (1000, 10000))
-        monkeypatch.setattr(verify, "_frame_sampler", lambda ctrl, capacity: (
-            lambda times: curve_samples_reference(ctrl, times)))
+        monkeypatch.setattr(verify, "_frame_sampler", frame_sampler_reference)
         reference = cross_validate(ctrl, gate, (1000, 10000))
         assert report.deviations == reference.deviations
         assert report.gamma_numeric.tobytes() == reference.gamma_numeric.tobytes()
+
+
+class TestShiftedGrid:
+    """Every grid frame, the stream's one table shifted to its chunk's first
+    grid point, against `curve_samples` at its `_grid_times` time."""
+
+    @staticmethod
+    def _controller(k, winding=1):
+        params = SynthesisParams(phases=(0.0,) * k, windings=(winding,) + (1,) * (k - 1))
+        return synthesize(random_haar(np.random.default_rng(150 + k), k), params).controller
+
+    @staticmethod
+    def _assert_near_the_curve(ctrl, steps, bound):
+        # entrywise, one batch at a time
+        for times, frames in verify._grid_batches(ctrl, steps):
+            gap = np.abs(frames - curve_samples(ctrl, times)).max()
+            assert gap <= bound, (steps, times[0], gap)
+
+    @pytest.mark.parametrize("winding", [1, 3], ids=["windings-1", "windings-3-1"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_every_grid_frame_is_the_curve_to_roundoff(self, k, winding):
+        # chunk starts, the lone-frame last chunk (steps = chunk) and t = 1; an
+        # angle's roundoff grows with the rotation rates, which a winding of 3
+        # about triples
+        ctrl = self._controller(k, winding)
+        chunk = verify._chunk_frames(ctrl.n, ctrl.k)
+        *_, (times, frames) = verify._grid_batches(ctrl, chunk)
+        assert times.tolist() == [1.0] and len(frames) == 1
+        for steps in (2, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 10000):
+            self._assert_near_the_curve(ctrl, steps, 2e-15 * winding)
+
+    def _faulty(self, monkeypatch, **times):
+        monkeypatch.setattr(verify, "_frame_sampler", lambda ctrl, offsets: (
+            frame_sampler_reference(ctrl, offsets, **times)))
+
+    def test_a_sampler_without_the_fiber_shift_is_caught_here_not_by_the_oracle(
+        self, monkeypatch
+    ):
+        # dropping e^{-t0 Omega} from the right factor right-multiplies each
+        # chunk's frames by the k x k unitary e^{t0 Omega}, a gauge, which the
+        # oracle's projector chain does not see
+        ctrl, schedule = self._controller(4), (1000, 2000)
+        healthy = cross_validate(ctrl, np.eye(4), schedule).deviations
+        self._faulty(monkeypatch, right_time=lambda t0: 0.0)
+        faulty = cross_validate(ctrl, np.eye(4), schedule).deviations
+        np.testing.assert_allclose(faulty, healthy, rtol=1e-6)
+        with pytest.raises(AssertionError):
+            self._assert_near_the_curve(ctrl, 2000, 2e-15)
+
+    def test_a_sampler_with_a_stale_shift_is_caught_by_the_oracle(self, monkeypatch):
+        # the left factor scaled to the previous chunk's t0: each later chunk
+        # retraces the span of the one before it
+        ctrl, steps = self._controller(4), 2000
+        lag = verify._chunk_frames(ctrl.n, ctrl.k) * (1 / steps)
+        healthy = cross_validate(ctrl, np.eye(4), (steps,)).deviation
+        self._faulty(monkeypatch, left_time=lambda t0: max(t0 - lag, 0.0))
+        faulty = cross_validate(ctrl, np.eye(4), (steps,)).deviation
+        assert faulty > 100 * healthy, (healthy, faulty)
 
 
 class TestOracleAgreementEnsemble:
