@@ -42,14 +42,17 @@ def standard_base_frame(n: int, k: int) -> np.ndarray:
 
 
 def _frozen(a) -> np.ndarray:
-    """`a` as a read-only C-ordered complex array of its own: `a` itself if
-    it already is one, owning its data and not writeable, else a copy."""
-    if (isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
-            and a.flags.c_contiguous and a.dtype == complex):
-        return a
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+    """`a` as a read-only C-ordered complex view of a read-only array that
+    owns its data, so that its `setflags(write=True)` raises ValueError:
+    `a` itself if it already is one, as this function's results and the
+    package's own hand-offs are, else a view of a read-only copy."""
+    if not (isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray) and a.base.flags.owndata
+            and not (a.base.flags.writeable or a.flags.writeable) and a.flags.c_contiguous
+            and a.dtype == complex):
+        a = np.array(a, dtype=complex)
+        a.setflags(write=False)
+        a = a.view()
+    return a
 
 
 @dataclass(frozen=True)
@@ -155,10 +158,12 @@ def curve_samples(ctrl: Controller, times) -> np.ndarray:
     return np.ascontiguousarray(_frame_sampler(ctrl, times)(0.0))
 
 
-def _frame_sampler(ctrl: Controller, offsets: np.ndarray):
+def _frame_sampler(ctrl: Controller, offsets: np.ndarray, out: np.ndarray | None = None):
     """`sample(t0)`: the frames V(t0 + s_j) of `curve_samples` at the
-    offsets s_j, as the strided (len(offsets), n, k) view of a buffer
-    allocated here, once, and valid until the next call.
+    offsets s_j, as the strided (len(offsets), n, k) view of `out`, an
+    (n, len(offsets) k) array whose rows may be strided, if given, else of
+    a buffer allocated here, once; valid until the next call, and with
+    the same bits either way.
 
     The curve is a one-parameter group orbit, V(t0 + s) = e^{t0 X} V(s)
     e^{-t0 Omega}, so with T_j = e^{i s_j w_X} * C * e^{-i s_j w_O}^T
@@ -171,7 +176,7 @@ def _frame_sampler(ctrl: Controller, offsets: np.ndarray):
     scales only the n x n factor q_X and the k x k factor q_O^H by n + k
     phases, neither at t0 = 0, and runs two matrix products over all
     samples. A lone offset at k = 1 is taken twice, as BLAS rounds the
-    matrix-vector product differently.
+    matrix-vector product differently; it takes no `out`.
     """
     w_x, q_x = ctrl._spectrum
     w_o, q_o = ctrl._omega_spectrum
@@ -187,7 +192,8 @@ def _frame_sampler(ctrl: Controller, offsets: np.ndarray):
     table = np.multiply(phases(np.multiply.outer(w_x, offsets)), core)
     table *= phases(-np.multiply.outer(w_o, offsets))[:, None, :]
     table = table.reshape(k, n * m).T
-    product, frames = np.empty((n * m, k), dtype=complex), np.empty((n, m * k), dtype=complex)
+    product = np.empty((n * m, k), dtype=complex)
+    frames = np.empty((n, m * k), dtype=complex) if out is None else out
     view = np.swapaxes(frames.reshape(n, m, k), 0, 1)[:count]
 
     def sample(t0: float) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Dense complex linear algebra on numpy alone: validated unitary
-eigendecomposition (a Cayley transform handed to the Hermitian `eigh`)
-and polar unitarization. The one matrix exponential of the package is the
+eigendecomposition (a Cayley transform handed to the Hermitian `eigh`),
+polar unitarization, and the frames' exact real embedding with the Gram
+check read off it, which the oracle's fold shares (`_embedded`,
+`_gram_defect`). The one matrix exponential of the package is the
 extremal curve itself, `extremal.curve_samples`.
 
 Matrices are plain complex numpy arrays. Validation helpers raise typed
@@ -49,48 +51,29 @@ def unitarity_defect(u) -> float:
         return float(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1)).max())
 
 
-def _adjoint(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The real transposed copy of a complex (..., n, k) stack A, whose last
-    axis is contiguous, that `_adjoint_product` takes in place of A^H,
-    shape (..., 2k, n): rows 0..k-1 hold Re of A's columns and rows
-    k..2k-1 their Im. One copy serves every product A^H B with the same A.
-    It is written into `out`, a contiguous float array of that shape, when
-    one is given."""
-    n, k = u.shape[-2:]
-    out = np.empty(u.shape[:-2] + (2 * k, n)) if out is None else out
-    parts = u.view(float).reshape(u.shape[:-1] + (k, 2))
-    out.reshape(u.shape[:-2] + (2, k, n))[...] = np.swapaxes(parts, -3, -1)
-    return out
-
-
-def _adjoint_product(adjoint: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^H B for complex stacks, given `adjoint = _adjoint(A)`, in real
-    arithmetic, which numpy's batched matmul forms several times faster
-    than the complex product for small matrices: one real matmul gives the
-    product that `_recombined` turns into A^H B."""
-    return _recombined(np.matmul(adjoint, b.view(float)).view(complex))
-
-
-def _recombined(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A^H B from the real product m = `_adjoint(A)` @ B.view(float) in
-    complex view, [[Re(A)^T B], [Im(A)^T B]] of shape (..., 2k, k):
-    A^H B = Re(A)^T B - i Im(A)^T B, written into `out` if given."""
-    k = m.shape[-1]
-    out = np.multiply(m[..., k:, :], -1j, out=out)
-    out += m[..., :k, :]
-    return out
+def _embedded(u: np.ndarray) -> np.ndarray:
+    """The real embedding e(U) of a complex (..., n, k) stack: the
+    (..., 2n, 2k) real view of [[U], [iU]], for which e(A)^T e(B) = E(A^H B),
+    each entry x + iy of A^H B becoming the block [[x, y], [-y, x]]."""
+    n = u.shape[-2]
+    out = np.empty(u.shape[:-2] + (2 * n, u.shape[-1]), dtype=complex)
+    out[..., :n, :] = u
+    np.multiply(u, 1j, out=out[..., n:, :])
+    return out.view(float)
 
 
 def _gram_defect(gram: np.ndarray) -> float:
     """The largest ||G - I||_F over a stack of Gram matrices G = U^H U,
-    which it overwrites: `unitarity_defect(U)` given
-    `_adjoint_product(_adjoint(U), U)`; like it, inf or NaN without a
-    warning on overflowing or NaN entries."""
+    given as their real embeddings E(G) = e(U)^T e(U) (see `_embedded`),
+    which it overwrites: `unitarity_defect(U)` to roundoff, since each
+    entry of G - I appears twice in E(G) - I, so ||E(G) - I||_F^2 =
+    2 ||G - I||_F^2. Like `unitarity_defect`, inf or NaN without a warning
+    on overflowing or NaN entries."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram -= np.eye(gram.shape[-1])
-        parts = gram.view(float)
-        worst = np.einsum("...ij,...ij->...", parts, parts).max()
-    return float(worst) ** 0.5
+        diagonal = np.einsum("...ii->...i", gram)  # a writable view
+        diagonal -= 1.0
+        worst = np.einsum("...ij,...ij->...", gram, gram).max()
+    return float(worst / 2.0) ** 0.5
 
 
 def skewness_defect(a: np.ndarray) -> float:

@@ -36,26 +36,30 @@ to the chunk's first grid point, with n + k phases and two matrix products
 per chunk. A grid frame is thus `curve_samples`' frame at its time to
 roundoff, not bit for bit; the grid readers agree bit for bit because they
 read one stream. Every grid reader reads each chunk in place, as the
-strided view of the sampler's buffer, and the fold's chunk-sized work
-arrays, like the table and that buffer, are allocated once per stream.
+strided view of the sampler's buffer or the fold's, and the table, the
+buffers and the fold's work arrays are allocated once per stream.
 
 The per-sample k x k products run in real arithmetic, which numpy's
 batched matmul does several times faster than complex for small k. The
-fold writes each frame's real transposed form (`linalg._adjoint`) into a
-buffer of c + 1 slots, whose slot 0 holds the previous chunk's last frame,
-so the window [adj(V_{i-1}); adj(V_i)] of two slots is one 4k x n view.
-One real batched matmul of the windows with the frames V_i gives, in each
-half, V^H V_i = Re(V)^T V_i - i Im(V)^T V_i for V = V_{i-1} and V = V_i:
-the Gram matrix V_i^H V_i for the check and the adjoint V_{i-1}^H V_i of
-the overlap. The chain multiplies the real 2k x 2k embeddings
+fold holds each frame once in its real embedding e(V), the 2n x 2k real
+view of [[V], [iV]], for which e(A)^T e(B) = E(A^H B) exactly, with
 
     E(Z) = Re Z (x) I_2 + Im Z (x) [[0, 1], [-1, 0]],
 
-each entry x + iy of Z becoming the block [[x, y], [-y, x]]. E is exact
-for products, E(Y Z) = E(Y) E(Z), and E(Z^H) = E(Z)^T, so the overlap's
-embedding is the transposed view of its adjoint's. E(Z)'s complex view
-holds Z in the even rows and iZ in the odd ones, and K is read back from
-the even rows before the polar step.
+each entry x + iy of Z becoming the block [[x, y], [-y, x]], and
+E(Y Z) = E(Y) E(Z). Its buffer's column blocks of k hold [[V_j], [iV_j]],
+block 0 the previous chunk's last frame: the oracle's sampler writes each
+chunk into the rows :n, and one multiply by 1j fills the rows below. One
+batched matmul of the blocks e(V_i)^T with the windows [e(V_{i-1}) | e(V_i)],
+both strided views, gives [E(V_i^H V_{i-1}) | E(V_i^H V_i)]: the chain's
+factor and the embedded Gram matrix, whose ||E(G) - I||_F^2 =
+2 ||G - I||_F^2 is the check (`linalg._gram_defect`). E(Z)'s complex view
+holds Z in the even rows and iZ in the odd ones. The computed factors
+hold that form only up to roundoff, as each entry pair sums the same terms
+in another order, so K is read as the mean (even - i odd) / 2, which
+cancels the roundoff that breaks the form, before the polar step.
+The Gram half repeats G, so the product takes 16 n k^2 multiply-adds per
+frame, twice the complex products' count: the flops dominate at k = 64.
 
 `loop_length_numeric` is the length oracle: the chord rule over the
 consecutive frames (V_i, V_{i+1}) of the loop, no wrap-around, no copy of
@@ -85,8 +89,7 @@ from .extremal import (
     holonomy_analytic, loop_closure_defect, standard_base_frame,
 )
 from .linalg import (
-    _MAX_WHOLE, VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect, _haar_stack,
-    _recombined, polar_unitary,
+    _MAX_WHOLE, VALIDATION_TOL, _embedded, _gram_defect, _haar_stack, polar_unitary,
 )
 from .synth import _param, _whole
 
@@ -106,10 +109,9 @@ class SampledLoop:
     `extremal.standard_base_frame`. Validation confirms the first and last
     frames span the same subspace (their projectors agree within
     `extremal.CLOSURE_TOL`) and every frame is orthonormal,
-    ||V^H V - I||_F within `tol`. The loop holds its frames read-only and
-    as its own: a read-only complex stack that owns its data is kept as
-    it is, any other array is copied (`extremal._frozen`), so no caller
-    can change a frame after the check.
+    ||V^H V - I||_F within `tol`. The loop holds its frames as the
+    read-only view of a read-only stack (`extremal._frozen`): such a view
+    is kept, any other array copied, so no caller can change a frame.
     """
 
     frames: np.ndarray
@@ -234,10 +236,11 @@ def _grid_times(steps: int, start: int, stop: int) -> np.ndarray:
 
 
 def _check_frames(frames: np.ndarray, tol: float) -> None:
-    """Gram-check a (c, n, k) frame stack: InvalidFrame unless every
-    ||V^H V - I||_F is within `tol`."""
+    """Gram-check a (c, n, k) frame stack by the fold's embedded rule:
+    InvalidFrame unless every ||V^H V - I||_F is within `tol`."""
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = _gram_defect(_adjoint_product(_adjoint(frames), frames))
+        embedded = _embedded(frames)
+        worst = _gram_defect(np.swapaxes(embedded, 1, 2) @ embedded)
     if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
 
@@ -245,8 +248,8 @@ def _check_frames(frames: np.ndarray, tol: float) -> None:
 def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> SampledLoop:
     """Sample the controller's projected loop at t_i = i / steps, i = 0 ... steps,
     in the batches of `_grid_batches`, written into one frame stack, which
-    `SampledLoop` Gram-checks and, read-only, keeps without a copy, so the
-    frames are the oracle's and the `sample` CSV's bit for bit.
+    `SampledLoop` Gram-checks and keeps, as a read-only view, without a
+    copy, so the frames are the oracle's and the `sample` CSV's bit for bit.
 
     Raises:
         OpenLoop: the controller does not close its loop at t = 1.
@@ -259,7 +262,7 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
     for out, (_, batch) in zip(_slices(frames), _grid_batches(ctrl, steps)):
         out[...] = batch
     frames.setflags(write=False)
-    return SampledLoop(frames, tol)
+    return SampledLoop(frames.view(), tol)
 
 
 def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -270,7 +273,7 @@ def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
     passes alternate between the two halves of `work`, each holding at
     least (len(factors) + 1) // 2 matrices.
     """
-    chain, halves = factors, np.split(work, 2)
+    chain, halves = factors, work.reshape(2, -1, *work.shape[1:])
     while chain.shape[0] > 1:
         pairs, odd = divmod(chain.shape[0], 2)
         paired, halves = halves[0][:pairs + odd], halves[::-1]
@@ -281,41 +284,42 @@ def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
     return chain[0]
 
 
-def _chain_holonomy(chunks, v0: np.ndarray, tol: float) -> np.ndarray:
+def _chain_holonomy(stream, count: int, v0: np.ndarray, tol: float) -> np.ndarray:
     """Polar factor of V0^H V_M . V_M^H V_{M-1} ... V_1^H V_0 . V_0^H V0.
 
-    `chunks` yields the frames V_0, ..., V_M as (c, n, k) stacks in
-    ascending time order, each with a contiguous last axis and read before
-    the next is asked for. Each chunk's Gram matrices and overlaps come from
-    one batched matmul (see the module docstring); every frame is checked
-    against `tol` (InvalidFrame), and the overlaps' embeddings are reduced
-    pairwise and left-multiplied into a running 2k x 2k product. The work
-    arrays are allocated at the first chunk, which no later chunk outgrows,
-    and reused for every chunk.
+    `stream(rows)` yields the frames V_0, ..., V_M in ascending time
+    order, as (c, n, k) stacks of at most `count` frames, each read before
+    the next is asked for; `rows` are the fold buffer's rows :n past block
+    0, where a stream may write them in place (see the module docstring).
+    Each chunk is copied there, at no cost when it is there already, and
+    one batched matmul gives its chain factors and embedded Gram matrices.
+    Every frame is checked against `tol` (InvalidFrame), and the factors
+    are reduced pairwise into a running 2k x 2k product. The buffer and
+    the work arrays are allocated once, for `count` frames.
     """
     n, k = v0.shape
-    chain, prev, slots = np.eye(2 * k), v0, None
-    for frames in chunks:
-        c = len(frames)
-        if slots is None:
-            slots, squares = np.empty((c + 1, 2 * k, n)), np.empty((c, k, k), complex)
-            windows = as_strided(slots, (c, 4 * k, n), slots.strides, writeable=False)
-            products, embedded = np.empty((c, 4 * k, 2 * k)), np.empty((c, k, 2, k), complex)
-            halves = np.empty((2 * ((c + 1) // 2), 2 * k, 2 * k))
-            _adjoint(v0, slots[0])
-        _adjoint(frames, slots[1:c + 1])
+    buffer = np.empty((2 * n, (count + 1) * k), dtype=complex)
+    frames, real = np.swapaxes(buffer[:n, k:].reshape(n, count, k), 0, 1), buffer.view(float)
+    step, row, column = 2 * k * real.itemsize, *real.strides
+    windows = as_strided(real, (count, 2 * n, 4 * k), (step, row, column), writeable=False)
+    blocks = np.swapaxes(windows[:, :, 2 * k:], 1, 2)
+    products = np.empty((count, 2 * k, 4 * k))
+    halves = np.empty((2 * ((count + 1) // 2), 2 * k, 2 * k))
+    buffer[:n, :k], chain = v0, np.eye(2 * k)
+    for chunk in stream(buffer[:n, k:]):
+        c = len(chunk)
+        frames[:c] = chunk
         with np.errstate(over="ignore", invalid="ignore"):
-            fused = np.matmul(windows[:c], frames.view(float), out=products[:c]).view(complex)
-            worst = _gram_defect(_recombined(fused[:, 2 * k:], squares[:c]))
+            np.multiply(buffer[:n, :(c + 1) * k], 1j, out=buffer[n:, :(c + 1) * k])
+            np.matmul(blocks[:c], windows[:c], out=products[:c])
+        worst = _gram_defect(products[:c, :, 2 * k:])
         if not worst <= tol:
             raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
-        overlap = _recombined(fused[:, :2 * k], squares[:c])  # the adjoints V_{i-1}^H V_i
-        embedded[:c, :, 0, :] = overlap
-        np.multiply(overlap, 1j, out=embedded[:c, :, 1, :])
-        factors = embedded[:c].view(float).reshape(c, 2 * k, 2 * k)
-        chain = _ordered_chain(np.swapaxes(factors, 1, 2)[::-1], halves) @ chain
-        slots[0], prev = slots[c], frames[-1]
-    return polar_unitary(v0.conj().T @ prev @ chain.view(complex)[0::2])
+        chain = _ordered_chain(products[c - 1::-1, :, :2 * k], halves) @ chain
+        buffer[:n, :k] = buffer[:n, c * k:(c + 1) * k]
+    embedded = chain.view(complex)  # K in the even rows, iK in the odd ones, to roundoff
+    product = (embedded[0::2] - 1j * embedded[1::2]) / 2
+    return polar_unitary(v0.conj().T @ buffer[:n, :k] @ product)
 
 
 def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
@@ -342,12 +346,15 @@ def numeric_holonomy(loop: SampledLoop) -> np.ndarray:
         raise InvalidFrame(
             f"loop does not start at the base projector: ||V_0 V_0^H - P0||_F = "
             f"{offset:.3e} exceeds {CLOSURE_TOL:.1e}")
-    return _chain_holonomy(_slices(loop.frames), v0, loop.tol)
+    count = min(_chunk_frames(*v0.shape), len(loop.frames))
+    return _chain_holonomy(lambda rows: _slices(loop.frames), count, v0, loop.tol)
 
 
 def _chunk_frames(n: int, k: int) -> int:
-    """Frames per streamed chunk: a fixed budget of frame-stack bytes."""
-    return max(1, _CHUNK_BYTES // (16 * n * k))
+    """Frames per streamed chunk: a fixed budget of frame-stack bytes, and
+    at least two, so that no stream meets the sampler's lone-offset rule
+    (`extremal._frame_sampler`)."""
+    return max(2, _CHUNK_BYTES // (16 * n * k))
 
 
 def _slices(frames: np.ndarray):
@@ -357,7 +364,7 @@ def _slices(frames: np.ndarray):
     return (frames[start:start + chunk] for start in range(0, len(frames), chunk))
 
 
-def _grid_batches(ctrl: Controller, steps: int):
+def _grid_batches(ctrl: Controller, steps: int, out: np.ndarray | None = None):
     """(times, frames) of the grid points 0, ..., steps of `_grid_times`, in
     `_chunk_frames` batches, sampled on the caller's thread and not checked:
     the one sampling of the grid, so every reader that must agree bit for
@@ -365,9 +372,11 @@ def _grid_batches(ctrl: Controller, steps: int):
     holds the table of the offsets s_j = j * (1 / steps) of one batch, and
     each batch is that table shifted to t0 = start * (1 / steps), its first
     grid point; the frames are the view of the sampler's buffer, allocated
-    once per stream, and are valid until the next batch is asked for."""
+    once per stream, or of `out`, an (n, c k) array for the batch's c =
+    min(chunk, steps + 1) frames, when one is given, and are valid until
+    the next batch is asked for."""
     chunk, dt = _chunk_frames(ctrl.n, ctrl.k), 1.0 / steps
-    sample = _frame_sampler(ctrl, np.arange(min(chunk, steps + 1)) * dt)
+    sample = _frame_sampler(ctrl, np.arange(min(chunk, steps + 1)) * dt, out=out)
     for start in range(0, steps + 1, chunk):
         times = _grid_times(steps, start, min(start + chunk, steps + 1))
         yield times, sample(start * dt)[:len(times)]
@@ -416,8 +425,9 @@ def cross_validate(
     v0 = ctrl.base_frame()
     deviations = []
     for steps in schedule:
-        stream = (frames for _, frames in _grid_batches(ctrl, steps))
-        gamma_numeric = _chain_holonomy(stream, v0, tol)
+        gamma_numeric = _chain_holonomy(
+            lambda rows: (frames for _, frames in _grid_batches(ctrl, steps, rows)),
+            min(_chunk_frames(ctrl.n, ctrl.k), steps + 1), v0, tol)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     return OracleReport(
         gamma_numeric=gamma_numeric,
@@ -455,6 +465,6 @@ def gauge_invariance_check(loop: SampledLoop, trials: int, seed: int) -> float:
         gauges = _haar_stack(loop.rank, rng, loop.frames.shape[:1])
         regauged = loop.frames @ gauges
         regauged.setflags(write=False)
-        gamma = numeric_holonomy(SampledLoop(regauged, loop.tol))
+        gamma = numeric_holonomy(SampledLoop(regauged.view(), loop.tol))
         worst = max(worst, float(np.linalg.norm(gamma - baseline)))
     return worst

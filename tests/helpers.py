@@ -8,10 +8,7 @@ import numpy as np
 from holosynth.abelian import BerryController
 from holosynth.errors import ConvergenceFailure, InvalidFrame
 from holosynth.extremal import _unit_phases, curve_samples, holonomy_analytic
-from holosynth.linalg import (
-    PHASE_SNAP, TWO_PI, VALIDATION_TOL, _adjoint, _adjoint_product, _gram_defect,
-    check_unitary, polar_unitary,
-)
+from holosynth.linalg import PHASE_SNAP, TWO_PI, VALIDATION_TOL, check_unitary, polar_unitary
 from holosynth.verify import _chunk_frames, _grid_times
 
 
@@ -127,9 +124,10 @@ def curve_samples_reference(ctrl, times):
     return np.ascontiguousarray(np.swapaxes(frames.reshape(n, m, k), 0, 1))
 
 
-def frame_sampler_reference(ctrl, offsets, left_time=None, right_time=None):
+def frame_sampler_reference(ctrl, offsets, left_time=None, right_time=None, out=None):
     """`extremal._frame_sampler` written from its specification with fresh
-    arrays: the table T_j = e^{i s_j w_X} * C * e^{-i s_j w_O}^T of
+    arrays, which ignores `out`, so that the oracle's fold copies its
+    frames rather than finding them in place: the table T_j = e^{i s_j w_X} * C * e^{-i s_j w_O}^T of
     `curve_samples_reference`'s broadcast product at the offsets s_j, and
     per call `sample(t0)` the factors q_X e^{i t0 w_X} and e^{-i t0 w_O}
     q_O^H scaled by broadcasting, neither at t0 = 0; the library's sampler
@@ -162,15 +160,26 @@ def frame_sampler_reference(ctrl, offsets, left_time=None, right_time=None):
     return sample
 
 
+def _adjoint_product_serial(a, b):
+    """A^H B for complex stacks, in plain complex arithmetic."""
+    return a.conj().swapaxes(-1, -2) @ b
+
+
+def _embedding_serial(z):
+    """The real 2k x 2k embedding E(Z) of each complex k x k matrix of a
+    stack, each entry x + iy becoming the block [[x, y], [-y, x]], written
+    out with np.kron."""
+    turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return np.array([np.kron(m.real, np.eye(2)) + np.kron(m.imag, turn) for m in z])
+
+
 def _check_frames_serial(frames, tol):
-    """The Gram check as it was written before the fold fused it with the
-    overlaps: a fresh `_adjoint` per chunk, whose own product with the
-    chunk gives the Gram matrices."""
-    adjoint = _adjoint(frames)
-    worst = _gram_defect(_adjoint_product(adjoint, frames))
+    """The Gram check in plain complex arithmetic: every ||V^H V - I||_F
+    from the complex Gram matrix and numpy's norm."""
+    grams = _adjoint_product_serial(frames, frames)
+    worst = np.linalg.norm(grams - np.eye(frames.shape[-1]), axis=(-2, -1)).max()
     if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
-    return adjoint
 
 
 def _ordered_chain_serial(factors):
@@ -189,21 +198,20 @@ def _ordered_chain_serial(factors):
 
 
 def _chain_holonomy_serial(chunks, v0):
-    """`verify._chain_holonomy` as it was written before the reused work
-    arrays and the fused product: the overlaps V_i^H V_{i-1} from each
-    chunk's `_adjoint`, in a product of their own."""
+    """`verify._chain_holonomy` from its specification, sharing no helper
+    with the fold: the overlaps V_i^H V_{i-1} of each chunk in plain
+    complex arithmetic, their np.kron embeddings reduced pairwise in
+    descending time order, and K read off the even rows and columns of
+    the running product."""
     k = v0.shape[1]
     chain, prev = np.eye(2 * k), v0
-    for frames, adjoint in chunks:
-        embedded = np.empty((len(frames), k, 2, k), dtype=complex)
-        overlaps = embedded[:, :, 0, :]
-        overlaps[:1] = _adjoint_product(adjoint[:1], prev[None])
-        overlaps[1:] = _adjoint_product(adjoint[1:], frames[:-1])
-        np.multiply(overlaps, 1j, out=embedded[:, :, 1, :])
-        factors = embedded.view(float).reshape(len(frames), 2 * k, 2 * k)
+    for frames in chunks:
+        before = np.concatenate([prev[None], frames[:-1]])
+        factors = _embedding_serial(_adjoint_product_serial(frames, before))
         chain = _ordered_chain_serial(factors[::-1]) @ chain
         prev = frames[-1]
-    return polar_unitary(v0.conj().T @ prev @ chain.view(complex)[0::2])
+    product = chain[0::2, 0::2] + 1j * chain[0::2, 1::2]
+    return polar_unitary(v0.conj().T @ prev @ product)
 
 
 def _grid_chunks_serial(ctrl, steps, tol):
@@ -214,20 +222,22 @@ def _grid_chunks_serial(ctrl, steps, tol):
     for start in range(0, steps + 1, chunk):
         times = _grid_times(steps, start, min(start + chunk, steps + 1))
         frames = curve_samples(ctrl, times)
-        yield times, frames, _check_frames_serial(frames, tol)
+        _check_frames_serial(frames, tol)
+        yield frames
 
 
 def cross_validate_serial(ctrl, schedule, tol=VALIDATION_TOL):
-    """(deviations, gamma_numeric) of `verify.cross_validate` with the fold
-    as it was written before the fused product: the Gram check and the
-    overlaps in two products per chunk. The library's fold sums the same
-    products in another order, so it returns them to roundoff."""
+    """(deviations, gamma_numeric) of `verify.cross_validate` written from
+    its specification in plain complex arithmetic: each chunk's Gram check
+    and overlaps in complex products of their own, and the overlaps'
+    embeddings built with np.kron. The library's fold sums the same
+    products in another order, in real arithmetic, so it returns them to
+    roundoff."""
     analytic = holonomy_analytic(ctrl)
     v0 = ctrl.base_frame()
     deviations = []
     for steps in schedule:
-        stream = _grid_chunks_serial(ctrl, steps, tol)
-        gamma_numeric = _chain_holonomy_serial(((f, a) for _, f, a in stream), v0)
+        gamma_numeric = _chain_holonomy_serial(_grid_chunks_serial(ctrl, steps, tol), v0)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     return tuple(deviations), gamma_numeric
 

@@ -1127,9 +1127,9 @@ class TestCliSample:
             sampled.append(np.asarray(times))
             return curve_samples(ctrl, times)
 
-        def streaming(ctrl, offsets):
+        def streaming(ctrl, offsets, out=None):
             tables.append(np.array(offsets))
-            sample = sampler(ctrl, offsets)
+            sample = sampler(ctrl, offsets, out)
 
             def streamed(t0):
                 shifts.append(t0)

@@ -9,6 +9,7 @@ from holosynth import (
     OpenLoop,
     SynthesisParams,
     catalog_get,
+    cross_validate,
     curve_samples,
     evaluate_controller,
     gate_commutes,
@@ -79,6 +80,47 @@ class TestControllerType:
                 omega=np.zeros((2, 2), dtype=complex),
                 coupling=np.zeros((3, 2), dtype=complex),
             )
+
+
+class TestArraysCannotBeMadeWriteableAgain:
+    """Every array a record holds is a read-only view of a read-only copy,
+    whose writeable flag numpy refuses to set again."""
+
+    @staticmethod
+    def _held():
+        gate = np.array(CNOT)
+        gate.setflags(write=False)  # a read-only array of the caller's is copied too
+        result = synthesize(gate)
+        ctrl = Controller(omega=np.array(result.controller.omega),
+                          coupling=np.array(result.controller.coupling))
+        oracle = cross_validate(ctrl, gate, (100, 1000))
+        return gate, {
+            "Controller.omega": ctrl.omega,
+            "Controller.coupling": ctrl.coupling,
+            "GateCatalogEntry.matrix": catalog_get("cnot").matrix,
+            "SynthesisResult.gate": result.gate,
+            "HolonomyReport.target": evaluate_controller(ctrl, gate).target,
+            "OracleReport.target": oracle.target,
+        }
+
+    def test_setting_the_flag_raises(self):
+        gate, held = self._held()
+        for name, array in held.items():
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+            assert not np.shares_memory(array, gate), name
+
+    def test_the_frozen_form_is_kept_and_anything_else_copied(self):
+        frozen = extremal._frozen(CNOT)
+        assert extremal._frozen(frozen) is frozen
+        owner = np.array(CNOT)
+        owner.setflags(write=False)
+        assert not np.shares_memory(extremal._frozen(owner), owner)
+        # a view taken while its stack was writeable stays writeable
+        writeable = np.array(CNOT)
+        view = writeable[:]
+        writeable.setflags(write=False)
+        assert not np.shares_memory(extremal._frozen(view), writeable)
 
 
 class TestCurvePoint:

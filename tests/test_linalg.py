@@ -18,7 +18,8 @@ from holosynth import (
 )
 from holosynth.extremal import check_target
 from helpers import (
-    eig_unitary_reference, expm_eigen, expm_taylor_squaring, random_haar, random_skew,
+    _embedding_serial, eig_unitary_reference, expm_eigen, expm_taylor_squaring, random_haar,
+    random_skew,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -378,37 +379,70 @@ class TestHaarUnitary:
         assert not np.allclose(stack[0], stack[1])
 
 
-class TestAdjointProduct:
-    """A^H B and the Gram defect, formed in real arithmetic, against
-    numpy's complex product."""
+class TestEmbeddedGram:
+    """The frames' real embedding e(U), the real view of [[U], [iU]], and
+    the Gram rule on E(G) = e(U)^T e(U), against numpy's complex product,
+    an np.kron embedding and `unitarity_defect`."""
+
+    @staticmethod
+    def _defect(frames):
+        embedded = linalg._embedded(frames)
+        return linalg._gram_defect(np.swapaxes(embedded, -2, -1) @ embedded)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 16])
-    def test_matches_the_complex_product(self, k):
+    def test_the_embeddings_product_is_the_embedded_complex_product(self, k):
         rng = np.random.default_rng(k)
         shape = (5, 2 * k + 1, k)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        product = linalg._adjoint_product(linalg._adjoint(a), b)
-        reference = np.swapaxes(a, -2, -1).conj() @ b
-        assert product.shape == (5, k, k)
+        product = np.swapaxes(linalg._embedded(a), -2, -1) @ linalg._embedded(b)
+        reference = _embedding_serial(a.conj().swapaxes(-1, -2) @ b)
+        assert product.shape == (5, 2 * k, 2 * k)
         assert np.abs(product - reference).max() <= 1e-13
 
-    @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
-    def test_gram_defect_is_the_largest_gram_distance(self, k):
-        rng = np.random.default_rng(10 + k)
-        frames = np.array([random_haar(rng, 2 * k)[:, :k] for _ in range(6)])
-        frames[4] *= 1.0 + 1e-6
-        grams = np.swapaxes(frames, -2, -1).conj() @ frames
-        reference = np.linalg.norm(grams - np.eye(k), axis=(-2, -1)).max()
-        defect = linalg._gram_defect(linalg._adjoint_product(linalg._adjoint(frames), frames))
-        assert defect == pytest.approx(reference, rel=1e-6)
-        assert linalg.unitarity_defect(frames) == pytest.approx(reference, rel=1e-6)
+    @pytest.mark.parametrize("scale", [None, 1e-2, 1e-6, 1e-9, 0.0],
+                             ids=["gaussian", "1e-2", "1e-6", "1e-9", "orthonormal"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_the_embedded_defect_is_the_unitarity_defect(self, k, scale):
+        # a Gaussian stack, and orthonormal stacks perturbed by `scale`:
+        # within 1e-15 of the defect, or of the Gram matrices' norm where
+        # that is larger, the scale of the roundoff in G - I that either
+        # product leaves
+        rng = np.random.default_rng(200 + k)
+        shape = (6, 2 * k + 1, k)
+        frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if scale is not None:
+            frames = np.linalg.qr(frames)[0] * (1.0 + scale * rng.standard_normal(shape))
+        reference = linalg.unitarity_defect(frames)
+        grams = np.linalg.norm(frames.conj().swapaxes(-1, -2) @ frames, axis=(-2, -1)).max()
+        gap = abs(self._defect(frames) - reference)
+        assert gap <= 1e-15 * max(reference, grams), (gap, reference)
+
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    def test_an_error_off_the_diagonal_alone_is_caught(self, k):
+        # two unit columns that are not orthogonal: G - I is zero on the
+        # diagonal, 1e-8 off it
+        tilt = np.eye(k, dtype=complex)
+        tilt[0, 1], tilt[1, 1] = 1e-8, np.sqrt(1.0 - 1e-16)
+        frames = random_haar(np.random.default_rng(k), 2 * k)[None, :, :k] @ tilt
+        gram = frames[0].conj().T @ frames[0]
+        assert np.abs(np.diag(gram) - 1.0).max() <= 1e-15
+        assert self._defect(frames) == pytest.approx(np.sqrt(2.0) * 1e-8, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_an_error_on_the_diagonal_alone_is_caught(self, k):
+        frames = random_haar(np.random.default_rng(k), 2 * k)[None, :, :k].copy()
+        frames[..., 0] *= 1.0 + 1e-8
+        gram = frames[0].conj().T @ frames[0]
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-15
+        assert self._defect(frames) == pytest.approx(2e-8, rel=1e-6)
 
     def test_overflow_gives_an_inf_defect_without_a_warning(self):
         # pytest turns a RuntimeWarning into an error
         big = np.diag([1.0, 1e200]).astype(complex)
         assert not linalg.unitarity_defect(big) <= 1.0
-        stack = np.ascontiguousarray(np.stack([np.eye(2, dtype=complex), big]))
+        stack = np.stack([np.eye(2, dtype=complex), big])
         with np.errstate(over="ignore", invalid="ignore"):  # the Gram product's own overflow
-            gram = linalg._adjoint_product(linalg._adjoint(stack), stack)
+            embedded = linalg._embedded(stack)
+            gram = np.swapaxes(embedded, -2, -1) @ embedded
         assert not linalg._gram_defect(gram) <= 1.0

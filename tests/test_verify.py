@@ -54,8 +54,8 @@ def _route_samples(monkeypatch, each):
     `each` leaves them."""
     batches = verify._grid_batches
 
-    def streaming(ctrl, steps):
-        for times, frames in batches(ctrl, steps):
+    def streaming(ctrl, steps, out=None):
+        for times, frames in batches(ctrl, steps, out):
             each(times, frames)
             yield times, frames
 
@@ -480,12 +480,30 @@ class TestSampledLoopOwnsItsFrames:
         assert loop_length_numeric(loop) == length
         np.testing.assert_array_equal(numeric_holonomy(loop), gamma)
 
-    def test_a_read_only_stack_of_its_own_is_kept_and_any_other_copied(self):
+    def test_its_frames_cannot_be_made_writeable_again(self):
+        # a stack that owns its data could be: the loop holds a read-only
+        # view of a read-only stack, whose flag numpy refuses to set
+        ctrl = synthesize(catalog_get("hadamard").matrix).controller
+        for loop in (SampledLoop(self._frames()), sample_loop(ctrl, 100)):
+            length = loop_length_numeric(loop)
+            with pytest.raises(ValueError):
+                loop.frames.setflags(write=True)
+            assert loop_length_numeric(loop) == length
+
+    def test_a_frozen_view_is_kept_and_any_other_stack_copied(self):
+        # whoever holds a read-only stack that owns its data may make it
+        # writeable again, so it is copied, as a writeable stack is; the
+        # read-only view of a read-only stack, the form the loop holds and
+        # sample_loop hands over, is kept
         frames = self._frames()
         frames.setflags(write=False)
-        assert SampledLoop(frames).frames is frames
+        loop = SampledLoop(frames)
+        assert not np.shares_memory(loop.frames, frames)
+        assert SampledLoop(loop.frames).frames is loop.frames
         view = frames[:]
-        assert SampledLoop(view).frames is not view
+        assert SampledLoop(view).frames is view
+        writeable = self._frames()
+        assert not np.shares_memory(SampledLoop(writeable[:]).frames, writeable)
 
 
 class TestStreamedOracle:
@@ -504,6 +522,18 @@ class TestStreamedOracle:
         ctrl = self._controller(k)
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
         for steps in sorted({2, 3, 100, chunk - 1, chunk, chunk + 1, 2 * chunk + 1} - {0, 1}):
+            whole = numeric_holonomy(sample_loop(ctrl, steps))
+            streamed = cross_validate(ctrl, np.eye(k), (steps,)).gamma_numeric
+            np.testing.assert_array_equal(streamed, whole, err_msg=str(steps))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_budget_below_two_frames_still_streams_two(self, k, monkeypatch):
+        # a one-frame chunk at k = 1 would meet the sampler's lone-offset
+        # rule, whose buffer the fold's rows cannot hold
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 16)
+        ctrl = self._controller(k)
+        assert verify._chunk_frames(ctrl.n, ctrl.k) == 2
+        for steps in (2, 3, 10):
             whole = numeric_holonomy(sample_loop(ctrl, steps))
             streamed = cross_validate(ctrl, np.eye(k), (steps,)).gamma_numeric
             np.testing.assert_array_equal(streamed, whole, err_msg=str(steps))
@@ -610,8 +640,34 @@ class TestStreamedOracle:
         frames = np.array(curve_samples(ctrl, verify._grid_times(2000, 0, 2001)))
         frames[index] *= factor
         with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
-            verify._chain_holonomy(verify._slices(frames), ctrl.base_frame(),
-                                   verify.VALIDATION_TOL)
+            verify._chain_holonomy(lambda rows: verify._slices(frames), 512,
+                                   ctrl.base_frame(), verify.VALIDATION_TOL)
+
+    @pytest.mark.parametrize("error", ["off-diagonal", "diagonal"])
+    def test_a_gram_error_on_either_side_of_the_diagonal_is_rejected(self, error, monkeypatch):
+        # two unit columns 1e-8 from orthogonal, or one column 1e-8 too
+        # long, in frame 700 of 2000 steps: every check route rejects it
+        ctrl = self._controller(4)
+        tilt = np.eye(4, dtype=complex)
+        if error == "off-diagonal":
+            tilt[0, 1], tilt[1, 1] = 1e-8, np.sqrt(1.0 - 1e-16)
+        else:
+            tilt[0, 0] = 1.0 + 1e-8
+        at = verify._grid_times(2000, 700, 701)[0]
+
+        def bad(times, frames):
+            frames[times == at] = frames[times == at] @ tilt
+
+        _route_samples(monkeypatch, bad)
+        with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
+            cross_validate(ctrl, np.eye(4), (2000,))
+        with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
+            sample_loop(ctrl, 2000)
+        frames = np.array(curve_samples(ctrl, verify._grid_times(2000, 0, 2001)))
+        frames[700] = frames[700] @ tilt
+        with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
+            verify._chain_holonomy(lambda rows: verify._slices(frames), 512,
+                                   ctrl.base_frame(), verify.VALIDATION_TOL)
 
     def test_one_step_is_too_few(self):
         with pytest.raises(TooFewSamples):
@@ -762,6 +818,18 @@ class TestInPlaceStream:
     def _controller():
         return synthesize(random_haar(np.random.default_rng(34), 4)).controller
 
+    def test_two_chunk_budgets_agree_to_roundoff_at_1e5_steps(self, monkeypatch):
+        # the fold's factors hold the embedding's form only to roundoff; K is
+        # read as the mean of the chain's even rows and i times its odd ones,
+        # which cancels what breaks the form, so a budget that only
+        # reassociates the chain and resamples the frames to roundoff moves
+        # Gamma by about 5e-15 (3e-14 with the even rows alone)
+        gate = catalog_get("dft2").matrix
+        ctrl = synthesize(gate).controller
+        default = cross_validate(ctrl, gate).gamma_numeric
+        monkeypatch.setattr(verify, "_CHUNK_BYTES", 2**13)
+        assert np.abs(cross_validate(ctrl, gate).gamma_numeric - default).max() <= 1e-14
+
     def test_a_run_leaves_no_thread_behind(self):
         threads = threading.active_count()
         cross_validate(self._controller(), np.eye(4), (1000, 3000))
@@ -860,7 +928,7 @@ class TestShiftedGrid:
             self._assert_near_the_curve(ctrl, steps, 2e-15 * winding)
 
     def _faulty(self, monkeypatch, **times):
-        monkeypatch.setattr(verify, "_frame_sampler", lambda ctrl, offsets: (
+        monkeypatch.setattr(verify, "_frame_sampler", lambda ctrl, offsets, out=None: (
             frame_sampler_reference(ctrl, offsets, **times)))
 
     def test_a_sampler_without_the_fiber_shift_is_caught_here_not_by_the_oracle(
