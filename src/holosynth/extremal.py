@@ -21,6 +21,7 @@ as closed when its Grassmannian closure defect is at most `CLOSURE_TOL`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,17 +42,26 @@ def standard_base_frame(n: int, k: int) -> np.ndarray:
     return v
 
 
+_SEALED = {}  # id -> a weak reference to each stack `_sealed` made read-only
+
+
+def _sealed(stack: np.ndarray) -> np.ndarray:
+    """A read-only view of `stack`, a fresh C-ordered complex array that no
+    caller holds, recorded: the one way a stack reaches `_frozen` uncopied."""
+    stack.setflags(write=False)
+    key = id(stack)
+    _SEALED[key] = weakref.ref(stack, lambda _, key=key: _SEALED.pop(key, None))
+    return stack.view()
+
+
 def _frozen(a) -> np.ndarray:
-    """`a` as a read-only C-ordered complex view of a read-only array that
-    owns its data, so that its `setflags(write=True)` raises ValueError:
-    `a` itself if it already is one, as this function's results and the
-    package's own hand-offs are, else a view of a read-only copy."""
-    if not (isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray) and a.base.flags.owndata
-            and not (a.base.flags.writeable or a.flags.writeable) and a.flags.c_contiguous
-            and a.dtype == complex):
-        a = np.array(a, dtype=complex)
-        a.setflags(write=False)
-        a = a.view()
+    """`a` as a read-only C-ordered complex view of a `_sealed` stack, so
+    that no caller can make it writeable: `a` itself if it already is one,
+    else a view of a sealed copy."""
+    sealed = _SEALED.get(id(a.base)) if isinstance(a, np.ndarray) else None
+    if not (sealed is not None and sealed() is a.base and not a.flags.writeable
+            and a.flags.c_contiguous and a.dtype == complex):
+        a = _sealed(np.array(a, dtype=complex))
     return a
 
 
@@ -261,10 +271,14 @@ def length_analytic(ctrl: Controller) -> float:
 def check_target(ctrl: Controller, target, tol: float = VALIDATION_TOL) -> np.ndarray:
     """The target gate as a matrix, checked unitary within `tol` and k x k
     for this controller (NonUnitaryInput, DimensionError otherwise)."""
-    target = check_unitary(target, tol, what="target gate")
-    if target.shape != (ctrl.k, ctrl.k):
-        raise DimensionError(f"target gate has shape {target.shape}, not {(ctrl.k, ctrl.k)}")
-    return target
+    return _fitting(ctrl, check_unitary(target, tol, what="target gate"))
+
+
+def _fitting(ctrl: Controller, gate: np.ndarray) -> np.ndarray:
+    """`gate`; DimensionError unless it is k x k for this controller."""
+    if gate.shape != (ctrl.k, ctrl.k):
+        raise DimensionError(f"target gate has shape {gate.shape}, not {(ctrl.k, ctrl.k)}")
+    return gate
 
 
 def transform_controller(ctrl: Controller, h1, h2, tol: float = VALIDATION_TOL) -> Controller:

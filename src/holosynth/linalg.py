@@ -1,8 +1,8 @@
 """Dense complex linear algebra on numpy alone: validated unitary
 eigendecomposition (a Cayley transform handed to the Hermitian `eigh`),
-polar unitarization, and the frames' exact real embedding with the Gram
-check read off it, which the oracle's fold shares (`_embedded`,
-`_gram_defect`). The one matrix exponential of the package is the
+polar unitarization, and the one reduction of a Gram defect
+||G - I||_F^2 (`_squared_gram_defect`), which `unitarity_defect` and the
+oracle's fold share. The one matrix exponential of the package is the
 extremal curve itself, `extremal.curve_samples`.
 
 Matrices are plain complex numpy arrays. Validation helpers raise typed
@@ -43,37 +43,24 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def unitarity_defect(u) -> float:
     """||U^H U - I||_F; for a stack of matrices, the largest over the stack.
+    Any numeric input is read as a complex double-precision array.
     Overflowing or NaN entries give an inf or NaN defect, without a numpy
     warning, which every `not defect <= tol` check rejects."""
-    u = np.asarray(u)
+    u = np.asarray(u, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(u, -2, -1).conj() @ u
-        return float(np.linalg.norm(gram - np.eye(u.shape[-1]), axis=(-2, -1)).max())
+        return _squared_gram_defect(np.swapaxes(u, -2, -1).conj() @ u) ** 0.5
 
 
-def _embedded(u: np.ndarray) -> np.ndarray:
-    """The real embedding e(U) of a complex (..., n, k) stack: the
-    (..., 2n, 2k) real view of [[U], [iU]], for which e(A)^T e(B) = E(A^H B),
-    each entry x + iy of A^H B becoming the block [[x, y], [-y, x]]."""
-    n = u.shape[-2]
-    out = np.empty(u.shape[:-2] + (2 * n, u.shape[-1]), dtype=complex)
-    out[..., :n, :] = u
-    np.multiply(u, 1j, out=out[..., n:, :])
-    return out.view(float)
-
-
-def _gram_defect(gram: np.ndarray) -> float:
-    """The largest ||G - I||_F over a stack of Gram matrices G = U^H U,
-    given as their real embeddings E(G) = e(U)^T e(U) (see `_embedded`),
-    which it overwrites: `unitarity_defect(U)` to roundoff, since each
-    entry of G - I appears twice in E(G) - I, so ||E(G) - I||_F^2 =
-    2 ||G - I||_F^2. Like `unitarity_defect`, inf or NaN without a warning
-    on overflowing or NaN entries."""
+def _squared_gram_defect(gram: np.ndarray) -> float:
+    """The largest ||G - I||_F^2 over a stack of double-precision square
+    matrices G, which it overwrites: 1 is subtracted on the diagonal and
+    the squares of the real view summed. Inf or NaN without a warning on
+    overflowing or NaN entries."""
     with np.errstate(over="ignore", invalid="ignore"):
         diagonal = np.einsum("...ii->...i", gram)  # a writable view
         diagonal -= 1.0
-        worst = np.einsum("...ij,...ij->...", gram, gram).max()
-    return float(worst / 2.0) ** 0.5
+        real = gram.view(float)
+        return float(np.einsum("...ij,...ij->...", real, real).max())
 
 
 def skewness_defect(a: np.ndarray) -> float:

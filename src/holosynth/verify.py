@@ -41,7 +41,7 @@ buffers and the fold's work arrays are allocated once per stream.
 
 The per-sample k x k products run in real arithmetic, which numpy's
 batched matmul does several times faster than complex for small k. The
-fold holds each frame once in its real embedding e(V), the 2n x 2k real
+fold alone holds each frame in its real embedding e(V), the 2n x 2k real
 view of [[V], [iV]], for which e(A)^T e(B) = E(A^H B) exactly, with
 
     E(Z) = Re Z (x) I_2 + Im Z (x) [[0, 1], [-1, 0]],
@@ -53,13 +53,13 @@ chunk into the rows :n, and one multiply by 1j fills the rows below. One
 batched matmul of the blocks e(V_i)^T with the windows [e(V_{i-1}) | e(V_i)],
 both strided views, gives [E(V_i^H V_{i-1}) | E(V_i^H V_i)]: the chain's
 factor and the embedded Gram matrix, whose ||E(G) - I||_F^2 =
-2 ||G - I||_F^2 is the check (`linalg._gram_defect`). E(Z)'s complex view
-holds Z in the even rows and iZ in the odd ones. The computed factors
-hold that form only up to roundoff, as each entry pair sums the same terms
-in another order, so K is read as the mean (even - i odd) / 2, which
-cancels the roundoff that breaks the form, before the polar step.
-The Gram half repeats G, so the product takes 16 n k^2 multiply-adds per
-frame, twice the complex products' count: the flops dominate at k = 64.
+2 ||G - I||_F^2 is the Gram check, summed by the reduction of
+`linalg.unitarity_defect`, which checks stored frames (`_check_frames`).
+E(Z)'s complex view holds Z in the even rows and iZ in the odd ones, up
+to roundoff, as each entry pair sums the same terms in another order, so
+K is read as the mean (even - i odd) / 2, which cancels that roundoff,
+before the polar step. The Gram half repeats G: 16 n k^2 multiply-adds
+per frame, twice the complex products', which dominate at k = 64.
 
 `loop_length_numeric` is the length oracle: the chord rule over the
 consecutive frames (V_i, V_{i+1}) of the loop, no wrap-around, no copy of
@@ -85,11 +85,11 @@ from .errors import DimensionError, InvalidFrame, OpenLoop, TooFewSamples
 # curve_samples and loop_closure_defect are not called here; perfbench's tracing wraps
 # them by this module's name.
 from .extremal import (
-    CLOSURE_TOL, Controller, _frame_sampler, _frozen, check_target, curve_samples,
+    CLOSURE_TOL, Controller, _frame_sampler, _frozen, _sealed, check_target, curve_samples,
     holonomy_analytic, loop_closure_defect, standard_base_frame,
 )
 from .linalg import (
-    _MAX_WHOLE, VALIDATION_TOL, _embedded, _gram_defect, _haar_stack, polar_unitary,
+    _MAX_WHOLE, VALIDATION_TOL, _haar_stack, _squared_gram_defect, polar_unitary, unitarity_defect,
 )
 from .synth import _param, _whole
 
@@ -110,8 +110,8 @@ class SampledLoop:
     frames span the same subspace (their projectors agree within
     `extremal.CLOSURE_TOL`) and every frame is orthonormal,
     ||V^H V - I||_F within `tol`. The loop holds its frames as the
-    read-only view of a read-only stack (`extremal._frozen`): such a view
-    is kept, any other array copied, so no caller can change a frame.
+    read-only view of a stack no caller holds (`extremal._frozen`): such a
+    view is kept, any other array copied, so no caller can change a frame.
     """
 
     frames: np.ndarray
@@ -236,11 +236,10 @@ def _grid_times(steps: int, start: int, stop: int) -> np.ndarray:
 
 
 def _check_frames(frames: np.ndarray, tol: float) -> None:
-    """Gram-check a (c, n, k) frame stack by the fold's embedded rule:
-    InvalidFrame unless every ||V^H V - I||_F is within `tol`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        embedded = _embedded(frames)
-        worst = _gram_defect(np.swapaxes(embedded, 1, 2) @ embedded)
+    """Gram-check a stored (c, n, k) frame stack, as `SampledLoop` and the
+    `sample` CSV hold them: InvalidFrame unless every ||V^H V - I||_F,
+    `linalg.unitarity_defect`, is within `tol`."""
+    worst = unitarity_defect(frames)
     if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
 
@@ -261,8 +260,7 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
     frames = np.empty((steps + 1, ctrl.n, ctrl.k), dtype=complex)
     for out, (_, batch) in zip(_slices(frames), _grid_batches(ctrl, steps)):
         out[...] = batch
-    frames.setflags(write=False)
-    return SampledLoop(frames.view(), tol)
+    return SampledLoop(_sealed(frames), tol)
 
 
 def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -312,7 +310,7 @@ def _chain_holonomy(stream, count: int, v0: np.ndarray, tol: float) -> np.ndarra
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(buffer[:n, :(c + 1) * k], 1j, out=buffer[n:, :(c + 1) * k])
             np.matmul(blocks[:c], windows[:c], out=products[:c])
-        worst = _gram_defect(products[:c, :, 2 * k:])
+        worst = (_squared_gram_defect(products[:c, :, 2 * k:]) / 2.0) ** 0.5
         if not worst <= tol:
             raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
         chain = _ordered_chain(products[c - 1::-1, :, :2 * k], halves) @ chain
@@ -463,8 +461,6 @@ def gauge_invariance_check(loop: SampledLoop, trials: int, seed: int) -> float:
     worst = 0.0
     for _ in range(trials):
         gauges = _haar_stack(loop.rank, rng, loop.frames.shape[:1])
-        regauged = loop.frames @ gauges
-        regauged.setflags(write=False)
-        gamma = numeric_holonomy(SampledLoop(regauged.view(), loop.tol))
+        gamma = numeric_holonomy(SampledLoop(_sealed(loop.frames @ gauges), loop.tol))
         worst = max(worst, float(np.linalg.norm(gamma - baseline)))
     return worst

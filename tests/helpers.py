@@ -173,11 +173,26 @@ def _embedding_serial(z):
     return np.array([np.kron(m.real, np.eye(2)) + np.kron(m.imag, turn) for m in z])
 
 
+def embedded_reference(u):
+    """The real embedding e(U) of a complex (..., n, k) stack that the
+    oracle's fold holds its frames in: the (..., 2n, 2k) real view of
+    [[U], [iU]], for which e(A)^T e(B) = E(A^H B)."""
+    return np.concatenate([u, 1j * u], axis=-2).view(float)
+
+
+def unitarity_defect_reference(u):
+    """The largest ||U^H U - I||_F over a stack, from the complex Gram
+    matrices and numpy's norm, as `linalg.unitarity_defect` computed it
+    before it shared the fold's reduction."""
+    u = np.asarray(u, dtype=complex)
+    grams = _adjoint_product_serial(u, u)
+    return float(np.linalg.norm(grams - np.eye(u.shape[-1]), axis=(-2, -1)).max())
+
+
 def _check_frames_serial(frames, tol):
     """The Gram check in plain complex arithmetic: every ||V^H V - I||_F
     from the complex Gram matrix and numpy's norm."""
-    grams = _adjoint_product_serial(frames, frames)
-    worst = np.linalg.norm(grams - np.eye(frames.shape[-1]), axis=(-2, -1)).max()
+    worst = unitarity_defect_reference(frames)
     if not worst <= tol:
         raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
 

@@ -419,16 +419,23 @@ class TestCliVerify:
         assert run_cli(capsys, *sample_doc)[0] == 4
         assert run_cli(capsys, *sample_doc, "--tolerance", "1e-6")[0] == 0
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_target_of_the_wrong_shape_exits_2(self, dim, capsys, tmp_path):
-        def replace_gate(doc):
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("dim, k", [(1, 4), (2, 4), (4, 5)],
+                             ids=["1x1-gate", "2x2-gate", "five-eigenphases"])
+    def test_target_of_the_wrong_shape_exits_2(self, dim, k, command, capsys, tmp_path):
+        # cnot's k = 4 controller with a dim x dim gate, or with a fifth
+        # eigenphase, which reads a k = 5 controller off the same generator:
+        # every reader of the document refuses the gate before any sample
+        def misfit(doc):
             doc["gate"]["matrix"] = encode_matrix(np.eye(dim))
+            doc["synthesis"]["eigenphases"] += [0.0] * (k - 4)
 
-        target = self._perturbed_cnot(capsys, tmp_path, replace_gate)
-        code, _, err = run_cli(capsys, "verify", "--doc", str(target), "--steps", "1000")
+        target = self._perturbed_cnot(capsys, tmp_path, misfit)
+        code, out, err = run_cli(capsys, command, "--doc", str(target), "--steps", "1000")
         assert code == 2
-        assert f"target gate has shape ({dim}, {dim})" in err
+        assert f"target gate has shape ({dim}, {dim}), not ({k}, {k})" in err
         assert "Traceback" not in err
+        assert out == ""
 
     def test_a_gate_the_controller_does_not_implement_exits_4(self, capsys, tmp_path):
         def replace_gate(doc):

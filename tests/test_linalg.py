@@ -18,8 +18,8 @@ from holosynth import (
 )
 from holosynth.extremal import check_target
 from helpers import (
-    _embedding_serial, eig_unitary_reference, expm_eigen, expm_taylor_squaring, random_haar,
-    random_skew,
+    _embedding_serial, eig_unitary_reference, embedded_reference, expm_eigen,
+    expm_taylor_squaring, random_haar, random_skew, unitarity_defect_reference,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -380,14 +380,17 @@ class TestHaarUnitary:
 
 
 class TestEmbeddedGram:
-    """The frames' real embedding e(U), the real view of [[U], [iU]], and
-    the Gram rule on E(G) = e(U)^T e(U), against numpy's complex product,
-    an np.kron embedding and `unitarity_defect`."""
+    """The oracle fold's Gram rule, ||E(G) - I||_F^2 = 2 ||G - I||_F^2 on
+    the embedded Gram matrix E(G) = e(U)^T e(U), summed by the reduction
+    `unitarity_defect` shares, and `unitarity_defect` itself, against the
+    references of `helpers`: a test-side embedding, an np.kron embedding
+    and the norm-based defect."""
 
     @staticmethod
     def _defect(frames):
-        embedded = linalg._embedded(frames)
-        return linalg._gram_defect(np.swapaxes(embedded, -2, -1) @ embedded)
+        embedded = embedded_reference(frames)
+        gram = np.swapaxes(embedded, -2, -1) @ embedded
+        return (linalg._squared_gram_defect(gram) / 2.0) ** 0.5
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 16])
     def test_the_embeddings_product_is_the_embedded_complex_product(self, k):
@@ -395,7 +398,7 @@ class TestEmbeddedGram:
         shape = (5, 2 * k + 1, k)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        product = np.swapaxes(linalg._embedded(a), -2, -1) @ linalg._embedded(b)
+        product = np.swapaxes(embedded_reference(a), -2, -1) @ embedded_reference(b)
         reference = _embedding_serial(a.conj().swapaxes(-1, -2) @ b)
         assert product.shape == (5, 2 * k, 2 * k)
         assert np.abs(product - reference).max() <= 1e-13
@@ -413,10 +416,11 @@ class TestEmbeddedGram:
         frames = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if scale is not None:
             frames = np.linalg.qr(frames)[0] * (1.0 + scale * rng.standard_normal(shape))
-        reference = linalg.unitarity_defect(frames)
+        reference = unitarity_defect_reference(frames)
         grams = np.linalg.norm(frames.conj().swapaxes(-1, -2) @ frames, axis=(-2, -1)).max()
-        gap = abs(self._defect(frames) - reference)
-        assert gap <= 1e-15 * max(reference, grams), (gap, reference)
+        for defect in (self._defect(frames), linalg.unitarity_defect(frames)):
+            gap = abs(defect - reference)
+            assert gap <= 1e-15 * max(reference, grams), (gap, reference)
 
     @pytest.mark.parametrize("k", [2, 4, 16])
     def test_an_error_off_the_diagonal_alone_is_caught(self, k):
@@ -427,7 +431,8 @@ class TestEmbeddedGram:
         frames = random_haar(np.random.default_rng(k), 2 * k)[None, :, :k] @ tilt
         gram = frames[0].conj().T @ frames[0]
         assert np.abs(np.diag(gram) - 1.0).max() <= 1e-15
-        assert self._defect(frames) == pytest.approx(np.sqrt(2.0) * 1e-8, rel=1e-6)
+        for defect in (self._defect(frames), linalg.unitarity_defect(frames)):
+            assert defect == pytest.approx(np.sqrt(2.0) * 1e-8, rel=1e-6)
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_an_error_on_the_diagonal_alone_is_caught(self, k):
@@ -435,14 +440,28 @@ class TestEmbeddedGram:
         frames[..., 0] *= 1.0 + 1e-8
         gram = frames[0].conj().T @ frames[0]
         assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-15
-        assert self._defect(frames) == pytest.approx(2e-8, rel=1e-6)
+        for defect in (self._defect(frames), linalg.unitarity_defect(frames)):
+            assert defect == pytest.approx(2e-8, rel=1e-6)
 
     def test_overflow_gives_an_inf_defect_without_a_warning(self):
         # pytest turns a RuntimeWarning into an error
         big = np.diag([1.0, 1e200]).astype(complex)
         assert not linalg.unitarity_defect(big) <= 1.0
         stack = np.stack([np.eye(2, dtype=complex), big])
+        assert not linalg.unitarity_defect(stack) <= 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # the Gram product's own overflow
-            embedded = linalg._embedded(stack)
+            embedded = embedded_reference(stack)
             gram = np.swapaxes(embedded, -2, -1) @ embedded
-        assert not linalg._gram_defect(gram) <= 1.0
+        assert not linalg._squared_gram_defect(gram) <= 1.0
+
+    @pytest.mark.parametrize("given", [
+        np.eye(2, dtype=int), np.array([[1, 1], [0, 1]]),
+        np.linalg.qr(np.random.default_rng(7).standard_normal((3, 5, 2)))[0].astype(np.float32),
+        random_haar(np.random.default_rng(8), 3).astype(np.complex64),
+        [[1, 1], [0, 1]], random_haar(np.random.default_rng(9), 2).tolist(),
+    ], ids=["int-eye", "int", "float32", "complex64", "int-list", "complex-list"])
+    def test_any_numeric_input_is_read_in_double_precision(self, given):
+        # an integer Gram matrix cannot take 1.0 away in place, and a
+        # float64 view of a float32 one would misread its bytes
+        reference = unitarity_defect_reference(given)
+        assert linalg.unitarity_defect(given) == pytest.approx(reference, rel=1e-12, abs=1e-14)

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holosynth import verify
+from holosynth import cli, verify
+from holosynth.document import canonical_dumps, encode_matrix
 from holosynth import (
     Controller,
     DimensionError,
@@ -50,8 +51,8 @@ def _warped_loop(ctrl, steps, strength=0.15):
 def _route_samples(monkeypatch, each):
     """Pass every grid batch through each(times, frames), which may record,
     alter or raise, on the grid's batcher, `_grid_batches`, which the
-    oracle's stream and `sample_loop` read. The reader gets the frames as
-    `each` leaves them."""
+    oracle's stream, `sample_loop` and the `sample` CSV read. The reader
+    gets the frames as `each` leaves them."""
     batches = verify._grid_batches
 
     def streaming(ctrl, steps, out=None):
@@ -60,6 +61,7 @@ def _route_samples(monkeypatch, each):
             yield times, frames
 
     monkeypatch.setattr(verify, "_grid_batches", streaming)
+    monkeypatch.setattr(cli, "_grid_batches", streaming)
 
 
 def _projectors(frames):
@@ -491,19 +493,27 @@ class TestSampledLoopOwnsItsFrames:
             assert loop_length_numeric(loop) == length
 
     def test_a_frozen_view_is_kept_and_any_other_stack_copied(self):
-        # whoever holds a read-only stack that owns its data may make it
-        # writeable again, so it is copied, as a writeable stack is; the
-        # read-only view of a read-only stack, the form the loop holds and
-        # sample_loop hands over, is kept
+        # whoever holds a read-only stack may make it writeable again, so
+        # it is copied, and so is any view of it, as a writeable stack is;
+        # the loop's own frames, whose stack no caller holds, are kept
         frames = self._frames()
         frames.setflags(write=False)
         loop = SampledLoop(frames)
         assert not np.shares_memory(loop.frames, frames)
         assert SampledLoop(loop.frames).frames is loop.frames
-        view = frames[:]
-        assert SampledLoop(view).frames is view
+        assert not np.shares_memory(SampledLoop(frames[:]).frames, frames)
         writeable = self._frames()
         assert not np.shares_memory(SampledLoop(writeable[:]).frames, writeable)
+
+    def test_a_stack_made_writeable_again_does_not_reach_its_readers(self):
+        frames = self._frames()
+        length = loop_length_numeric(SampledLoop(frames))
+        assert length == pytest.approx(9.866, abs=1e-3)
+        frames.setflags(write=False)
+        loop = SampledLoop(frames[:])
+        frames.setflags(write=True)
+        frames[50] *= 3
+        assert loop_length_numeric(loop) == length
 
 
 class TestStreamedOracle:
@@ -643,12 +653,18 @@ class TestStreamedOracle:
             verify._chain_holonomy(lambda rows: verify._slices(frames), 512,
                                    ctrl.base_frame(), verify.VALIDATION_TOL)
 
-    @pytest.mark.parametrize("error", ["off-diagonal", "diagonal"])
-    def test_a_gram_error_on_either_side_of_the_diagonal_is_rejected(self, error, monkeypatch):
+    @pytest.mark.parametrize("k, error", [
+        (1, "diagonal"),
+        *((k, error) for k in (2, 4, 16) for error in ("off-diagonal", "diagonal")),
+    ])
+    def test_a_gram_error_on_either_side_of_the_diagonal_is_rejected(
+            self, k, error, capsys, monkeypatch, tmp_path):
         # two unit columns 1e-8 from orthogonal, or one column 1e-8 too
-        # long, in frame 700 of 2000 steps: every check route rejects it
-        ctrl = self._controller(4)
-        tilt = np.eye(4, dtype=complex)
+        # long, in frame 700 of 2000 steps: every check route rejects it,
+        # the fold's embedded rule and the stored frames' unitarity_defect
+        gate = random_haar(np.random.default_rng(30 + k), k)
+        ctrl = synthesize(gate).controller
+        tilt = np.eye(k, dtype=complex)
         if error == "off-diagonal":
             tilt[0, 1], tilt[1, 1] = 1e-8, np.sqrt(1.0 - 1e-16)
         else:
@@ -660,13 +676,21 @@ class TestStreamedOracle:
 
         _route_samples(monkeypatch, bad)
         with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
-            cross_validate(ctrl, np.eye(4), (2000,))
+            cross_validate(ctrl, np.eye(k), (2000,))
         with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
             sample_loop(ctrl, 2000)
+        matrix = tmp_path / "gate.json"
+        matrix.write_text(canonical_dumps(encode_matrix(gate)))
+        out = tmp_path / "loop.csv"
+        assert cli.main(["sample", "--matrix", str(matrix), "--steps", "2000",
+                         "--out", str(out)]) == 4
+        assert "worst per-sample frame defect" in capsys.readouterr().err
+        assert not out.exists()
         frames = np.array(curve_samples(ctrl, verify._grid_times(2000, 0, 2001)))
         frames[700] = frames[700] @ tilt
         with pytest.raises(InvalidFrame, match="worst per-sample frame defect"):
-            verify._chain_holonomy(lambda rows: verify._slices(frames), 512,
+            verify._chain_holonomy(lambda rows: verify._slices(frames),
+                                   min(verify._chunk_frames(ctrl.n, k), 2001),
                                    ctrl.base_frame(), verify.VALIDATION_TOL)
 
     def test_one_step_is_too_few(self):
