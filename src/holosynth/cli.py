@@ -47,7 +47,9 @@ from .errors import (
 from .extremal import evaluate_controller
 from .linalg import VALIDATION_TOL
 from .synth import SynthesisParams, _real, _whole, _winding, synthesize
-from .verify import DEFAULT_SCHEDULE, _check_frames, _closed_loop, _grid_batches, cross_validate
+from .verify import (
+    DEFAULT_SCHEDULE, _check_frames, _closed_loop, _grid_batches, _grid_times, cross_validate,
+)
 
 HOLONOMY_BOUND = 1e-10
 CLOSURE_BOUND = 1e-10
@@ -379,10 +381,12 @@ def cmd_sample(args) -> int:
 
     def blocks():
         yield ",".join(header) + "\n"
-        for times, view in _grid_batches(ctrl, steps):
+        start = 0
+        for view in _grid_batches(ctrl, steps):
             frames = np.ascontiguousarray(view)  # the rows' einsum and reshapes need C order
             _check_frames(frames, args.tolerance)
-            m, p = len(times), np.einsum("mik,mjk->mij", frames, frames.conj())
+            m, p = len(frames), np.einsum("mik,mjk->mij", frames, frames.conj())
+            times, start = _grid_times(steps, start, start + m), start + m
             columns = [times[:, None], frames.reshape(m, -1).view(float),
                        p.reshape(m, -1).view(float)]
             if bloch:

@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .errors import DimensionError
-from .extremal import Controller, HolonomyReport, _fitting
+from .extremal import Controller, HolonomyReport, check_target
 from .linalg import VALIDATION_TOL
 from .synth import SynthesisParams, SynthesisResult, _real, _whole
 from .verify import OracleReport
@@ -198,8 +198,9 @@ def document_controller(doc: dict, tol: float = VALIDATION_TOL) -> tuple[Control
 
     The channel count k is the number of eigenphases; the stored generator
     must be in controller block form for it (`Controller._from_matrix`),
-    its omega block skew-Hermitian at `tol`, and the gate k x k for it
-    (`DimensionError`), so that every reader of a document agrees.
+    its omega block skew-Hermitian at `tol`, and the gate a unitary at
+    `tol`, k x k for it (`extremal.check_target`: NonUnitaryInput,
+    DimensionError), so that every reader of a document agrees.
     """
     x = decode_matrix(_field(doc, "synthesis", "controller"))
     gate = decode_matrix(_field(doc, "gate", "matrix"))
@@ -207,4 +208,4 @@ def document_controller(doc: dict, tol: float = VALIDATION_TOL) -> tuple[Control
     if not isinstance(phases, list):
         raise DimensionError(f"controller document eigenphases = {phases!r} is not a list")
     ctrl = Controller._from_matrix(x, len(phases), tol)
-    return ctrl, _fitting(ctrl, gate)
+    return ctrl, check_target(ctrl, gate, tol)

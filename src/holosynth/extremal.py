@@ -271,11 +271,7 @@ def length_analytic(ctrl: Controller) -> float:
 def check_target(ctrl: Controller, target, tol: float = VALIDATION_TOL) -> np.ndarray:
     """The target gate as a matrix, checked unitary within `tol` and k x k
     for this controller (NonUnitaryInput, DimensionError otherwise)."""
-    return _fitting(ctrl, check_unitary(target, tol, what="target gate"))
-
-
-def _fitting(ctrl: Controller, gate: np.ndarray) -> np.ndarray:
-    """`gate`; DimensionError unless it is k x k for this controller."""
+    gate = check_unitary(target, tol, what="target gate")
     if gate.shape != (ctrl.k, ctrl.k):
         raise DimensionError(f"target gate has shape {gate.shape}, not {(ctrl.k, ctrl.k)}")
     return gate

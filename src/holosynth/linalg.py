@@ -2,8 +2,10 @@
 eigendecomposition (a Cayley transform handed to the Hermitian `eigh`),
 polar unitarization, and the one reduction of a Gram defect
 ||G - I||_F^2 (`_squared_gram_defect`), which `unitarity_defect` and the
-oracle's fold share. The one matrix exponential of the package is the
-extremal curve itself, `extremal.curve_samples`.
+oracle's fold share: both hand it complex Gram matrices G = V^H V, the
+fold as the even rows of its real product's Gram half, in complex view.
+The one matrix exponential of the package is the extremal curve itself,
+`extremal.curve_samples`.
 
 Matrices are plain complex numpy arrays. Validation helpers raise typed
 exceptions from :mod:`holosynth.errors`, so callers can rely on inputs
@@ -52,9 +54,10 @@ def unitarity_defect(u) -> float:
 
 
 def _squared_gram_defect(gram: np.ndarray) -> float:
-    """The largest ||G - I||_F^2 over a stack of double-precision square
-    matrices G, which it overwrites: 1 is subtracted on the diagonal and
-    the squares of the real view summed. Inf or NaN without a warning on
+    """The largest ||G - I||_F^2 over a stack of complex double-precision
+    square matrices G, which it overwrites, and which may be strided views
+    whose rows are contiguous: 1 is subtracted on the diagonal and the
+    squares of the real view summed. Inf or NaN without a warning on
     overflowing or NaN entries."""
     with np.errstate(over="ignore", invalid="ignore"):
         diagonal = np.einsum("...ii->...i", gram)  # a writable view

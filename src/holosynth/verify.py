@@ -47,19 +47,23 @@ view of [[V], [iV]], for which e(A)^T e(B) = E(A^H B) exactly, with
     E(Z) = Re Z (x) I_2 + Im Z (x) [[0, 1], [-1, 0]],
 
 each entry x + iy of Z becoming the block [[x, y], [-y, x]], and
-E(Y Z) = E(Y) E(Z). Its buffer's column blocks of k hold [[V_j], [iV_j]],
-block 0 the previous chunk's last frame: the oracle's sampler writes each
-chunk into the rows :n, and one multiply by 1j fills the rows below. One
-batched matmul of the blocks e(V_i)^T with the windows [e(V_{i-1}) | e(V_i)],
-both strided views, gives [E(V_i^H V_{i-1}) | E(V_i^H V_i)]: the chain's
-factor and the embedded Gram matrix, whose ||E(G) - I||_F^2 =
-2 ||G - I||_F^2 is the Gram check, summed by the reduction of
-`linalg.unitarity_defect`, which checks stored frames (`_check_frames`).
-E(Z)'s complex view holds Z in the even rows and iZ in the odd ones, up
-to roundoff, as each entry pair sums the same terms in another order, so
-K is read as the mean (even - i odd) / 2, which cancels that roundoff,
-before the polar step. The Gram half repeats G: 16 n k^2 multiply-adds
-per frame, twice the complex products', which dominate at k = 64.
+E(Y Z) = E(Y) E(Z). E(Z)'s complex view holds Z in the even rows and iZ
+in the odd ones, up to roundoff, as each entry pair sums the same terms
+in another order. The fold's buffer's column blocks of k hold
+[[V_j], [iV_j]], block 0 the previous chunk's last frame: the oracle's
+sampler writes each chunk into the rows :n, and one multiply by 1j fills
+the rows below. One batched matmul of the blocks e(V_i)^T with the
+windows [e(V_{i-1}) | e(V_i)], both strided views, gives
+[E(V_i^H V_{i-1}) | E(V_i^H V_i)]: the chain's factor and the embedded
+Gram matrix. The Gram check reads G = V_i^H V_i off the even rows of the
+Gram half, in complex view, and sums ||G - I||_F^2 by the reduction of
+`linalg.unitarity_defect`, which checks stored frames (`_check_frames`);
+the odd rows, iG to roundoff, add nothing. The chain's pairwise passes
+are planned once per stream, as views of the fold's work arrays
+(`_chain_passes`), and K is read as the mean (even - i odd) / 2, which
+cancels the roundoff between the rows, before the polar step. The Gram
+half repeats G: 16 n k^2 multiply-adds per frame, twice the complex
+products', which dominate at k = 64.
 
 `loop_length_numeric` is the length oracle: the chord rule over the
 consecutive frames (V_i, V_{i+1}) of the loop, no wrap-around, no copy of
@@ -258,28 +262,32 @@ def sample_loop(ctrl: Controller, steps: int, tol: float = VALIDATION_TOL) -> Sa
     """
     _, (steps,) = _closed_loop(ctrl, steps)
     frames = np.empty((steps + 1, ctrl.n, ctrl.k), dtype=complex)
-    for out, (_, batch) in zip(_slices(frames), _grid_batches(ctrl, steps)):
+    for out, batch in zip(_slices(frames), _grid_batches(ctrl, steps)):
         out[...] = batch
     return SampledLoop(_sealed(frames), tol)
 
 
-def _ordered_chain(factors: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Product factors[0] @ factors[1] @ ... @ factors[-1] by pairwise reduction.
+def _chain_passes(factors: np.ndarray, work: np.ndarray):
+    """(passes, result): the pairwise reduction of the product factors[0] @
+    factors[1] @ ... @ factors[-1], planned as views, to be run in order.
 
     Associativity keeps the operand order intact while each pass halves
-    the count with one batched matmul, so long chains stay cheap. The
-    passes alternate between the two halves of `work`, each holding at
-    least (len(factors) + 1) // 2 matrices.
+    the count with one batched matmul, so long chains stay cheap. Pass
+    (left, right, out, tail, slot) runs np.matmul(left, right, out=out)
+    and, for an odd count, copies the unpaired last factor, `tail`, into
+    `slot`; `result` then holds the product. The passes alternate between
+    the two halves of `work`, each holding at least (len(factors) + 1) // 2
+    matrices. A plan depends only on the count of factors, so a stream
+    builds it once per chunk size, not once per chunk.
     """
-    chain, halves = factors, work.reshape(2, -1, *work.shape[1:])
+    passes, chain, halves = [], factors, work.reshape(2, -1, *work.shape[1:])
     while chain.shape[0] > 1:
         pairs, odd = divmod(chain.shape[0], 2)
         paired, halves = halves[0][:pairs + odd], halves[::-1]
-        np.matmul(chain[0:2 * pairs:2], chain[1:2 * pairs:2], out=paired[:pairs])
-        if odd:
-            paired[pairs] = chain[-1]
+        tail = (chain[-1:], paired[pairs:]) if odd else (None, None)
+        passes.append((chain[0:2 * pairs:2], chain[1:2 * pairs:2], paired[:pairs], *tail))
         chain = paired
-    return chain[0]
+    return passes, chain[0]
 
 
 def _chain_holonomy(stream, count: int, v0: np.ndarray, tol: float) -> np.ndarray:
@@ -290,10 +298,12 @@ def _chain_holonomy(stream, count: int, v0: np.ndarray, tol: float) -> np.ndarra
     the next is asked for; `rows` are the fold buffer's rows :n past block
     0, where a stream may write them in place (see the module docstring).
     Each chunk is copied there, at no cost when it is there already, and
-    one batched matmul gives its chain factors and embedded Gram matrices.
-    Every frame is checked against `tol` (InvalidFrame), and the factors
-    are reduced pairwise into a running 2k x 2k product. The buffer and
-    the work arrays are allocated once, for `count` frames.
+    one batched matmul gives its chain factors and, in its even rows, the
+    frames' Gram matrices. Every frame is checked against `tol`
+    (InvalidFrame), and the factors are reduced pairwise into a running
+    2k x 2k product. The buffer, the work arrays and the views of the
+    chain's passes are built once, for `count` frames; a shorter last
+    chunk plans its own passes.
     """
     n, k = v0.shape
     buffer = np.empty((2 * n, (count + 1) * k), dtype=complex)
@@ -302,7 +312,9 @@ def _chain_holonomy(stream, count: int, v0: np.ndarray, tol: float) -> np.ndarra
     windows = as_strided(real, (count, 2 * n, 4 * k), (step, row, column), writeable=False)
     blocks = np.swapaxes(windows[:, :, 2 * k:], 1, 2)
     products = np.empty((count, 2 * k, 4 * k))
+    grams = products[:, 0::2, 2 * k:].view(complex)  # G = V_i^H V_i; the odd rows hold iG
     halves = np.empty((2 * ((count + 1) // 2), 2 * k, 2 * k))
+    full = _chain_passes(products[::-1, :, :2 * k], halves)
     buffer[:n, :k], chain = v0, np.eye(2 * k)
     for chunk in stream(buffer[:n, k:]):
         c = len(chunk)
@@ -310,10 +322,16 @@ def _chain_holonomy(stream, count: int, v0: np.ndarray, tol: float) -> np.ndarra
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(buffer[:n, :(c + 1) * k], 1j, out=buffer[n:, :(c + 1) * k])
             np.matmul(blocks[:c], windows[:c], out=products[:c])
-        worst = (_squared_gram_defect(products[:c, :, 2 * k:]) / 2.0) ** 0.5
+        worst = _squared_gram_defect(grams[:c]) ** 0.5
         if not worst <= tol:
             raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
-        chain = _ordered_chain(products[c - 1::-1, :, :2 * k], halves) @ chain
+        passes, folded = full if c == count else _chain_passes(
+            products[c - 1::-1, :, :2 * k], halves)
+        for left, right, out, tail, slot in passes:
+            np.matmul(left, right, out=out)
+            if tail is not None:
+                slot[...] = tail
+        chain = folded @ chain
         buffer[:n, :k] = buffer[:n, c * k:(c + 1) * k]
     embedded = chain.view(complex)  # K in the even rows, iK in the odd ones, to roundoff
     product = (embedded[0::2] - 1j * embedded[1::2]) / 2
@@ -363,21 +381,23 @@ def _slices(frames: np.ndarray):
 
 
 def _grid_batches(ctrl: Controller, steps: int, out: np.ndarray | None = None):
-    """(times, frames) of the grid points 0, ..., steps of `_grid_times`, in
+    """The frames of the grid points 0, ..., steps of `_grid_times`, in
     `_chunk_frames` batches, sampled on the caller's thread and not checked:
     the one sampling of the grid, so every reader that must agree bit for
-    bit reads the same frames. One `extremal._frame_sampler` per stream
-    holds the table of the offsets s_j = j * (1 / steps) of one batch, and
-    each batch is that table shifted to t0 = start * (1 / steps), its first
-    grid point; the frames are the view of the sampler's buffer, allocated
-    once per stream, or of `out`, an (n, c k) array for the batch's c =
-    min(chunk, steps + 1) frames, when one is given, and are valid until
-    the next batch is asked for."""
+    bit reads the same frames. A batch starting at grid point `start` holds
+    the frames of `_grid_times(steps, start, start + len(batch))`, which a
+    reader that needs the times builds from its own count. One
+    `extremal._frame_sampler` per stream holds the table of the offsets
+    s_j = j * (1 / steps) of one batch, and each batch is that table
+    shifted to t0 = start * (1 / steps), its first grid point; the frames
+    are the view of the sampler's buffer, allocated once per stream, or of
+    `out`, an (n, c k) array for the batch's c = min(chunk, steps + 1)
+    frames, when one is given, and are valid until the next batch is asked
+    for."""
     chunk, dt = _chunk_frames(ctrl.n, ctrl.k), 1.0 / steps
     sample = _frame_sampler(ctrl, np.arange(min(chunk, steps + 1)) * dt, out=out)
     for start in range(0, steps + 1, chunk):
-        times = _grid_times(steps, start, min(start + chunk, steps + 1))
-        yield times, sample(start * dt)[:len(times)]
+        yield sample(start * dt)[:min(chunk, steps + 1 - start)]
 
 
 def _closed_loop(ctrl: Controller, *steps) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -424,7 +444,7 @@ def cross_validate(
     deviations = []
     for steps in schedule:
         gamma_numeric = _chain_holonomy(
-            lambda rows: (frames for _, frames in _grid_batches(ctrl, steps, rows)),
+            lambda rows: _grid_batches(ctrl, steps, rows),
             min(_chunk_frames(ctrl.n, ctrl.k), steps + 1), v0, tol)
         deviations.append(float(np.linalg.norm(gamma_numeric - analytic)))
     return OracleReport(

@@ -4,11 +4,14 @@ library's own computational routes."""
 import tracemalloc
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from holosynth.abelian import BerryController
 from holosynth.errors import ConvergenceFailure, InvalidFrame
 from holosynth.extremal import _unit_phases, curve_samples, holonomy_analytic
-from holosynth.linalg import PHASE_SNAP, TWO_PI, VALIDATION_TOL, check_unitary, polar_unitary
+from holosynth.linalg import (
+    PHASE_SNAP, TWO_PI, VALIDATION_TOL, _squared_gram_defect, check_unitary, polar_unitary,
+)
 from holosynth.verify import _chunk_frames, _grid_times
 
 
@@ -227,6 +230,52 @@ def _chain_holonomy_serial(chunks, v0):
         prev = frames[-1]
     product = chain[0::2, 0::2] + 1j * chain[0::2, 1::2]
     return polar_unitary(v0.conj().T @ prev @ product)
+
+
+def _ordered_chain_per_chunk(factors, work):
+    """`verify`'s pairwise chain reduction as the fold ran it before its
+    passes were planned once per stream: the views of every pass sliced
+    again for each chunk."""
+    chain, halves = factors, work.reshape(2, -1, *work.shape[1:])
+    while chain.shape[0] > 1:
+        pairs, odd = divmod(chain.shape[0], 2)
+        paired, halves = halves[0][:pairs + odd], halves[::-1]
+        np.matmul(chain[0:2 * pairs:2], chain[1:2 * pairs:2], out=paired[:pairs])
+        if odd:
+            paired[pairs] = chain[-1]
+        chain = paired
+    return chain[0]
+
+
+def chain_holonomy_per_chunk(stream, count, v0, tol):
+    """`verify._chain_holonomy` as it was before the Gram check moved to
+    the product's even rows and the chain's passes were planned once per
+    stream: the Gram check on the whole embedded Gram half, whose
+    ||E(G) - I||_F^2 is 2 ||G - I||_F^2, and `_ordered_chain_per_chunk`
+    for each chunk. The fold must give its Gamma bit for bit."""
+    n, k = v0.shape
+    buffer = np.empty((2 * n, (count + 1) * k), dtype=complex)
+    frames, real = np.swapaxes(buffer[:n, k:].reshape(n, count, k), 0, 1), buffer.view(float)
+    step, row, column = 2 * k * real.itemsize, *real.strides
+    windows = as_strided(real, (count, 2 * n, 4 * k), (step, row, column), writeable=False)
+    blocks = np.swapaxes(windows[:, :, 2 * k:], 1, 2)
+    products = np.empty((count, 2 * k, 4 * k))
+    halves = np.empty((2 * ((count + 1) // 2), 2 * k, 2 * k))
+    buffer[:n, :k], chain = v0, np.eye(2 * k)
+    for chunk in stream(buffer[:n, k:]):
+        c = len(chunk)
+        frames[:c] = chunk
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(buffer[:n, :(c + 1) * k], 1j, out=buffer[n:, :(c + 1) * k])
+            np.matmul(blocks[:c], windows[:c], out=products[:c])
+        worst = (_squared_gram_defect(products[:c, :, 2 * k:]) / 2.0) ** 0.5
+        if not worst <= tol:
+            raise InvalidFrame(f"worst per-sample frame defect {worst:.3e}")
+        chain = _ordered_chain_per_chunk(products[c - 1::-1, :, :2 * k], halves) @ chain
+        buffer[:n, :k] = buffer[:n, c * k:(c + 1) * k]
+    embedded = chain.view(complex)
+    product = (embedded[0::2] - 1j * embedded[1::2]) / 2
+    return polar_unitary(v0.conj().T @ buffer[:n, :k] @ product)
 
 
 def _grid_chunks_serial(ctrl, steps, tol):

@@ -451,15 +451,21 @@ class TestCliVerify:
         assert "oracle deviation" not in err
         assert json.loads(report.read_text())["target_error"] == pytest.approx(2.0)
 
-    def test_a_non_unitary_gate_exits_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_a_non_unitary_gate_exits_3(self, command, capsys, tmp_path):
+        # each reader of the document refuses the gate before any sample,
+        # and writes nothing
         def replace_gate(doc):
             doc["gate"]["matrix"] = encode_matrix(2.0 * np.eye(4))
 
         target = self._perturbed_cnot(capsys, tmp_path, replace_gate)
-        code, _, err = run_cli(capsys, "verify", "--doc", str(target), "--steps", "1000")
+        written = tmp_path / "out"
+        code, out, err = run_cli(capsys, command, "--doc", str(target), "--steps", "1000",
+                                 "--out", str(written))
         assert code == 3
         assert "target gate fails unitarity" in err
         assert "Traceback" not in err
+        assert out == "" and not written.exists()
 
     @pytest.mark.parametrize("steps", ["1000,1000", "100,1000,100"])
     def test_a_schedule_that_does_not_increase_exits_2(self, steps, capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from holosynth import cli, verify
 from holosynth.document import canonical_dumps, encode_matrix
+from holosynth.linalg import unitarity_defect
 from holosynth import (
     Controller,
     DimensionError,
@@ -34,7 +35,8 @@ from holosynth import (
     synthesize,
 )
 from helpers import (
-    cross_validate_serial, frame_sampler_reference, oracle_fit_reference, random_haar, traced_peak,
+    chain_holonomy_per_chunk, cross_validate_serial, frame_sampler_reference, oracle_fit_reference,
+    random_haar, traced_peak,
 )
 
 HADAMARD = catalog_get("hadamard").matrix
@@ -48,6 +50,16 @@ def _warped_loop(ctrl, steps, strength=0.15):
     return SampledLoop(curve_samples(ctrl, warped))
 
 
+def _timed_batches(ctrl, steps, out=None, batches=None):
+    """(times, frames) of each batch of `batches`, `verify._grid_batches`
+    by default, with the times rebuilt from `_grid_times` and the count of
+    frames each batch holds, as the readers that need times build them."""
+    start = 0
+    for frames in (batches or verify._grid_batches)(ctrl, steps, out):
+        yield verify._grid_times(steps, start, start + len(frames)), frames
+        start += len(frames)
+
+
 def _route_samples(monkeypatch, each):
     """Pass every grid batch through each(times, frames), which may record,
     alter or raise, on the grid's batcher, `_grid_batches`, which the
@@ -56,9 +68,9 @@ def _route_samples(monkeypatch, each):
     batches = verify._grid_batches
 
     def streaming(ctrl, steps, out=None):
-        for times, frames in batches(ctrl, steps, out):
+        for times, frames in _timed_batches(ctrl, steps, out, batches):
             each(times, frames)
-            yield times, frames
+            yield frames
 
     monkeypatch.setattr(verify, "_grid_batches", streaming)
     monkeypatch.setattr(cli, "_grid_batches", streaming)
@@ -554,7 +566,7 @@ class TestStreamedOracle:
         reference of `helpers`, which samples into fresh arrays."""
         with monkeypatch.context() as patched:
             patched.setattr(verify, "_frame_sampler", frame_sampler_reference)
-            return np.concatenate([frames for _, frames in verify._grid_batches(ctrl, steps)])
+            return np.concatenate(list(verify._grid_batches(ctrl, steps)))
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_sample_loop_frames_are_the_streams_frames(self, k, monkeypatch):
@@ -564,7 +576,7 @@ class TestStreamedOracle:
         ctrl = self._controller(k)
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
         for steps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 100):
-            times = np.concatenate([t for t, _ in verify._grid_batches(ctrl, steps)])
+            times = np.concatenate([t for t, _ in _timed_batches(ctrl, steps)])
             assert times[-1] == 1.0 and len(times) == steps + 1
             np.testing.assert_array_equal(sample_loop(ctrl, steps).frames,
                                           self._referenced(ctrl, steps, monkeypatch))
@@ -909,6 +921,56 @@ class TestInPlaceStream:
         assert results == [(report.deviations, report.gamma_numeric.tobytes())] * 3
 
 
+class TestEvenRowFold:
+    """The fold's Gram check on the even rows of its product's Gram half,
+    G = V^H V in complex view, and the chain's passes planned once per
+    stream: each chunk's check is `unitarity_defect` to roundoff, and
+    Gamma and the deviations keep the bits of the fold before them."""
+
+    @pytest.mark.parametrize("gate", [g for _, g in STREAM_GATES],
+                             ids=[name for name, _ in STREAM_GATES])
+    def test_is_the_per_chunk_fold_bit_for_bit(self, gate, monkeypatch):
+        # chunk edges: a short last chunk, a lone last frame, a full one
+        ctrl = synthesize(gate).controller
+        chunk = verify._chunk_frames(ctrl.n, ctrl.k)
+        schedule = (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)
+        report = cross_validate(ctrl, gate, schedule)
+        whole = numeric_holonomy(sample_loop(ctrl, schedule[-1]))
+        monkeypatch.setattr(verify, "_chain_holonomy", chain_holonomy_per_chunk)
+        reference = cross_validate(ctrl, gate, schedule)
+        assert report.deviations == reference.deviations
+        assert report.gamma_numeric.tobytes() == reference.gamma_numeric.tobytes()
+        assert whole.tobytes() == numeric_holonomy(sample_loop(ctrl, schedule[-1])).tobytes()
+
+    @pytest.mark.parametrize("error", ["none", "imaginary-part", "a-later-chunks-first-frame"])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_each_chunks_check_is_unitarity_defect(self, k, error, monkeypatch):
+        ctrl = synthesize(random_haar(np.random.default_rng(60 + k), k)).controller
+        chunk = verify._chunk_frames(ctrl.n, k)
+        steps = 2 * chunk + 1
+        frames = np.array(curve_samples(ctrl, verify._grid_times(steps, 0, steps + 1)))
+        rng = np.random.default_rng(k)
+        if error == "imaginary-part":  # the real parts stay as sampled
+            frames[chunk // 2] += 1e-7j * rng.standard_normal((ctrl.n, k))
+        elif error == "a-later-chunks-first-frame":
+            frames[chunk] = frames[chunk] @ (np.eye(k) + 1e-7 * rng.standard_normal((k, k)))
+        recorded, reduction = [], verify._squared_gram_defect
+
+        def recording(gram):
+            recorded.append(reduction(gram))
+            return recorded[-1]
+
+        monkeypatch.setattr(verify, "_squared_gram_defect", recording)
+        verify._chain_holonomy(lambda rows: verify._slices(frames), chunk, ctrl.base_frame(),
+                               np.inf)
+        expected = [unitarity_defect(part) for part in verify._slices(frames)]
+        assert len(recorded) == 3
+        np.testing.assert_allclose(np.sqrt(recorded), expected, rtol=0, atol=1e-15)
+        if error != "none":
+            worst = 0 if error == "imaginary-part" else 1
+            assert int(np.argmax(recorded)) == worst and expected[worst] > 1e-8
+
+
 class TestOracleBitIdentity:
     @pytest.mark.parametrize("name", MULTI_CHANNEL_GATES)
     def test_cross_validate_equals_the_broadcast_product_reference(self, name, monkeypatch):
@@ -934,7 +996,7 @@ class TestShiftedGrid:
     @staticmethod
     def _assert_near_the_curve(ctrl, steps, bound):
         # entrywise, one batch at a time
-        for times, frames in verify._grid_batches(ctrl, steps):
+        for times, frames in _timed_batches(ctrl, steps):
             gap = np.abs(frames - curve_samples(ctrl, times)).max()
             assert gap <= bound, (steps, times[0], gap)
 
@@ -946,7 +1008,7 @@ class TestShiftedGrid:
         # about triples
         ctrl = self._controller(k, winding)
         chunk = verify._chunk_frames(ctrl.n, ctrl.k)
-        *_, (times, frames) = verify._grid_batches(ctrl, chunk)
+        *_, (times, frames) = _timed_batches(ctrl, chunk)
         assert times.tolist() == [1.0] and len(frames) == 1
         for steps in (2, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 10000):
             self._assert_near_the_curve(ctrl, steps, 2e-15 * winding)
